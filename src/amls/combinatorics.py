@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -154,18 +154,29 @@ def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
     return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
 
 
-def _exact_cost_less(
+_TIE_DIGITS = 60
+_TIE_MARGIN = Decimal("1e-50")
+
+
+def _decimal_ln(x: Fraction) -> Decimal:
+    return Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
+
+
+def _cost_less(
     c_exact: Fraction, a: Fraction, t1: int, f1: Fraction, t2: int, f2: Fraction
 ) -> bool:
-    """Whether f1 * c^(-t1/a) < f2 * c^(-t2/a), decided in exact arithmetic.
+    """Whether f1 * c^(-t1/a) < f2 * c^(-t2/a), by a margin above rounding.
 
-    Used as a tie audit when two log costs agree to within float noise.  The
-    comparison is raised to the a.numerator-th power so all exponents become
-    integers (both sides are positive, so the order is preserved).
+    Used as a tie audit when two log costs agree to within float noise.  Both
+    sides are compared as logarithms at 60 significant digits, and f1's side
+    counts as less only when it is below by more than 1e-50, so an exact tie
+    is not less.  The cost is fixed whatever the size of a's numerator.
     """
-    lhs = (f1 / f2) ** a.numerator
-    rhs = c_exact ** ((t1 - t2) * a.denominator)
-    return lhs < rhs
+    with localcontext() as ctx:
+        ctx.prec = _TIE_DIGITS
+        shift = Fraction(t1 - t2) / a
+        gap = Decimal(shift.numerator) / shift.denominator * _decimal_ln(c_exact)
+        return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > _TIE_MARGIN
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +184,7 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
     """Integer sample size in [0, floor(alpha*k)] minimizing the iteration cost.
 
     Comparison happens in log space; candidates within 1e-12 of the incumbent
-    are re-compared in exact rational arithmetic.  Ties keep the smaller t.
+    are re-compared with 60-digit logarithms.  Ties keep the smaller t.
     """
     a, c = _validate_alpha_c(alpha, c)
     best = iteration_cost(n, k, 0, alpha, c)
@@ -184,7 +195,7 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
         if diff < -1e-12:
             best = cand
         elif diff <= 1e-12:
-            if _exact_cost_less(c_exact, a, cand.t, 1 / cand.p, best.t, 1 / best.p):
+            if _cost_less(c_exact, a, cand.t, 1 / cand.p, best.t, 1 / best.p):
                 best = cand
     return best
 

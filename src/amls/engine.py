@@ -314,7 +314,7 @@ def _log_fraction(f: Fraction) -> float:
 
 def _select_t_deterministic(n: int, k: int, alpha: Fraction, c: float) -> tuple[int, int]:
     """(t, r) minimizing kappa(n, k, t, r) * c^(k - t/alpha), r = ceil(t/alpha)."""
-    from .combinatorics import _exact_cost_less
+    from .combinatorics import _cost_less
 
     c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
     log_c = math.log(c)
@@ -328,7 +328,7 @@ def _select_t_deterministic(n: int, k: int, alpha: Fraction, c: float) -> tuple[
         diff = log_cost - best_log
         if diff < -1e-12 or (
             diff <= 1e-12
-            and _exact_cost_less(c_exact, alpha, t, factor, best_t, best_factor)
+            and _cost_less(c_exact, alpha, t, factor, best_t, best_factor)
         ):
             best_t, best_r, best_factor, best_log = t, r, factor, log_cost
     return best_t, best_r

@@ -17,9 +17,16 @@ smallest candidate, so outputs are reproducible).  Greedy pays a factor of
 (1 + ln(#targets)) over the optimum; ``family_size_bound`` combines that
 ratio with the probabilistic existence bound kappa(n,p,q,r)*(p+1)*ln(n).
 
-Construction enumerates all p- and q-subsets, so it is gated by a hard
-universe-size limit (default 14).  Families are immutable once built and
-may be shared freely across threads.
+The greedy keeps a running score vector, the counting form of Minoux's lazy
+greedy: scores are computed once, and each pick subtracts only the rows of
+the targets it newly covered, so every round's argmax equals a full
+recount's.  The target x candidate coverage matrix is built in fixed blocks
+of target rows from popcounts of uint64 subset masks, so subsets of any
+universe with n <= 64 are representable.
+
+Construction enumerates all p- and q-subsets, so its cost grows with
+C(n, p) * C(n, q); a universe-size limit (default 14) gates it.  Families
+are immutable once built and may be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -74,36 +81,48 @@ def _check_limit(n: int, limit: int, what: str) -> None:
         )
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+# target rows per block of the coverage build; caps the uint64 AND temporary
+# at _BLOCK_ROWS x #candidates
+_BLOCK_ROWS = 128
 
 
 def _masks(n: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     combos = list(combinations(range(n), size))
-    masks = np.fromiter(
-        (sum(1 << v for v in c) for c in combos), dtype=np.uint32, count=len(combos)
-    )
+    elements = np.array(combos, dtype=np.uint64).reshape(len(combos), size)
+    masks = np.bitwise_or.reduce(np.uint64(1) << elements, axis=1)
     return combos, masks
 
 
 def _greedy(
     n: int, target_size: int, member_size: int, admits
 ) -> tuple[tuple[int, ...], ...]:
-    """Greedy set cover; admits(count_matrix) -> bool matrix of coverage."""
-    if n > 16:  # popcount table is indexed by 16-bit masks
-        raise LimitExceededError(f"greedy construction supports n <= 16, got {n}")
-    targets, tmasks = _masks(n, target_size)
+    """Greedy set cover; admits(count_matrix) -> bool matrix of coverage.
+
+    served[i, j] says whether candidate j serves target i.  scores[j] counts
+    the still-uncovered targets candidate j serves; after each pick only the
+    rows of the targets it newly covered are subtracted.
+    """
+    if n > 64:
+        raise LimitExceededError(f"subset masks are 64-bit, so n <= 64, got {n}")
+    _, tmasks = _masks(n, target_size)
     candidates, cmasks = _masks(n, member_size)
-    counts = _POPCOUNT[cmasks[:, None] & tmasks[None, :]]
-    cover = admits(counts)
-    uncovered = np.ones(len(targets), dtype=bool)
+    served = np.empty((len(tmasks), len(cmasks)), dtype=bool)
+    for lo in range(0, len(tmasks), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        served[rows] = admits(np.bitwise_count(tmasks[rows, None] & cmasks))
+    scores = served.sum(axis=0, dtype=np.int32)  # each score <= #targets < 2**31
+    uncovered = np.ones(len(tmasks), dtype=bool)
+    remaining = len(tmasks)
     picked: list[tuple[int, ...]] = []
-    while uncovered.any():
-        scores = cover[:, uncovered].sum(axis=1)
+    while remaining:
         best = int(np.argmax(scores))  # first maximum = lexicographically smallest
         if scores[best] == 0:
             raise ValueError("infeasible parameter combination: uncoverable target")
         picked.append(candidates[best])
-        uncovered &= ~cover[best]
+        newly = np.flatnonzero(uncovered & served[:, best])
+        uncovered[newly] = False
+        remaining -= len(newly)
+        scores -= served[newly].sum(axis=0, dtype=np.int32)
     return tuple(picked)
 
 

@@ -6,14 +6,20 @@ recurrence.  Both are independent of the implementations under test.
 """
 
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import amls
 from amls.bounds import brute_bound
 from amls.combinatorics import (
+    _cost_less,
     binomial,
     continuous_t,
     empirical_brute_exponent,
@@ -209,6 +215,64 @@ class TestSelectT:
         # c = 1 gives exact cost 1/p for every t; t=0 has p=1 like nothing else
         cost = select_t(8, 3, 1, 1)
         assert cost.t == 0
+
+
+# exact_ratio(4/3) = 13333333333333333 / 10**16: an audit that raised the
+# costs to a.numerator did not return for it.  At n = 4, k = 1 the costs of
+# t = 0 and t = 1 are c and 4 * c**(1 - 1/alpha), so c = 4**(4/3) makes them
+# tie to float precision and sends both argmins into the audit.
+FLOAT_ALPHA_AUDITS = """
+from fractions import Fraction
+from amls.combinatorics import _cost_less, exact_ratio, select_t
+from amls.engine import _select_t_deterministic
+
+a = exact_ratio(4 / 3)
+# 4/a exceeds 3 by about 7.5e-17, so 8 * 2**(-4/a) is just below 1
+assert _cost_less(Fraction(2), a, 4, Fraction(8), 0, Fraction(1))
+assert not _cost_less(Fraction(2), a, 0, Fraction(1), 4, Fraction(8))
+assert select_t(4, 1, 4 / 3, 4 ** (4 / 3)).t in (0, 1)
+assert _select_t_deterministic(4, 1, a, 4 ** (4 / 3))[0] in (0, 1)
+for k in range(16):
+    select_t(20, k, 4 / 3, 2)
+for c in (2.0, 3.0):
+    for k in range(11):
+        _select_t_deterministic(14, k, a, c)
+print("done")
+"""
+
+
+def _cap_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestTieAudit:
+    def test_exact_tie_is_not_less(self):
+        # 2 * 2**-1 == 1 * 2**0, either way round
+        assert not _cost_less(Fraction(2), Fraction(1), 1, Fraction(2), 0, Fraction(1))
+        assert not _cost_less(Fraction(2), Fraction(1), 0, Fraction(1), 1, Fraction(2))
+        # 81 * 9**(-3/(3/2)) == 1 * 9**0
+        a = Fraction(3, 2)
+        assert not _cost_less(Fraction(9), a, 3, Fraction(81), 0, Fraction(1))
+
+    def test_tiny_margin_is_decided(self):
+        near_one = 1 + Fraction(1, 10**30)
+        assert _cost_less(Fraction(2), Fraction(1), 0, Fraction(1), 0, near_one)
+        assert not _cost_less(Fraction(2), Fraction(1), 0, near_one, 0, Fraction(1))
+
+    def test_float_alpha_audits_return(self):
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", FLOAT_ALPHA_AUDITS],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["done"]
 
 
 class TestContinuousT:

@@ -1,5 +1,6 @@
 """Family constructions against independent enumeration checks."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +56,48 @@ INTERSECTION_PARAMS = [
 
 COVERING_PARAMS = [(4, 3, 2), (5, 3, 1), (5, 4, 2), (6, 4, 2), (7, 7, 3),
                    (8, 5, 3), (10, 6, 2), (12, 12, 4), (12, 7, 3)]
+
+
+def reference_greedy(n, target_size, member_size, serves):
+    """Greedy set cover that recounts every candidate's score each round.
+
+    Ties go to the first candidate in lexicographic order.
+    """
+    targets = list(combinations(range(n), target_size))
+    candidates = list(combinations(range(n), member_size))
+    served = [
+        {i for i, target in enumerate(targets) if serves(set(target), set(cand))}
+        for cand in candidates
+    ]
+    uncovered = set(range(len(targets)))
+    picked = []
+    while uncovered:
+        scores = [len(s & uncovered) for s in served]
+        best = scores.index(max(scores))
+        assert scores[best] > 0
+        picked.append(candidates[best])
+        uncovered -= served[best]
+    return tuple(picked)
+
+
+def valid_intersection_params(n):
+    for p in range(1, n + 1):
+        for r in range(1, p + 1):
+            for q in range(r, n - p + r + 1):
+                yield p, q, r
+
+
+# The families `amls brute --alpha 1.5` (coverings (14, floor(1.5 k), k) for
+# k = 0..9) and `amls solve --deterministic` (weak (14, p, q, r) families;
+# c = 2 for vertex cover, then c = 3 for 3-hitting set) build at n = 14.
+BENCHMARK_COVERINGS_14 = [((3 * k) // 2, k) for k in range(10)]
+BENCHMARK_WEAK_14 = [
+    (8, 2, 2), (9, 4, 4), (10, 6, 6), (11, 8, 8), (12, 10, 10), (13, 12, 12),
+    (14, 14, 14),
+    (5, 1, 1), (6, 2, 2), (7, 4, 4), (8, 5, 5), (9, 7, 7), (10, 8, 8),
+    (11, 10, 10), (12, 11, 11), (13, 13, 13), (14, 14, 14),
+]
+BENCHMARK_DIGEST_14 = "2cd61303402e16c3a44892b79a09b69ea1348b83123c899ac764c38eb0d56910"
 
 
 class TestIntersectionFamilies:
@@ -154,6 +197,49 @@ class TestCoverings:
             build_covering(4, 2, 3)  # k > t
         with pytest.raises(LimitExceededError):
             build_covering(20, 10, 3, limit=14)
+
+
+class TestGoldenGreedy:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_intersection_members_match_reference(self, n):
+        for p, q, r in valid_intersection_params(n):
+            weak = reference_greedy(n, p, q, lambda t, x: len(t & x) >= r)
+            strong = reference_greedy(n, p, q, lambda t, x: len(t & x) == r)
+            assert build_intersection_family(n, p, q, r).members == weak, (p, q, r)
+            assert (
+                build_intersection_family(n, p, q, r, strong=True).members == strong
+            ), (p, q, r)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_covering_members_match_reference(self, n):
+        for t in range(n + 1):
+            for k in range(t + 1):
+                expected = reference_greedy(n, k, t, lambda target, x: target <= x)
+                assert build_covering(n, t, k).members == expected, (t, k)
+
+    def test_benchmark_families_are_pinned(self):
+        families = [build_covering(14, t, k) for t, k in BENCHMARK_COVERINGS_14]
+        families += [build_intersection_family(14, *pqr) for pqr in BENCHMARK_WEAK_14]
+        assert sum(len(f.members) for f in families) == 1345
+        text = "".join(family_to_text(f) for f in families)
+        assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_DIGEST_14
+
+
+class TestLimits:
+    def test_universe_above_16_builds(self):
+        covering = build_covering(20, 2, 1, limit=20)
+        assert verify_family(covering, limit=20)
+        family = build_intersection_family(20, 2, 2, 1, limit=20)
+        assert verify_family(family, limit=20)
+
+    def test_default_limit_still_gates(self):
+        with pytest.raises(LimitExceededError):
+            build_covering(15, 3, 2)
+
+    def test_masks_hold_64_elements(self):
+        assert verify_family(build_covering(64, 63, 1, limit=64), limit=64)
+        with pytest.raises(LimitExceededError):
+            build_covering(65, 2, 1, limit=65)
 
 
 class TestVerifyFamily:
