@@ -141,7 +141,10 @@ class RunReport:
     """Outcome of one solving run.
 
     k_found is the loop index whose iteration produced the final solution,
-    or -1 if nothing smaller than the full universe was found.  elapsed is
+    or -1 if nothing smaller than the full universe was found.  warnings
+    names each k whose repetitions were capped and each k on which the
+    oracle broke its contract: it returned a Y with X u Y not a member or
+    larger than alpha * k.  Such samples count as misses.  elapsed is
     wall-clock seconds and is excluded from the JSON form.
     """
 
@@ -196,6 +199,37 @@ class _Best:
             self.k = other.k
 
 
+def _sampler(inst: MonotoneInstance, ext: ExtensionOracle, k: int, t: int):
+    """Check (k, t) and return draw(rng), one sample-then-extend attempt.
+
+    draw returns (X u Y, False) when the oracle's Y completes a member of
+    size at most alpha * k, (None, False) when the oracle returns None, and
+    (None, True) when it returns a Y that breaks its contract.  Everything
+    that depends only on (k, t) is computed here, once.
+    """
+    alpha = exact_ratio(ext.alpha)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    alpha_k = math.floor(alpha * k)
+    if not 0 <= t <= min(alpha_k, inst.n):
+        raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)] for k={k}")
+    population = range(inst.n)
+    budget = k - math.ceil(Fraction(t) / alpha)
+    extend, membership = ext.extend, inst.membership
+
+    def draw(rng: random.Random) -> tuple[Optional[frozenset], bool]:
+        x = frozenset(rng.sample(population, t))
+        y = extend(x, budget, rng)
+        if y is None:
+            return None, False
+        z = x.union(y)
+        if len(z) <= alpha_k and membership(z):
+            return z, False
+        return None, True
+
+    return draw
+
+
 def sample_once(
     inst: MonotoneInstance,
     ext: ExtensionOracle,
@@ -210,34 +244,33 @@ def sample_once(
     at most alpha * k.  Any failure returns the full universe (the harmless
     placeholder: always a member).
     """
-    alpha = exact_ratio(ext.alpha)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if not 0 <= t <= min(math.floor(alpha * k), inst.n):
-        raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)] for k={k}")
-    universe = frozenset(range(inst.n))
-    x = frozenset(rng.sample(range(inst.n), t))
-    budget = k - math.ceil(Fraction(t) / alpha)
-    y = ext.extend(x, budget, rng)
-    if y is None:
-        return universe
-    z = x | frozenset(y)
-    if len(z) <= alpha * k and inst.membership(z):
-        return z
-    return universe
+    z, _ = _sampler(inst, ext, k, t)(rng)
+    return frozenset(range(inst.n)) if z is None else z
 
 
-def _sample_chunk(inst, ext, k, t, reps, alpha_k, rng) -> tuple[Optional[_Best], int]:
-    """Run up to reps samples, stopping at the first qualifying hit."""
+def _sample_chunk(draw, k, reps, universe, alpha_k, rng) -> tuple[Optional[_Best], int, int]:
+    """Run up to reps samples, stopping at the first qualifying hit.
+
+    Returns the hit (or None), the samples drawn and the contract violations
+    among them.  A failed sample stands for the universe, which qualifies
+    when n <= alpha * k.
+    """
     best = None
-    samples = 0
+    samples = broken = 0
     for _ in range(reps):
-        z = sample_once(inst, ext, k, t, rng)
+        z, broke = draw(rng)
         samples += 1
-        if Fraction(len(z)) <= alpha_k:
+        broken += broke
+        if z is None:
+            z = universe
+        if len(z) <= alpha_k:
             best = _Best(z, k)
             break
-    return best, samples
+    return best, samples, broken
+
+
+def _contract_warning(k: int, broken: int, samples: int) -> str:
+    return f"k={k}: oracle broke its contract on {broken} of {samples} samples"
 
 
 def run_randomized(
@@ -270,11 +303,12 @@ def run_randomized(
                 f"(needed {reps}); success guarantee degraded"
             )
             reps = cfg.max_repetitions
-        alpha_k = alpha * k
+        draw = _sampler(inst, ext, k, cost.t)
+        alpha_k = math.floor(alpha * k)
         workers = min(cfg.parallel_workers, reps)
         chunks = [reps // workers + (1 if w < reps % workers else 0) for w in range(workers)]
         args = [
-            (inst, ext, k, cost.t, chunk, alpha_k, random.Random(f"{cfg.seed}:{k}:{w}"))
+            (draw, k, chunk, universe, alpha_k, random.Random(f"{cfg.seed}:{k}:{w}"))
             for w, chunk in enumerate(chunks)
             if chunk > 0
         ]
@@ -284,11 +318,16 @@ def run_randomized(
             with ThreadPoolExecutor(max_workers=len(args)) as pool:
                 results = list(pool.map(lambda a: _sample_chunk(*a), args))
         hit = False
-        for chunk_best, samples in results:
-            total_samples += samples
+        k_samples = k_broken = 0
+        for chunk_best, samples, broken in results:
+            k_samples += samples
+            k_broken += broken
             if chunk_best is not None:
                 hit = True
                 best.merge(chunk_best)
+        total_samples += k_samples
+        if k_broken:
+            warnings.append(_contract_warning(k, k_broken, k_samples))
         if cfg.stop_at_first and hit:
             break
 
@@ -354,6 +393,7 @@ def run_deterministic(
     alpha = exact_ratio(ext.alpha)
     universe = frozenset(range(inst.n))
     best = _Best(universe, -1)
+    warnings: list[str] = []
     total_samples = 0
     rng = random.Random(f"{cfg.seed}:deterministic")
 
@@ -367,18 +407,23 @@ def run_deterministic(
             )
             members = family.members
         budget = k - r
-        alpha_k = alpha * k
+        alpha_k = math.floor(alpha * k)
         hit = False
+        broken = 0
         for member in members:
             x = frozenset(member)
             y = ext.extend(x, budget, rng)
-            total_samples += 1
             if y is None:
                 continue
-            z = x | frozenset(y)
-            if Fraction(len(z)) <= alpha_k and inst.membership(z):
+            z = x.union(y)
+            if len(z) <= alpha_k and inst.membership(z):
                 best.offer(z, k)
                 hit = True
+            else:
+                broken += 1
+        total_samples += len(members)
+        if broken:
+            warnings.append(_contract_warning(k, broken, len(members)))
         if cfg.stop_at_first and hit:
             break
 
@@ -393,7 +438,7 @@ def run_deterministic(
         k_found=best.k,
         total_samples=total_samples,
         seed=cfg.seed,
-        warnings=(),
+        warnings=tuple(warnings),
         elapsed=time.perf_counter() - start,
     )
 

@@ -22,7 +22,8 @@ greedy: scores are computed once, and each pick subtracts only the rows of
 the targets it newly covered, so every round's argmax equals a full
 recount's.  The target x candidate coverage matrix is built in fixed blocks
 of target rows from popcounts of uint64 subset masks, so subsets of any
-universe with n <= 64 are representable.
+universe with n <= 64 are representable.  numpy is imported by the builder
+itself, so importing this module (and the ``amls`` CLI) does not load it.
 
 Construction enumerates all p- and q-subsets, so its cost grows with
 C(n, p) * C(n, q); a universe-size limit (default 14) gates it.  Families
@@ -35,10 +36,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .combinatorics import binomial, kappa
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LimitExceededError",
@@ -86,7 +89,9 @@ def _check_limit(n: int, limit: int, what: str) -> None:
 _BLOCK_ROWS = 128
 
 
-def _masks(n: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _masks(n: int, size: int) -> tuple[list[tuple[int, ...]], "np.ndarray"]:
+    import numpy as np
+
     combos = list(combinations(range(n), size))
     elements = np.array(combos, dtype=np.uint64).reshape(len(combos), size)
     masks = np.bitwise_or.reduce(np.uint64(1) << elements, axis=1)
@@ -102,6 +107,8 @@ def _greedy(
     the still-uncovered targets candidate j serves; after each pick only the
     rows of the targets it newly covered are subtracted.
     """
+    import numpy as np
+
     if n > 64:
         raise LimitExceededError(f"subset masks are 64-bit, so n <= 64, got {n}")
     _, tmasks = _masks(n, target_size)

@@ -10,9 +10,18 @@ contiguous vertex ids internally:
 Hypergraphs use the analogous format with a ``p hs3 <n> <m>`` header and
 ``s <a> [b] [c]`` lines holding 1-3 distinct 1-based elements.
 
-Both extension oracles are deterministic.  The exact vertex-cover oracle is
-plain two-way edge branching (base 2 per unit of budget); the matching
-oracle returns both endpoints of a greedy maximal matching, a polynomial
+All extension oracles are deterministic.  The exact vertex-cover and
+3-hitting-set oracles share one hitting-set core (an edge is a set of two):
+it branches on the first set the chosen elements miss, trying its elements
+in ascending order (base 2 or 3 per unit of budget).  Sets and the chosen
+elements are int bitmasks, built once per oracle.  Along a branch the
+chosen set only grows, so each node resumes the scan for the first unhit
+set where its parent stopped.  Before branching with budget b, a node walks
+the rest of the list and greedily collects pairwise disjoint unhit sets;
+more than b of them need more than b elements, so the node returns None
+at once.  That cut removes only subtrees without a solution, so the search
+returns the same first solution as plain branching.  The matching oracle
+returns both endpoints of a greedy maximal matching, a polynomial
 2-approximate extension exercising the (alpha=2, c=1) corner.  All
 tie-breaking is lexicographic (first uncovered edge or set, elements in
 ascending order) so identical inputs give identical outputs.
@@ -105,6 +114,57 @@ class Hypergraph3:
         object.__setattr__(self, "sets", tuple(normalized))
 
 
+# ------------------------------------------------------- hitting-set core
+
+
+def _hitting_sets(sets) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Bitmasks and ascending elements of the sets, in the given order."""
+    elems = tuple(tuple(sorted(t)) for t in sets)
+    return tuple(sum(1 << v for v in t) for t in elems), elems
+
+
+def _extend_hitting(sets, x: frozenset, k: int) -> Optional[frozenset]:
+    """At most k elements hitting every set x misses, else None.
+
+    Depth-k branching on the first unhit set in list order, its elements in
+    ascending order; the first solution found is returned.  The search
+    starts from x itself as chosen, which skips exactly the sets x hits.
+    """
+    if k < 0:
+        return None
+    masks, elems = sets
+    m = len(masks)
+
+    def branch(chosen: int, i: int, budget: int) -> Optional[int]:
+        while i < m and masks[i] & chosen:
+            i += 1
+        if i == m:
+            return chosen
+        if budget == 0:
+            return None
+        # each pairwise disjoint unhit set needs an element of its own
+        blocked = chosen
+        disjoint = 0
+        for mask in masks[i:]:
+            if not mask & blocked:
+                blocked |= mask
+                disjoint += 1
+                if disjoint > budget:
+                    return None
+        for v in elems[i]:
+            result = branch(chosen | 1 << v, i + 1, budget - 1)
+            if result is not None:
+                return result
+        return None
+
+    x_mask = sum(map((1).__lshift__, x))
+    found = branch(x_mask, 0, k)
+    if found is None:
+        return None
+    found &= ~x_mask
+    return frozenset(v for v in range(found.bit_length()) if found >> v & 1)
+
+
 # ---------------------------------------------------------------- vertex cover
 
 
@@ -128,27 +188,7 @@ def vc_extend_exact(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
     first, to depth k: complete for vertex cover, so None means no such
     cover exists.
     """
-    if k < 0:
-        return None
-    edges = sorted(e for e in g.edges if e[0] not in x and e[1] not in x)
-
-    def branch(chosen: set, budget: int) -> Optional[frozenset]:
-        uncovered = next(
-            (e for e in edges if e[0] not in chosen and e[1] not in chosen), None
-        )
-        if uncovered is None:
-            return frozenset(chosen)
-        if budget == 0:
-            return None
-        for v in uncovered:
-            chosen.add(v)
-            result = branch(chosen, budget - 1)
-            chosen.discard(v)
-            if result is not None:
-                return result
-        return None
-
-    return branch(set(), k)
+    return _extend_hitting(_hitting_sets(sorted(g.edges)), x, k)
 
 
 def vc_extend_matching(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
@@ -170,11 +210,12 @@ def vc_extend_matching(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
 
 
 def vc_exact_oracle(g: Graph) -> ExtensionOracle:
+    sets = _hitting_sets(sorted(g.edges))
     return ExtensionOracle(
         alpha=1.0,
         c=2.0,
         success_prob=1.0,
-        extend=lambda x, k, rng: vc_extend_exact(g, x, k),
+        extend=lambda x, k, rng: _extend_hitting(sets, x, k),
         name="vc-exact",
     )
 
@@ -208,33 +249,16 @@ def hs3_system(h: Hypergraph3, label: Optional[str] = None) -> MonotoneInstance:
 def hs3_extend_exact(h: Hypergraph3, x: frozenset, k: int) -> Optional[frozenset]:
     """Hitting set of the sets missed by x, of size <= k, via <=3-way
     branching on the first unhit set (elements in ascending order)."""
-    if k < 0:
-        return None
-    sets = [t for t in h.sets if not any(v in x for v in t)]
-
-    def branch(chosen: set, budget: int) -> Optional[frozenset]:
-        unhit = next((t for t in sets if not any(v in chosen for v in t)), None)
-        if unhit is None:
-            return frozenset(chosen)
-        if budget == 0:
-            return None
-        for v in unhit:
-            chosen.add(v)
-            result = branch(chosen, budget - 1)
-            chosen.discard(v)
-            if result is not None:
-                return result
-        return None
-
-    return branch(set(), k)
+    return _extend_hitting(_hitting_sets(h.sets), x, k)
 
 
 def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:
+    sets = _hitting_sets(h.sets)
     return ExtensionOracle(
         alpha=1.0,
         c=3.0,
         success_prob=1.0,
-        extend=lambda x, k, rng: hs3_extend_exact(h, x, k),
+        extend=lambda x, k, rng: _extend_hitting(sets, x, k),
         name="hs3-exact",
     )
 

@@ -1,14 +1,18 @@
 """CLI behavior: exit codes, output stability, file handling."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 import amls
 from amls.cli import main
+from amls.problems import gen_gnp
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 K3_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -189,6 +193,44 @@ class TestSolve:
         assert len(outputs) == 1
 
 
+def _graph_text(graph):
+    lines = [f"p edge {graph.n} {len(graph.edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in graph.edges]
+    return "\n".join(lines) + "\n"
+
+
+def _hs3_text(n, m, seed):
+    # sets in the order drawn, not sorted: the oracle must keep input order
+    triples = random.Random(seed).sample(list(combinations(range(n), 3)), m)
+    lines = [f"p hs3 {n} {m}"] + ["s " + " ".join(str(v + 1) for v in t) for t in triples]
+    return "\n".join(lines) + "\n"
+
+
+class TestGoldenReports:
+    # sha256 of the seeded --json - lines below as the set-based branching
+    # oracles wrote them; the deterministic VC run uses G(14, 0.3) because
+    # the default family limit is 14
+    DIGEST = "4d4fd53cb338e6ceb48d3019a733895bd7fbd7945c59564b502649c24a473530"
+
+    def test_seeded_reports_are_pinned(self, tmp_path, capsys):
+        vc16, vc14, hs14 = (tmp_path / name for name in ("vc16.col", "vc14.col", "hs14.hs3"))
+        vc16.write_text(_graph_text(gen_gnp(16, 0.3, seed=16)))
+        vc14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
+        hs14.write_text(_hs3_text(14, 30, seed=14))
+        runs = []
+        for seed in ("1", "2"):
+            runs.append(["--problem", "vc", "--input", str(vc16), "--seed", seed])
+            runs.append(["--problem", "hs3", "--input", str(hs14), "--seed", seed])
+        runs.append(["--problem", "vc", "--input", str(vc14), "--deterministic"])
+        runs.append(["--problem", "hs3", "--input", str(hs14), "--deterministic"])
+        lines = []
+        for argv in runs:
+            assert main(["solve", *argv, "--json", "-"]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST, lines
+
+
 class TestBrute:
     def test_triangle(self, k3_file, capsys):
         assert main(["brute", "--problem", "vc", "--input", k3_file, "--alpha", "2"]) == 0
@@ -270,6 +312,23 @@ class TestBench:
 
     def test_bad_trials_usage_error(self):
         assert main(["bench", "--preset", "small-vc", "--trials", "0"]) == 1
+
+
+class TestImport:
+    def test_cli_import_does_not_load_numpy(self):
+        # only the family and covering builders need numpy
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, amls, amls.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 class TestTopLevel:

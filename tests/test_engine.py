@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from scipy import stats
@@ -30,7 +31,7 @@ from amls.problems import (
     vc_matching_oracle,
     vc_system,
 )
-from conftest import exhaustive_hs_opt, exhaustive_vc_opt
+from conftest import exhaustive_hs_opt, exhaustive_vc_opt, is_cover
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -379,6 +380,87 @@ class TestReports:
         rnd = solve(vc_system(P3), vc_exact_oracle(P3), RunConfig(seed=1))
         assert det.mode == "deterministic"
         assert rnd.mode == "randomized"
+
+
+CONTRACT = re.compile(r"k=(\d+): oracle broke its contract on (\d+) of (\d+) samples")
+
+
+def _contract_lines(report):
+    """(k, broken, samples) of each contract warning, in report order."""
+    found = [CONTRACT.fullmatch(w) for w in report.warnings]
+    return [tuple(int(v) for v in m.groups()) for m in found if m]
+
+
+def _oversized_liar(n):
+    # answers every call with the whole universe: too large while n > alpha * k
+    return ExtensionOracle(
+        alpha=1.0, c=2.0, success_prob=1.0, extend=lambda x, k, rng: frozenset(range(n))
+    )
+
+
+def _empty_liar(graph, non_covers):
+    # answers every call with Y = {}: X u Y is no member unless X covers
+    def extend(x, k, rng):
+        if not is_cover(graph.edges, x):
+            non_covers.append(x)
+        return frozenset()
+
+    return ExtensionOracle(alpha=1.0, c=2.0, success_prob=1.0, extend=extend)
+
+
+class TestContractViolations:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_randomized_counts_oversized_answers(self, workers):
+        rep = run_randomized(
+            vc_system(C5), _oversized_liar(5), RunConfig(seed=4, parallel_workers=workers)
+        )
+        lines = _contract_lines(rep)
+        assert [k for k, _, _ in lines] == [0, 1, 2, 3, 4]
+        assert all(broken == samples > 0 for _, broken, samples in lines)
+        assert len(rep.warnings) == len(lines)
+        assert rep.size == 5 and rep.k_found == -1
+
+    def test_randomized_counts_non_member_answers(self):
+        non_covers = []
+        g = gen_gnp(10, 0.4, seed=8)
+        rep = run_randomized(vc_system(g), _empty_liar(g, non_covers), RunConfig(seed=2))
+        lines = _contract_lines(rep)
+        assert lines and all(0 < broken <= samples for _, broken, samples in lines)
+        assert sum(broken for _, broken, _ in lines) == len(non_covers)
+        assert vc_system(g).membership(frozenset(rep.solution))
+
+    def test_deterministic_counts_oversized_answers(self):
+        rep = run_deterministic(vc_system(C5), _oversized_liar(5))
+        lines = _contract_lines(rep)
+        assert [k for k, _, _ in lines] == [0, 1, 2, 3, 4]
+        assert all(broken == samples > 0 for _, broken, samples in lines)
+        assert sum(samples for _, _, samples in lines) < rep.total_samples
+
+    def test_deterministic_counts_non_member_answers(self):
+        non_covers = []
+        g = gen_gnp(10, 0.4, seed=9)
+        rep = run_deterministic(vc_system(g), _empty_liar(g, non_covers))
+        lines = _contract_lines(rep)
+        assert lines and all(0 < broken <= samples for _, broken, samples in lines)
+        assert sum(broken for _, broken, _ in lines) == len(non_covers)
+        assert vc_system(g).membership(frozenset(rep.solution))
+
+    def test_shipped_oracles_keep_the_contract(self):
+        for seed in range(4):
+            g = gen_gnp(12, 0.3, seed=seed)
+            rng = random.Random(seed)
+            h = Hypergraph3(
+                11, tuple(tuple(rng.sample(range(11), 3)) for _ in range(20))
+            )
+            runs = [
+                (vc_system(g), vc_exact_oracle(g)),
+                (vc_system(g), vc_matching_oracle(g)),
+                (hs3_system(h), hs3_exact_oracle(h)),
+            ]
+            for inst, oracle in runs:
+                for deterministic in (False, True):
+                    cfg = RunConfig(seed=seed, deterministic=deterministic)
+                    assert solve(inst, oracle, cfg).warnings == ()
 
 
 class TestExhaustiveMinimum:

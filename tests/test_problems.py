@@ -1,20 +1,26 @@
 """Problem plugins: systems, oracles, parsers, generators."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import amls
 from amls.problems import (
     Graph,
     Hypergraph3,
     ParseError,
     gen_gnp,
     gen_planted_vc,
+    hs3_exact_oracle,
     hs3_extend_exact,
     hs3_system,
     parse_graph,
     parse_hypergraph,
+    vc_exact_oracle,
     vc_extend_exact,
     vc_extend_matching,
     vc_system,
@@ -234,3 +240,128 @@ class TestGenerators:
         g1, p1 = gen_planted_vc(9, 3, 12, seed=77)
         g2, p2 = gen_planted_vc(9, 3, 12, seed=77)
         assert g1.edges == g2.edges and p1 == p2
+
+
+# The set-based branching oracles as they were before the bitmask core: the
+# reference the core must agree with call for call, including which of
+# several solutions it returns.
+
+
+def reference_vc_extend(g, x, k):
+    if k < 0:
+        return None
+    edges = sorted(e for e in g.edges if e[0] not in x and e[1] not in x)
+
+    def branch(chosen, budget):
+        uncovered = next(
+            (e for e in edges if e[0] not in chosen and e[1] not in chosen), None
+        )
+        if uncovered is None:
+            return frozenset(chosen)
+        if budget == 0:
+            return None
+        for v in uncovered:
+            chosen.add(v)
+            result = branch(chosen, budget - 1)
+            chosen.discard(v)
+            if result is not None:
+                return result
+        return None
+
+    return branch(set(), k)
+
+
+def reference_hs3_extend(h, x, k):
+    if k < 0:
+        return None
+    sets = [t for t in h.sets if not any(v in x for v in t)]
+
+    def branch(chosen, budget):
+        unhit = next((t for t in sets if not any(v in chosen for v in t)), None)
+        if unhit is None:
+            return frozenset(chosen)
+        if budget == 0:
+            return None
+        for v in unhit:
+            chosen.add(v)
+            result = branch(chosen, budget - 1)
+            chosen.discard(v)
+            if result is not None:
+                return result
+        return None
+
+    return branch(set(), k)
+
+
+def _random_hypergraph(rng, n, m):
+    # sets in the order drawn, so the stored order is not sorted
+    return Hypergraph3(
+        n, tuple(tuple(rng.sample(range(n), rng.randint(1, min(3, n)))) for _ in range(m))
+    )
+
+
+class TestBitmaskCoreEquivalence:
+    def test_vc_matches_reference(self):
+        rng = random.Random(11)
+        for i in range(200):
+            g = gen_gnp(rng.randint(2, 16), rng.uniform(0.1, 0.5), seed=i)
+            oracle = vc_exact_oracle(g)
+            x = frozenset(rng.sample(range(g.n), rng.randint(0, g.n // 2)))
+            k = rng.randint(-1, 8)
+            expected = reference_vc_extend(g, x, k)
+            assert vc_extend_exact(g, x, k) == expected
+            assert oracle.extend(x, k, rng) == expected
+
+    def test_hs3_matches_reference(self):
+        rng = random.Random(12)
+        unsorted = 0
+        for _ in range(200):
+            n = rng.randint(2, 14)
+            h = _random_hypergraph(rng, n, rng.randint(1, 2 * n))
+            unsorted += list(h.sets) != sorted(h.sets)
+            oracle = hs3_exact_oracle(h)
+            x = frozenset(rng.sample(range(n), rng.randint(0, n // 2)))
+            k = rng.randint(-1, 7)
+            expected = reference_hs3_extend(h, x, k)
+            assert hs3_extend_exact(h, x, k) == expected
+            assert oracle.extend(x, k, rng) == expected
+        assert unsorted > 100
+
+    def test_input_order_picks_the_solution(self):
+        # the first unhit set in stored order is branched on first
+        a = Hypergraph3(4, ((0, 1), (1, 2), (2, 3)))
+        b = Hypergraph3(4, ((1, 2), (0, 1), (2, 3)))
+        assert hs3_extend_exact(a, frozenset(), 2) == frozenset({0, 2})
+        assert hs3_extend_exact(b, frozenset(), 2) == frozenset({1, 2})
+        assert reference_hs3_extend(b, frozenset(), 2) == frozenset({1, 2})
+
+
+# 30 disjoint edges need 30 vertices: plain branching walks all 2**29
+# leaves before it answers None for k = 29; the disjoint-sets bound answers
+# at the root.  Likewise 3**19 leaves for 20 disjoint triples at k = 19.
+DISJOINT_SETS = """
+from amls.problems import Graph, Hypergraph3, hs3_extend_exact, vc_extend_exact
+
+g = Graph(60, tuple((2 * i, 2 * i + 1) for i in range(30)))
+assert vc_extend_exact(g, frozenset(), 29) is None
+assert vc_extend_exact(g, frozenset(), 30) == frozenset(range(0, 60, 2))
+h = Hypergraph3(60, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(20)))
+assert hs3_extend_exact(h, frozenset(), 19) is None
+assert hs3_extend_exact(h, frozenset({0}), 18) is None
+print("done")
+"""
+
+
+class TestDisjointSetsBound:
+    def test_disjoint_sets_prune_at_once(self):
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", DISJOINT_SETS],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["done"]
