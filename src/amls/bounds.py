@@ -87,10 +87,10 @@ class BoundQuery:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.alpha >= 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if not self.c >= 1.0:
-            raise ValueError(f"c must be >= 1, got {self.c}")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
+        if not 1.0 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and >= 1, got {self.c}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 

@@ -34,7 +34,6 @@ from .families import (
     verify_family,
 )
 from .problems import (
-    ParseError,
     gen_gnp,
     hs3_exact_oracle,
     hs3_system,
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="target ratio (>= the oracle's own ratio)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--boost", type=float, default=3.0, help="repetition multiplier")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--deterministic", action="store_true", help="family-driven mode")
     p.add_argument("--stop-at-first", action="store_true", help="return at the first qualifying k")
     p.add_argument("--max-repetitions", type=int, help="cap repetitions per k (degrades the guarantee)")
@@ -215,7 +213,6 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
         boost=args.boost,
         max_repetitions=args.max_repetitions,
-        parallel_workers=args.workers,
         deterministic=args.deterministic,
         stop_at_first=args.stop_at_first,
         family_limit=args.family_limit,
@@ -303,13 +300,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ParseError, LimitExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, LimitExceededError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,9 @@ cost of one sample-then-extend iteration at sample size t is
     c^(k - t/alpha) / hyper_tail(n, k, t, ceil(t/alpha))
 
 and ``select_t`` minimizes it over the integer range t in [0, floor(alpha*k)].
-The sample budgets use the integral threshold ceil(t/alpha) (a t-subset
+The derandomized search minimizes the same expression with kappa in place of
+1/hyper_tail; ``argmin_t`` is the one minimizer behind both.  The sample
+budgets use the integral threshold ceil(t/alpha) (a t-subset
 meets the target in >= t/alpha elements iff in >= ceil(t/alpha) of them);
 the exponent uses the real t/alpha.
 """
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 __all__ = [
     "exact_ratio",
@@ -40,6 +43,7 @@ __all__ = [
     "hyper_symmetry_check",
     "IterationCost",
     "iteration_cost",
+    "argmin_t",
     "select_t",
     "continuous_t",
     "relaxed_log_cost",
@@ -59,6 +63,8 @@ def exact_ratio(x: float | int | Fraction) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
     return Fraction(Decimal(str(x)))
 
 
@@ -135,6 +141,13 @@ def _validate_alpha_c(alpha, c) -> tuple[Fraction, float]:
     return a, c
 
 
+def _validate_k(n: int, k: int, alpha, c) -> tuple[Fraction, float]:
+    a, c = _validate_alpha_c(alpha, c)
+    if not (0 <= k and Fraction(k) <= Fraction(n) / a):
+        raise ValueError(f"k={k} outside [0, n/alpha] for n={n}, alpha={alpha}")
+    return a, c
+
+
 def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
     """Exact single-iteration cost profile at sample size t.
 
@@ -142,9 +155,7 @@ def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
     Under these bounds ceil(t/alpha) <= min(k, t), so the success
     probability is strictly positive.
     """
-    a, c = _validate_alpha_c(alpha, c)
-    if not (0 <= k and Fraction(k) <= Fraction(n) / a):
-        raise ValueError(f"k={k} outside [0, n/alpha] for n={n}, alpha={alpha}")
+    a, c = _validate_k(n, k, alpha, c)
     t_max = min(math.floor(a * k), n)
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)]={t_max}")
@@ -179,25 +190,42 @@ def _cost_less(
         return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > _TIE_MARGIN
 
 
+def argmin_t(n: int, k: int, alpha, c, factor: Callable[[int], Fraction]) -> int:
+    """Sample size t in [0, min(floor(alpha*k), n)] minimizing
+    factor(t) * c^(k - t/alpha).
+
+    factor(t) is an exact positive Fraction for t >= 1; factor(0) is 1 and
+    is not called.  Comparison happens in log space; candidates within 1e-12
+    of the incumbent are re-compared with 60-digit logarithms.  Ties keep
+    the smaller t.
+    """
+    a, c = _validate_k(n, k, alpha, c)
+    log_c = math.log(c)
+    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
+    best_t, best_factor, best_log = 0, Fraction(1), k * log_c
+    for t in range(1, min(math.floor(a * k), n) + 1):
+        f = factor(t)
+        log_cost = float(k - Fraction(t) / a) * log_c + _log_fraction(f)
+        diff = log_cost - best_log
+        if diff < -1e-12 or (
+            diff <= 1e-12 and _cost_less(c_exact, a, t, f, best_t, best_factor)
+        ):
+            best_t, best_factor, best_log = t, f, log_cost
+    return best_t
+
+
 @lru_cache(maxsize=None)
 def select_t(n: int, k: int, alpha, c) -> IterationCost:
     """Integer sample size in [0, floor(alpha*k)] minimizing the iteration cost.
 
-    Comparison happens in log space; candidates within 1e-12 of the incumbent
-    are re-compared with 60-digit logarithms.  Ties keep the smaller t.
+    The argmin_t of c^(k - t/alpha) / p(n, k, t, ceil(t/alpha)), with its
+    cost profile.
     """
-    a, c = _validate_alpha_c(alpha, c)
-    best = iteration_cost(n, k, 0, alpha, c)
-    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
-    for t in range(1, min(math.floor(a * k), n) + 1):
-        cand = iteration_cost(n, k, t, alpha, c)
-        diff = cand.log_cost - best.log_cost
-        if diff < -1e-12:
-            best = cand
-        elif diff <= 1e-12:
-            if _cost_less(c_exact, a, cand.t, 1 / cand.p, best.t, 1 / best.p):
-                best = cand
-    return best
+    a = exact_ratio(alpha)
+    t = argmin_t(
+        n, k, alpha, c, lambda t: 1 / hyper_tail(n, k, t, math.ceil(Fraction(t) / a))
+    )
+    return iteration_cost(n, k, t, alpha, c)
 
 
 def continuous_t(n: int, k: float, alpha, c) -> float:

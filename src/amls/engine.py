@@ -26,13 +26,14 @@ member of the family:
                       (n, floor(alpha*k), k)-covering; unconditional
                       alpha-approximation by monotonicity.
 
-Reproducibility: worker w of the iteration for target size k draws from a
-generator seeded with the string "seed:k:w", so identical (instance, oracle,
-RunConfig) produce bit-identical reports.  Repetitions are split across
-parallel_workers; each worker stops its own chunk at its first qualifying
-hit, and the merged result is the (size, lexicographic) minimum, which makes
-the outcome independent of thread scheduling.  membership and extend must
-tolerate concurrent calls.
+Both search modes pick t with the same combinatorics.argmin_t; they differ
+only in the factor it weighs c^(k - t/alpha) by (1/p or kappa).
+
+Reproducibility: the iteration for target size k draws from one generator
+seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
+to earlier releases) and stops at its first qualifying hit; the result is
+the (size, lexicographic) minimum over all k.  So identical (instance,
+oracle, RunConfig) produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .combinatorics import exact_ratio, kappa, select_t
+from .combinatorics import argmin_t, exact_ratio, kappa, select_t
 from .families import LimitExceededError, build_covering, build_intersection_family
 
 __all__ = [
@@ -120,7 +120,6 @@ class RunConfig:
     seed: int = 0
     boost: float = 3.0
     max_repetitions: Optional[int] = None
-    parallel_workers: int = 1
     deterministic: bool = False
     stop_at_first: bool = False
     family_limit: int = 14
@@ -130,8 +129,6 @@ class RunConfig:
             raise ValueError(f"boost must be >= 1, got {self.boost}")
         if self.max_repetitions is not None and self.max_repetitions < 1:
             raise ValueError(f"max_repetitions must be >= 1, got {self.max_repetitions}")
-        if self.parallel_workers < 1:
-            raise ValueError(f"parallel_workers must be >= 1, got {self.parallel_workers}")
         if self.family_limit < 1:
             raise ValueError(f"family_limit must be >= 1, got {self.family_limit}")
 
@@ -193,10 +190,22 @@ class _Best:
             self.key = key
             self.k = k
 
-    def merge(self, other: "_Best") -> None:
-        if other.key < self.key:
-            self.key = other.key
-            self.k = other.k
+    def report(self, inst, mode, alpha, c, samples, seed, warnings, start) -> RunReport:
+        """The run's report, with this minimum as its solution."""
+        return RunReport(
+            instance=inst.label,
+            n=inst.n,
+            alpha=float(alpha),
+            c=c,
+            mode=mode,
+            solution=self.key[1],
+            size=self.key[0],
+            k_found=self.k,
+            total_samples=samples,
+            seed=seed,
+            warnings=tuple(warnings),
+            elapsed=time.perf_counter() - start,
+        )
 
 
 def _sampler(inst: MonotoneInstance, ext: ExtensionOracle, k: int, t: int):
@@ -248,27 +257,6 @@ def sample_once(
     return frozenset(range(inst.n)) if z is None else z
 
 
-def _sample_chunk(draw, k, reps, universe, alpha_k, rng) -> tuple[Optional[_Best], int, int]:
-    """Run up to reps samples, stopping at the first qualifying hit.
-
-    Returns the hit (or None), the samples drawn and the contract violations
-    among them.  A failed sample stands for the universe, which qualifies
-    when n <= alpha * k.
-    """
-    best = None
-    samples = broken = 0
-    for _ in range(reps):
-        z, broke = draw(rng)
-        samples += 1
-        broken += broke
-        if z is None:
-            z = universe
-        if len(z) <= alpha_k:
-            best = _Best(z, k)
-            break
-    return best, samples, broken
-
-
 def _contract_warning(k: int, broken: int, samples: int) -> str:
     return f"k={k}: oracle broke its contract on {broken} of {samples} samples"
 
@@ -305,72 +293,27 @@ def run_randomized(
             reps = cfg.max_repetitions
         draw = _sampler(inst, ext, k, cost.t)
         alpha_k = math.floor(alpha * k)
-        workers = min(cfg.parallel_workers, reps)
-        chunks = [reps // workers + (1 if w < reps % workers else 0) for w in range(workers)]
-        args = [
-            (draw, k, chunk, universe, alpha_k, random.Random(f"{cfg.seed}:{k}:{w}"))
-            for w, chunk in enumerate(chunks)
-            if chunk > 0
-        ]
-        if len(args) <= 1:
-            results = [_sample_chunk(*a) for a in args]
-        else:
-            with ThreadPoolExecutor(max_workers=len(args)) as pool:
-                results = list(pool.map(lambda a: _sample_chunk(*a), args))
+        rng = random.Random(f"{cfg.seed}:{k}:0")
         hit = False
-        k_samples = k_broken = 0
-        for chunk_best, samples, broken in results:
-            k_samples += samples
-            k_broken += broken
-            if chunk_best is not None:
+        samples = broken = 0
+        while samples < reps and not hit:
+            z, broke = draw(rng)
+            samples += 1
+            broken += broke
+            if z is None:  # a failed sample stands for the universe
+                z = universe
+            if len(z) <= alpha_k:
+                best.offer(z, k)
                 hit = True
-                best.merge(chunk_best)
-        total_samples += k_samples
-        if k_broken:
-            warnings.append(_contract_warning(k, k_broken, k_samples))
+        total_samples += samples
+        if broken:
+            warnings.append(_contract_warning(k, broken, samples))
         if cfg.stop_at_first and hit:
             break
 
-    return RunReport(
-        instance=inst.label,
-        n=inst.n,
-        alpha=float(ext.alpha),
-        c=float(ext.c),
-        mode="randomized",
-        solution=best.key[1],
-        size=best.key[0],
-        k_found=best.k,
-        total_samples=total_samples,
-        seed=cfg.seed,
-        warnings=tuple(warnings),
-        elapsed=time.perf_counter() - start,
+    return best.report(
+        inst, "randomized", ext.alpha, float(ext.c), total_samples, cfg.seed, warnings, start
     )
-
-
-def _log_fraction(f: Fraction) -> float:
-    return math.log(f.numerator) - math.log(f.denominator)
-
-
-def _select_t_deterministic(n: int, k: int, alpha: Fraction, c: float) -> tuple[int, int]:
-    """(t, r) minimizing kappa(n, k, t, r) * c^(k - t/alpha), r = ceil(t/alpha)."""
-    from .combinatorics import _cost_less
-
-    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
-    log_c = math.log(c)
-    best_t, best_r = 0, 0
-    best_factor = Fraction(1)
-    best_log = k * log_c
-    for t in range(1, min(math.floor(alpha * k), n) + 1):
-        r = math.ceil(Fraction(t) / alpha)
-        factor = kappa(n, k, t, r)
-        log_cost = _log_fraction(factor) + float(k - Fraction(t) / alpha) * log_c
-        diff = log_cost - best_log
-        if diff < -1e-12 or (
-            diff <= 1e-12
-            and _cost_less(c_exact, alpha, t, factor, best_t, best_factor)
-        ):
-            best_t, best_r, best_factor, best_log = t, r, factor, log_cost
-    return best_t, best_r
 
 
 def run_deterministic(
@@ -398,7 +341,10 @@ def run_deterministic(
     rng = random.Random(f"{cfg.seed}:deterministic")
 
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
-        t, r = _select_t_deterministic(inst.n, k, alpha, ext.c)
+        t = argmin_t(
+            inst.n, k, alpha, ext.c, lambda t: kappa(inst.n, k, t, math.ceil(t / alpha))
+        )
+        r = math.ceil(t / alpha)
         if t == 0:
             members: tuple[tuple[int, ...], ...] = ((),)
         else:
@@ -427,19 +373,8 @@ def run_deterministic(
         if cfg.stop_at_first and hit:
             break
 
-    return RunReport(
-        instance=inst.label,
-        n=inst.n,
-        alpha=float(ext.alpha),
-        c=float(ext.c),
-        mode="deterministic",
-        solution=best.key[1],
-        size=best.key[0],
-        k_found=best.k,
-        total_samples=total_samples,
-        seed=cfg.seed,
-        warnings=tuple(warnings),
-        elapsed=time.perf_counter() - start,
+    return best.report(
+        inst, "deterministic", ext.alpha, float(ext.c), total_samples, cfg.seed, warnings, start
     )
 
 
@@ -470,20 +405,7 @@ def brute_force_search(
             checks += 1
             if inst.membership(s):
                 best.offer(s, k)
-    return RunReport(
-        instance=inst.label,
-        n=inst.n,
-        alpha=float(a),
-        c=None,
-        mode="brute",
-        solution=best.key[1],
-        size=best.key[0],
-        k_found=best.k,
-        total_samples=checks,
-        seed=0,
-        warnings=(),
-        elapsed=time.perf_counter() - start,
-    )
+    return best.report(inst, "brute", a, None, checks, 0, (), start)
 
 
 def solve(

@@ -27,7 +27,7 @@ itself, so importing this module (and the ``amls`` CLI) does not load it.
 
 Construction enumerates all p- and q-subsets, so its cost grows with
 C(n, p) * C(n, q); a universe-size limit (default 14) gates it.  Families
-are immutable once built and may be shared freely across threads.
+are immutable once built.
 """
 
 from __future__ import annotations

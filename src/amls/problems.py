@@ -10,8 +10,10 @@ contiguous vertex ids internally:
 Hypergraphs use the analogous format with a ``p hs3 <n> <m>`` header and
 ``s <a> [b] [c]`` lines holding 1-3 distinct 1-based elements.
 
-All extension oracles are deterministic.  The exact vertex-cover and
-3-hitting-set oracles share one hitting-set core (an edge is a set of two):
+Vertex cover is hitting set with sets of two, so both problems share one
+validator, one membership test and one exact oracle, and differ only in
+their parsers, labels and oracle bases.  All extension oracles are
+deterministic.  The exact oracle is one hitting-set core over both:
 it branches on the first set the chosen elements miss, trying its elements
 in ascending order (base 2 or 3 per unit of budget).  Sets and the chosen
 elements are int bitmasks, built once per oracle.  Along a branch the
@@ -74,20 +76,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        seen = set()
-        normalized = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop edge ({u}, {v}) not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            e = (u, v) if u < v else (v, u)
-            if e not in seen:
-                seen.add(e)
-                normalized.append(e)
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", _normalized(self.n, self.edges, (2,), "edge"))
 
 
 @dataclass(frozen=True)
@@ -98,29 +87,54 @@ class Hypergraph3:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"universe size must be >= 0, got {self.n}")
-        seen = set()
-        normalized = []
-        for s in self.sets:
-            t = tuple(sorted(s))
-            if not 1 <= len(t) <= 3 or len(set(t)) != len(t):
-                raise ValueError(f"set {s} must have 1-3 distinct elements")
-            if not all(0 <= v < self.n for v in t):
-                raise ValueError(f"set {s} out of range for n={self.n}")
-            if t not in seen:
-                seen.add(t)
-                normalized.append(t)
-        object.__setattr__(self, "sets", tuple(normalized))
+        object.__setattr__(self, "sets", _normalized(self.n, self.sets, (1, 2, 3), "set"))
 
 
 # ------------------------------------------------------- hitting-set core
+
+
+def _normalized(n: int, sets, sizes: tuple[int, ...], what: str) -> tuple[tuple[int, ...], ...]:
+    """The sets as ascending tuples, first occurrences only, in input order.
+
+    Each set must hold a number of distinct elements in sizes, all in [0, n).
+    """
+    if n < 0:
+        raise ValueError(f"universe size must be >= 0, got {n}")
+    normalized = []
+    for s in sets:
+        t = tuple(sorted(s))
+        if len(t) not in sizes or len(set(t)) != len(t) or not all(0 <= v < n for v in t):
+            allowed = "/".join(map(str, sizes))
+            raise ValueError(f"{what} {s} must have {allowed} distinct elements in [0, {n})")
+        normalized.append(t)
+    return tuple(dict.fromkeys(normalized))
+
+
+def _hitting_system(n: int, sets, label: str) -> MonotoneInstance:
+    """Monotone system whose members intersect every one of the sets."""
+
+    def membership(s: frozenset) -> bool:
+        return all(not s.isdisjoint(t) for t in sets)
+
+    return MonotoneInstance(n=n, membership=membership, label=label)
 
 
 def _hitting_sets(sets) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Bitmasks and ascending elements of the sets, in the given order."""
     elems = tuple(tuple(sorted(t)) for t in sets)
     return tuple(sum(1 << v for v in t) for t in elems), elems
+
+
+def _exact_oracle(sets, c: float, name: str) -> ExtensionOracle:
+    """The exact branching oracle over the sets, scanned in the given order."""
+    core = _hitting_sets(sets)
+    return ExtensionOracle(
+        alpha=1.0,
+        c=c,
+        success_prob=1.0,
+        extend=lambda x, k, rng: _extend_hitting(core, x, k),
+        name=name,
+    )
 
 
 def _extend_hitting(sets, x: frozenset, k: int) -> Optional[frozenset]:
@@ -170,15 +184,7 @@ def _extend_hitting(sets, x: frozenset, k: int) -> Optional[frozenset]:
 
 def vc_system(g: Graph, label: Optional[str] = None) -> MonotoneInstance:
     """Monotone system whose members are the vertex covers of g."""
-
-    def membership(s: frozenset) -> bool:
-        return all(u in s or v in s for u, v in g.edges)
-
-    return MonotoneInstance(
-        n=g.n,
-        membership=membership,
-        label=label or f"vc(n={g.n},m={len(g.edges)})",
-    )
+    return _hitting_system(g.n, g.edges, label or f"vc(n={g.n},m={len(g.edges)})")
 
 
 def vc_extend_exact(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
@@ -210,14 +216,7 @@ def vc_extend_matching(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
 
 
 def vc_exact_oracle(g: Graph) -> ExtensionOracle:
-    sets = _hitting_sets(sorted(g.edges))
-    return ExtensionOracle(
-        alpha=1.0,
-        c=2.0,
-        success_prob=1.0,
-        extend=lambda x, k, rng: _extend_hitting(sets, x, k),
-        name="vc-exact",
-    )
+    return _exact_oracle(sorted(g.edges), 2.0, "vc-exact")
 
 
 def vc_matching_oracle(g: Graph) -> ExtensionOracle:
@@ -235,15 +234,7 @@ def vc_matching_oracle(g: Graph) -> ExtensionOracle:
 
 def hs3_system(h: Hypergraph3, label: Optional[str] = None) -> MonotoneInstance:
     """Monotone system whose members intersect every set of h."""
-
-    def membership(s: frozenset) -> bool:
-        return all(any(v in s for v in t) for t in h.sets)
-
-    return MonotoneInstance(
-        n=h.n,
-        membership=membership,
-        label=label or f"hs3(n={h.n},m={len(h.sets)})",
-    )
+    return _hitting_system(h.n, h.sets, label or f"hs3(n={h.n},m={len(h.sets)})")
 
 
 def hs3_extend_exact(h: Hypergraph3, x: frozenset, k: int) -> Optional[frozenset]:
@@ -253,14 +244,7 @@ def hs3_extend_exact(h: Hypergraph3, x: frozenset, k: int) -> Optional[frozenset
 
 
 def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:
-    sets = _hitting_sets(h.sets)
-    return ExtensionOracle(
-        alpha=1.0,
-        c=3.0,
-        success_prob=1.0,
-        extend=lambda x, k, rng: _extend_hitting(sets, x, k),
-        name="hs3-exact",
-    )
+    return _exact_oracle(h.sets, 3.0, "hs3-exact")
 
 
 # -------------------------------------------------------------------- parsing

@@ -198,22 +198,13 @@ def _suite_families() -> list[Check]:
     return checks
 
 
-def _exhaustive_vc(g: problems.Graph) -> int:
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            s = set(combo)
-            if all(u in s or v in s for u, v in g.edges):
-                return k
-    return g.n
-
-
 def _suite_problems() -> list[Check]:
     checks: list[Check] = []
 
     ok = True
     for i in range(40):
         g = problems.gen_gnp(7, 0.35, seed=1000 + i)
-        opt = _exhaustive_vc(g)
+        opt = engine.exhaustive_minimum(problems.vc_system(g))
         for k in range(g.n + 1):
             got = problems.vc_extend_exact(g, frozenset(), k)
             if (got is not None) != (opt <= k):
@@ -263,7 +254,7 @@ def _suite_engine() -> list[Check]:
     for i in range(30):
         g = problems.gen_gnp(8, 0.3, seed=4000 + i)
         inst = problems.vc_system(g)
-        opt = _exhaustive_vc(g)
+        opt = engine.exhaustive_minimum(inst)
         rep = engine.run_deterministic(inst, problems.vc_exact_oracle(g))
         if rep.size != opt or not inst.membership(frozenset(rep.solution)):
             ok = False
@@ -276,7 +267,7 @@ def _suite_engine() -> list[Check]:
     for i in range(20):
         g = problems.gen_gnp(8, 0.3, seed=5000 + i)
         inst = problems.vc_system(g)
-        opt = _exhaustive_vc(g)
+        opt = engine.exhaustive_minimum(inst)
         for alpha in (1.0, 1.5, 2.0):
             rep = engine.brute_force_search(inst, alpha)
             if rep.size > math.floor(alpha * opt):

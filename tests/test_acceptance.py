@@ -239,11 +239,11 @@ def test_criterion_6_reproducibility(capsys):
 
     g = gen_gnp(12, 0.45, seed=77)
     inst = vc_system(g)
-    for cfg in (RunConfig(seed=5), RunConfig(seed=5, parallel_workers=4)):
-        r1 = run_randomized(inst, vc_exact_oracle(g), cfg)
-        r2 = run_randomized(inst, vc_exact_oracle(g), cfg)
-        if r1.to_json().encode() != r2.to_json().encode():
-            v.append(f"reports differ for workers={cfg.parallel_workers}")
+    cfg = RunConfig(seed=5)
+    r1 = run_randomized(inst, vc_exact_oracle(g), cfg)
+    r2 = run_randomized(inst, vc_exact_oracle(g), cfg)
+    if r1.to_json().encode() != r2.to_json().encode():
+        v.append("randomized reports differ")
     det1 = run_deterministic(inst, vc_exact_oracle(g))
     det2 = run_deterministic(inst, vc_exact_oracle(g))
     if det1.to_json().encode() != det2.to_json().encode():

@@ -157,10 +157,10 @@ class TestSolve:
     def test_unknown_flag_is_usage_error(self, p3_file):
         assert main(["solve", "--problem", "vc", "--input", p3_file, "--wat"]) == 1
 
-    def test_workers_and_flags_pass_through(self, k3_file, capsys):
+    def test_flags_pass_through(self, k3_file, capsys):
         rc = main(
             ["solve", "--problem", "vc", "--input", k3_file, "--seed", "2",
-             "--workers", "3", "--boost", "1", "--stop-at-first",
+             "--boost", "1", "--stop-at-first",
              "--max-repetitions", "50"]
         )
         assert rc == 0
@@ -184,7 +184,7 @@ class TestSolve:
         for hashseed in ("0", "random"):
             proc = subprocess.run(
                 [sys.executable, "-m", "amls.cli", "solve", "--problem", "vc",
-                 "--input", p3_file, "--seed", "5", "--workers", "2", "--json", "-"],
+                 "--input", p3_file, "--seed", "5", "--json", "-"],
                 capture_output=True, text=True,
                 env=dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=pythonpath),
             )
@@ -323,12 +323,40 @@ class TestImport:
         )
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, amls, amls.cli; print('numpy' in sys.modules)"],
+             "import sys, amls, amls.cli; "
+             "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=pythonpath),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+        assert proc.stdout.split() == ["False", "False"]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--problem", "vc", "--alpha", "inf"],
+         ["solve", "--problem", "vc", "--boost", "inf"],
+         ["brute", "--problem", "vc", "--alpha", "inf"],
+         ["bounds", "--alpha", "inf", "--c", "2"],
+         ["bounds", "--alpha", "2", "--c", "inf"]],
+    )
+    def test_rejected_without_traceback(self, argv, p3_file):
+        if argv[0] != "bounds":
+            argv = argv + ["--input", p3_file]
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "amls.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestTopLevel:

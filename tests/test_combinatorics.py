@@ -20,6 +20,7 @@ import amls
 from amls.bounds import brute_bound
 from amls.combinatorics import (
     _cost_less,
+    argmin_t,
     binomial,
     continuous_t,
     empirical_brute_exponent,
@@ -222,21 +223,24 @@ class TestSelectT:
 # t = 0 and t = 1 are c and 4 * c**(1 - 1/alpha), so c = 4**(4/3) makes them
 # tie to float precision and sends both argmins into the audit.
 FLOAT_ALPHA_AUDITS = """
+import math
 from fractions import Fraction
-from amls.combinatorics import _cost_less, exact_ratio, select_t
-from amls.engine import _select_t_deterministic
+from amls.combinatorics import _cost_less, argmin_t, exact_ratio, kappa, select_t
+
+def family_t(n, k, a, c):
+    return argmin_t(n, k, a, c, lambda t: kappa(n, k, t, math.ceil(t / a)))
 
 a = exact_ratio(4 / 3)
 # 4/a exceeds 3 by about 7.5e-17, so 8 * 2**(-4/a) is just below 1
 assert _cost_less(Fraction(2), a, 4, Fraction(8), 0, Fraction(1))
 assert not _cost_less(Fraction(2), a, 0, Fraction(1), 4, Fraction(8))
 assert select_t(4, 1, 4 / 3, 4 ** (4 / 3)).t in (0, 1)
-assert _select_t_deterministic(4, 1, a, 4 ** (4 / 3))[0] in (0, 1)
+assert family_t(4, 1, a, 4 ** (4 / 3)) in (0, 1)
 for k in range(16):
     select_t(20, k, 4 / 3, 2)
 for c in (2.0, 3.0):
     for k in range(11):
-        _select_t_deterministic(14, k, a, c)
+        family_t(14, k, a, c)
 print("done")
 """
 
@@ -273,6 +277,72 @@ class TestTieAudit:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["done"]
+
+
+def reference_select_t(n, k, alpha, c):
+    # the sampling argmin as written before argmin_t served both modes
+    a, c = exact_ratio(alpha), float(c)
+    best = iteration_cost(n, k, 0, alpha, c)
+    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
+    for t in range(1, min(math.floor(a * k), n) + 1):
+        cand = iteration_cost(n, k, t, alpha, c)
+        diff = cand.log_cost - best.log_cost
+        if diff < -1e-12:
+            best = cand
+        elif diff <= 1e-12:
+            if _cost_less(c_exact, a, cand.t, 1 / cand.p, best.t, 1 / best.p):
+                best = cand
+    return best
+
+
+def reference_select_t_deterministic(n, k, alpha, c):
+    # the family argmin as written before argmin_t served both modes
+    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
+    log_c = math.log(c)
+    best_t, best_r = 0, 0
+    best_factor = Fraction(1)
+    best_log = k * log_c
+    for t in range(1, min(math.floor(alpha * k), n) + 1):
+        r = math.ceil(Fraction(t) / alpha)
+        factor = kappa(n, k, t, r)
+        log_cost = (
+            math.log(factor.numerator) - math.log(factor.denominator)
+            + float(k - Fraction(t) / alpha) * log_c
+        )
+        diff = log_cost - best_log
+        if diff < -1e-12 or (
+            diff <= 1e-12
+            and _cost_less(c_exact, alpha, t, factor, best_t, best_factor)
+        ):
+            best_t, best_r, best_factor, best_log = t, r, factor, log_cost
+    return best_t, best_r
+
+
+FOLD_CS = (1, 1.1652, 2, 3)
+FOLD_NS = (8, 14, 20)
+
+
+class TestArgminFold:
+    @pytest.mark.parametrize("alpha", [1, 1.5, 4 / 3, 2])
+    def test_sampling_matches_reference(self, alpha):
+        a = exact_ratio(alpha)
+        for c in FOLD_CS:
+            for n in FOLD_NS:
+                for k in range(math.floor(n / a) + 1):
+                    got = select_t(n, k, alpha, c)
+                    want = reference_select_t(n, k, alpha, c)
+                    assert (got.t, got.p) == (want.t, want.p), (n, k, c)
+                    assert got.log_cost.hex() == want.log_cost.hex(), (n, k, c)
+
+    @pytest.mark.parametrize("alpha", [1, 1.5, 4 / 3, 2])
+    def test_family_matches_reference(self, alpha):
+        a = exact_ratio(alpha)
+        for c in FOLD_CS:
+            for n in FOLD_NS:
+                for k in range(math.floor(n / a) + 1):
+                    t = argmin_t(n, k, a, c, lambda t: kappa(n, k, t, math.ceil(t / a)))
+                    want = reference_select_t_deterministic(n, k, a, c)
+                    assert (t, math.ceil(t / a)) == want, (n, k, c)
 
 
 class TestContinuousT:

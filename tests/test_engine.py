@@ -341,15 +341,6 @@ class TestReproducibility:
         r2 = run_randomized(inst, vc_exact_oracle(g), cfg)
         assert r1.to_json() == r2.to_json()
 
-    def test_worker_count_is_part_of_the_contract(self):
-        g = gen_gnp(11, 0.4, seed=42)
-        inst = vc_system(g)
-        cfg = RunConfig(seed=7, parallel_workers=3)
-        r1 = run_randomized(inst, vc_exact_oracle(g), cfg)
-        r2 = run_randomized(inst, vc_exact_oracle(g), cfg)
-        assert r1.to_json() == r2.to_json()
-        assert inst.membership(frozenset(r1.solution))
-
     def test_deterministic_mode_reproducible(self):
         g = gen_gnp(9, 0.4, seed=43)
         inst = vc_system(g)
@@ -409,11 +400,8 @@ def _empty_liar(graph, non_covers):
 
 
 class TestContractViolations:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_randomized_counts_oversized_answers(self, workers):
-        rep = run_randomized(
-            vc_system(C5), _oversized_liar(5), RunConfig(seed=4, parallel_workers=workers)
-        )
+    def test_randomized_counts_oversized_answers(self):
+        rep = run_randomized(vc_system(C5), _oversized_liar(5), RunConfig(seed=4))
         lines = _contract_lines(rep)
         assert [k for k, _, _ in lines] == [0, 1, 2, 3, 4]
         assert all(broken == samples > 0 for _, broken, samples in lines)
@@ -479,8 +467,7 @@ class TestExhaustiveMinimum:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(boost=0.5), dict(parallel_workers=0), dict(max_repetitions=0),
-         dict(family_limit=0)],
+        [dict(boost=0.5), dict(max_repetitions=0), dict(family_limit=0)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
