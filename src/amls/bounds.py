@@ -80,7 +80,12 @@ def kl_divergence(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """One (alpha, c) query with an absolute tolerance on the bisection root."""
+    """One (alpha, c) query with an absolute tolerance on the bisection root.
+
+    For c > 1 the tolerance must be below the first bracket's width
+    (c-1)/alpha; a wider one would skip the bisection and return the
+    bracket's midpoint.
+    """
 
     alpha: float
     c: float
@@ -91,8 +96,14 @@ class BoundQuery:
             raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
         if not 1.0 <= self.c < math.inf:
             raise ValueError(f"c must be finite and >= 1, got {self.c}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        width = (self.c - 1.0) / self.alpha
+        if self.c > 1.0 and self.tol >= width:
+            raise ValueError(
+                f"tol must be below the bracket width (c-1)/alpha = {width}, "
+                f"got {self.tol}"
+            )
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,21 @@ The derandomized search minimizes the same expression with kappa in place of
 budgets use the integral threshold ceil(t/alpha) (a t-subset
 meets the target in >= t/alpha elements iff in >= ceil(t/alpha) of them);
 the exponent uses the real t/alpha.
+
+``argmin_t`` works on integers only: its factor(t) returns a pair
+(num, den) of positive ints whose ratio is the factor, not necessarily in
+lowest terms, and a Fraction is built only for a near-tie audit.
+``select_t`` feeds it C(n, t) over the favourable count, both read from
+cached Pascal rows.  Probabilities stay exact Fractions at the API
+boundary: ``hyper_tail``, ``iteration_cost`` and ``kappa`` are the
+reference definitions, and ``select_t`` reports its choice through
+``iteration_cost``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -75,6 +85,15 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+@lru_cache(maxsize=None)
+def _pascal_row(m: int) -> tuple[int, ...]:
+    """(C(m, 0), ..., C(m, m)), by the exact multiplicative recurrence."""
+    row = [1] * (m + 1)
+    for j in range(1, m // 2 + 1):
+        row[j] = row[m - j] = row[j - 1] * (m - j + 1) // j
+    return tuple(row)
 
 
 def hyper_tail(n: int, k: int, t: int, x: int) -> Fraction:
@@ -190,27 +209,39 @@ def _cost_less(
         return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > _TIE_MARGIN
 
 
-def argmin_t(n: int, k: int, alpha, c, factor: Callable[[int], Fraction]) -> int:
+def argmin_t(
+    n: int, k: int, alpha, c, factor: Callable[[int], tuple[int, int]]
+) -> int:
     """Sample size t in [0, min(floor(alpha*k), n)] minimizing
     factor(t) * c^(k - t/alpha).
 
-    factor(t) is an exact positive Fraction for t >= 1; factor(0) is 1 and
-    is not called.  Comparison happens in log space; candidates within 1e-12
-    of the incumbent are re-compared with 60-digit logarithms.  Ties keep
-    the smaller t.
+    factor(t) returns (num, den), two positive ints with num/den the factor,
+    for t >= 1; factor(0) is 1 and is not called.  Comparison happens in log
+    space; candidates within 1e-12 of the incumbent are re-compared with
+    60-digit logarithms of the exact Fractions.  Ties keep the smaller t.
     """
     a, c = _validate_k(n, k, alpha, c)
+    num_a, den_a = a.numerator, a.denominator
     log_c = math.log(c)
     c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
-    best_t, best_factor, best_log = 0, Fraction(1), k * log_c
-    for t in range(1, min(math.floor(a * k), n) + 1):
-        f = factor(t)
-        log_cost = float(k - Fraction(t) / a) * log_c + _log_fraction(f)
+    best_t, best_pair, best_log = 0, (1, 1), k * log_c
+    for t in range(1, min(k * num_a // den_a, n) + 1):
+        num, den = factor(t)
+        # k - t/alpha by correctly rounded int division, as float(Fraction)
+        # gives it.  log(num) - log(den) of an unreduced pair can differ from
+        # the reduced value in the last ulp; the 1e-12 window and the exact
+        # audit decide near ties, so only this screen sees that.
+        log_cost = ((k * num_a - t * den_a) / num_a) * log_c + (
+            math.log(num) - math.log(den)
+        )
         diff = log_cost - best_log
         if diff < -1e-12 or (
-            diff <= 1e-12 and _cost_less(c_exact, a, t, f, best_t, best_factor)
+            diff <= 1e-12
+            and _cost_less(
+                c_exact, a, t, Fraction(num, den), best_t, Fraction(*best_pair)
+            )
         ):
-            best_t, best_factor, best_log = t, f, log_cost
+            best_t, best_pair, best_log = t, (num, den), log_cost
     return best_t
 
 
@@ -219,12 +250,22 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
     """Integer sample size in [0, floor(alpha*k)] minimizing the iteration cost.
 
     The argmin_t of c^(k - t/alpha) / p(n, k, t, ceil(t/alpha)), with its
-    cost profile.
+    cost profile.  The factor 1/p is the pair (C(n, t), favourable count),
+    summed over the cached Pascal rows of k, n - k and n.
     """
     a = exact_ratio(alpha)
-    t = argmin_t(
-        n, k, alpha, c, lambda t: 1 / hyper_tail(n, k, t, math.ceil(Fraction(t) / a))
-    )
+    num_a, den_a = a.numerator, a.denominator
+    row_k, row_nk, row_n = _pascal_row(k), _pascal_row(n - k), _pascal_row(n)
+
+    def factor(t: int) -> tuple[int, int]:
+        # sum over y in [lo, hi] of C(k, y) * C(n-k, t-y), y >= ceil(t/alpha);
+        # argmin_t keeps t <= alpha*k, so ceil(t/alpha) <= min(k, t) = hi
+        lo = max(-(-t * den_a // num_a), t - (n - k))
+        hi = min(k, t)
+        tail = reversed(row_nk[t - hi : t - lo + 1])
+        return row_n[t], sum(map(operator.mul, row_k[lo : hi + 1], tail))
+
+    t = argmin_t(n, k, alpha, c, factor)
     return iteration_cost(n, k, t, alpha, c)
 
 

@@ -342,7 +342,11 @@ def run_deterministic(
 
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
         t = argmin_t(
-            inst.n, k, alpha, ext.c, lambda t: kappa(inst.n, k, t, math.ceil(t / alpha))
+            inst.n,
+            k,
+            alpha,
+            ext.c,
+            lambda t: kappa(inst.n, k, t, math.ceil(t / alpha)).as_integer_ratio(),
         )
         r = math.ceil(t / alpha)
         if t == 0:

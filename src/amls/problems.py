@@ -208,10 +208,10 @@ def vc_extend_matching(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
     for u, v in g.edges:
         if u in x or v in x or u in matched or v in matched:
             continue
-        matched.update((u, v))
         size += 1
-    if size > k:
-        return None
+        if size > k:  # the matching only grows: stop at k + 1 edges
+            return None
+        matched.update((u, v))
     return frozenset(matched)
 
 

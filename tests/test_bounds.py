@@ -151,6 +151,11 @@ class TestAmlsBound:
             amls_bound(1.5, 0.5)
         with pytest.raises(ValueError):
             amls_bound(1.5, 2.0, tol=0.0)
+        # any tol at or above the bracket width (c-1)/alpha skips the bisection
+        for tol in (math.inf, math.nan, 0.5, 0.6):
+            with pytest.raises(ValueError):
+                amls_bound(2.0, 2.0, tol=tol)
+        assert amls_bound(2.0, 2.0, tol=0.49) < 1.25
 
     def test_extreme_parameters_stay_bracketed(self):
         # tol is an absolute tolerance on the root itself: a finer bisection

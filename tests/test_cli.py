@@ -339,7 +339,9 @@ class TestNonFinite:
          ["solve", "--problem", "vc", "--boost", "inf"],
          ["brute", "--problem", "vc", "--alpha", "inf"],
          ["bounds", "--alpha", "inf", "--c", "2"],
-         ["bounds", "--alpha", "2", "--c", "inf"]],
+         ["bounds", "--alpha", "2", "--c", "inf"],
+         ["bounds", "--alpha", "2", "--c", "2", "--tol", "inf"],
+         ["bounds", "--alpha", "2", "--c", "2", "--tol", "0.6"]],
     )
     def test_rejected_without_traceback(self, argv, p3_file):
         if argv[0] != "bounds":

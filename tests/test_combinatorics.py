@@ -20,6 +20,7 @@ import amls
 from amls.bounds import brute_bound
 from amls.combinatorics import (
     _cost_less,
+    _pascal_row,
     argmin_t,
     binomial,
     continuous_t,
@@ -228,7 +229,9 @@ from fractions import Fraction
 from amls.combinatorics import _cost_less, argmin_t, exact_ratio, kappa, select_t
 
 def family_t(n, k, a, c):
-    return argmin_t(n, k, a, c, lambda t: kappa(n, k, t, math.ceil(t / a)))
+    return argmin_t(
+        n, k, a, c, lambda t: kappa(n, k, t, math.ceil(t / a)).as_integer_ratio()
+    )
 
 a = exact_ratio(4 / 3)
 # 4/a exceeds 3 by about 7.5e-17, so 8 * 2**(-4/a) is just below 1
@@ -318,12 +321,13 @@ def reference_select_t_deterministic(n, k, alpha, c):
     return best_t, best_r
 
 
-FOLD_CS = (1, 1.1652, 2, 3)
-FOLD_NS = (8, 14, 20)
+FOLD_ALPHAS = [1, 1.1, 4 / 3, 1.5, 2, 3]
+FOLD_CS = (1, 1.1652, 2, 3, 1024)
+FOLD_NS = (8, 14, 20, 50)
 
 
 class TestArgminFold:
-    @pytest.mark.parametrize("alpha", [1, 1.5, 4 / 3, 2])
+    @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
     def test_sampling_matches_reference(self, alpha):
         a = exact_ratio(alpha)
         for c in FOLD_CS:
@@ -334,15 +338,33 @@ class TestArgminFold:
                     assert (got.t, got.p) == (want.t, want.p), (n, k, c)
                     assert got.log_cost.hex() == want.log_cost.hex(), (n, k, c)
 
-    @pytest.mark.parametrize("alpha", [1, 1.5, 4 / 3, 2])
+    def test_sampling_matches_reference_at_matching_shape(self):
+        # n = 200, alpha = 2, c = 1: the shape of a matching-oracle solve
+        for k in range(101):
+            got = select_t(200, k, 2.0, 1.0)
+            want = reference_select_t(200, k, 2.0, 1.0)
+            assert (got.t, got.p) == (want.t, want.p), k
+            assert got.log_cost.hex() == want.log_cost.hex(), k
+
+    @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
     def test_family_matches_reference(self, alpha):
         a = exact_ratio(alpha)
         for c in FOLD_CS:
             for n in FOLD_NS:
                 for k in range(math.floor(n / a) + 1):
-                    t = argmin_t(n, k, a, c, lambda t: kappa(n, k, t, math.ceil(t / a)))
+                    t = argmin_t(
+                        n,
+                        k,
+                        a,
+                        c,
+                        lambda t: kappa(n, k, t, math.ceil(t / a)).as_integer_ratio(),
+                    )
                     want = reference_select_t_deterministic(n, k, a, c)
                     assert (t, math.ceil(t / a)) == want, (n, k, c)
+
+    def test_pascal_rows_match_comb(self):
+        for m in range(201):
+            assert list(_pascal_row(m)) == [math.comb(m, j) for j in range(m + 1)], m
 
 
 class TestContinuousT:

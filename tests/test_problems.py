@@ -86,7 +86,33 @@ class TestVcExactExtension:
                 assert is_cover(surviving, got)
 
 
+def reference_vc_extend_matching(g, x, k):
+    # the matching oracle as written before it stopped at k + 1 edges
+    if k < 0:
+        return None
+    matched = set()
+    size = 0
+    for u, v in g.edges:
+        if u in x or v in x or u in matched or v in matched:
+            continue
+        matched.update((u, v))
+        size += 1
+    if size > k:
+        return None
+    return frozenset(matched)
+
+
 class TestVcMatchingExtension:
+    def test_early_exit_matches_full_scan(self):
+        rng = random.Random(13)
+        for i in range(60):
+            g = gen_gnp(rng.randint(2, 40), rng.uniform(0.05, 0.5), seed=2000 + i)
+            x = frozenset(rng.sample(range(g.n), rng.randint(0, g.n // 3)))
+            for k in range(-1, g.n + 1):
+                assert vc_extend_matching(g, x, k) == reference_vc_extend_matching(
+                    g, x, k
+                ), (i, k)
+
     def test_triangle(self):
         assert vc_extend_matching(K3, frozenset(), 1) == frozenset({0, 1})
         assert vc_extend_matching(K3, frozenset(), 0) is None
