@@ -28,7 +28,10 @@ the exponent uses the real t/alpha.
 
 ``argmin_t`` works on integers only: its factor(t) returns a pair
 (num, den) of positive ints whose ratio is the factor, not necessarily in
-lowest terms, and a Fraction is built only for a near-tie audit.
+lowest terms, and a Fraction is built only for a near-tie audit.  Both
+factors are reciprocal probabilities, so at least factor(0) = 1; at c == 1
+(a polynomial oracle) every t costs its factor alone, so ``argmin_t``
+returns t = 0 without calling factor.
 ``select_t`` feeds it C(n, t) over the favourable count, both read from
 cached Pascal rows.  Probabilities stay exact Fractions at the API
 boundary: ``hyper_tail``, ``iteration_cost`` and ``kappa`` are the
@@ -215,15 +218,19 @@ def argmin_t(
     """Sample size t in [0, min(floor(alpha*k), n)] minimizing
     factor(t) * c^(k - t/alpha).
 
-    factor(t) returns (num, den), two positive ints with num/den the factor,
-    for t >= 1; factor(0) is 1 and is not called.  Comparison happens in log
-    space; candidates within 1e-12 of the incumbent are re-compared with
-    60-digit logarithms of the exact Fractions.  Ties keep the smaller t.
+    factor(t) returns (num, den), two positive ints with num/den >= 1 the
+    factor, for t >= 1; factor(0) is 1 and is not called.  At c == 1 the
+    answer is 0 and factor is not called at all.  Otherwise comparison
+    happens in log space; candidates within 1e-12 of the incumbent are
+    re-compared with 60-digit logarithms of the exact Fractions.  Ties keep
+    the smaller t.
     """
     a, c = _validate_k(n, k, alpha, c)
+    if c == 1.0:  # cost = factor(t) >= 1 = factor(0), and ties keep t = 0
+        return 0
     num_a, den_a = a.numerator, a.denominator
     log_c = math.log(c)
-    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
+    c_exact = exact_ratio(c)
     best_t, best_pair, best_log = 0, (1, 1), k * log_c
     for t in range(1, min(k * num_a // den_a, n) + 1):
         num, den = factor(t)
@@ -251,13 +258,14 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
 
     The argmin_t of c^(k - t/alpha) / p(n, k, t, ceil(t/alpha)), with its
     cost profile.  The factor 1/p is the pair (C(n, t), favourable count),
-    summed over the cached Pascal rows of k, n - k and n.
+    summed over the cached Pascal rows of k, n - k and n, read only when
+    argmin_t scans.
     """
     a = exact_ratio(alpha)
     num_a, den_a = a.numerator, a.denominator
-    row_k, row_nk, row_n = _pascal_row(k), _pascal_row(n - k), _pascal_row(n)
 
     def factor(t: int) -> tuple[int, int]:
+        row_k, row_nk, row_n = _pascal_row(k), _pascal_row(n - k), _pascal_row(n)
         # sum over y in [lo, hi] of C(k, y) * C(n-k, t-y), y >= ceil(t/alpha);
         # argmin_t keeps t <= alpha*k, so ceil(t/alpha) <= min(k, t) = hi
         lo = max(-(-t * den_a // num_a), t - (n - k))

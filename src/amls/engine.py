@@ -21,7 +21,7 @@ member of the family:
                       (n, k, t, ceil(t/alpha))-set-intersection family, with
                       t minimizing kappa(n,k,t,ceil(t/alpha)) * c^(k-t/alpha);
                       unconditional alpha-approximation, gated by the family
-                      construction limit.
+                      construction limit when some k needs a family.
   brute_force_search  no oracle at all: for each k test every member of an
                       (n, floor(alpha*k), k)-covering; unconditional
                       alpha-approximation by monotonicity.
@@ -323,23 +323,16 @@ def run_deterministic(
 
     For each k, iterates the sample step over every member of a weak
     (n, k, t, ceil(t/alpha))-set-intersection family instead of sampling, so
-    the alpha-approximation guarantee holds unconditionally.  Rejects
-    instances with n above cfg.family_limit.
+    the alpha-approximation guarantee holds unconditionally.  A k with t = 0
+    iterates X = {} alone.  Every k's t is chosen first, and the run is
+    rejected before any oracle call if n exceeds cfg.family_limit and some
+    t >= 1 needs a family; at c == 1 every t is 0, so any n runs.
     """
     if ext.success_prob != 1.0:
         raise ValueError("deterministic mode needs an oracle with success_prob == 1")
-    if inst.n > cfg.family_limit:
-        raise LimitExceededError(
-            f"deterministic mode limited to n <= {cfg.family_limit}, got n={inst.n}"
-        )
     start = time.perf_counter()
     alpha = exact_ratio(ext.alpha)
-    universe = frozenset(range(inst.n))
-    best = _Best(universe, -1)
-    warnings: list[str] = []
-    total_samples = 0
-    rng = random.Random(f"{cfg.seed}:deterministic")
-
+    ts = []
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
         t = argmin_t(
             inst.n,
@@ -348,6 +341,18 @@ def run_deterministic(
             ext.c,
             lambda t: kappa(inst.n, k, t, math.ceil(t / alpha)).as_integer_ratio(),
         )
+        if t and inst.n > cfg.family_limit:
+            raise LimitExceededError(
+                f"deterministic mode limited to n <= {cfg.family_limit}, got n={inst.n}"
+            )
+        ts.append(t)
+    universe = frozenset(range(inst.n))
+    best = _Best(universe, -1)
+    warnings: list[str] = []
+    total_samples = 0
+    rng = random.Random(f"{cfg.seed}:deterministic")
+
+    for k, t in enumerate(ts):
         r = math.ceil(t / alpha)
         if t == 0:
             members: tuple[tuple[int, ...], ...] = ((),)

@@ -24,7 +24,10 @@ more than b of them need more than b elements, so the node returns None
 at once.  That cut removes only subtrees without a solution, so the search
 returns the same first solution as plain branching.  The matching oracle
 returns both endpoints of a greedy maximal matching, a polynomial
-2-approximate extension exercising the (alpha=2, c=1) corner.  All
+2-approximate extension exercising the (alpha=2, c=1) corner.  One pass
+over the edge bitmasks, in input order, gives the whole matching of G - X;
+each oracle keeps the matching of the last X, so the repeated X = {} of a
+c = 1 run is scanned once.  More than k matched edges answer None.  All
 tie-breaking is lexicographic (first uncovered edge or set, elements in
 ascending order) so identical inputs give identical outputs.
 """
@@ -197,22 +200,36 @@ def vc_extend_exact(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
     return _extend_hitting(_hitting_sets(sorted(g.edges)), x, k)
 
 
+def _matching_extend(g: Graph):
+    """extend(x, k, rng) of the matching oracle over g's edge bitmasks,
+    remembering the matching of the last x it scanned for."""
+    masks = _hitting_sets(g.edges)[0]
+    last_x, size, matched = None, 0, frozenset()
+
+    def extend(x: frozenset, k: int, rng=None) -> Optional[frozenset]:
+        nonlocal last_x, size, matched
+        if k < 0:
+            return None
+        if x != last_x:
+            x_mask = sum(map((1).__lshift__, x))
+            blocked, size = x_mask, 0
+            for mask in masks:  # take each edge missing x and the taken edges
+                if not mask & blocked:
+                    blocked |= mask
+                    size += 1
+            blocked &= ~x_mask
+            last_x = x
+            matched = frozenset(v for v in range(blocked.bit_length()) if blocked >> v & 1)
+        return None if size > k else matched
+
+    return extend
+
+
 def vc_extend_matching(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
     """Both endpoints of a greedy maximal matching of G - x; None if it has
     more than k edges (then no cover of size <= k exists either, since any
     cover hits each matched edge)."""
-    if k < 0:
-        return None
-    matched: set = set()
-    size = 0
-    for u, v in g.edges:
-        if u in x or v in x or u in matched or v in matched:
-            continue
-        size += 1
-        if size > k:  # the matching only grows: stop at k + 1 edges
-            return None
-        matched.update((u, v))
-    return frozenset(matched)
+    return _matching_extend(g)(x, k)
 
 
 def vc_exact_oracle(g: Graph) -> ExtensionOracle:
@@ -224,7 +241,7 @@ def vc_matching_oracle(g: Graph) -> ExtensionOracle:
         alpha=2.0,
         c=1.0,
         success_prob=1.0,
-        extend=lambda x, k, rng: vc_extend_matching(g, x, k),
+        extend=_matching_extend(g),
         name="vc-matching",
     )
 

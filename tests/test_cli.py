@@ -230,6 +230,28 @@ class TestGoldenReports:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST, lines
 
+    # sha256 of the seeded --json - lines below as the edge-scanning greedy
+    # matching oracle wrote them
+    MATCHING_DIGEST = "78737b537714b26db8d5c16fb885e9e90d14692e5f3680dc40eb17e898cc6c70"
+
+    def test_matching_reports_are_pinned(self, tmp_path, capsys):
+        g60, g200, g14 = (tmp_path / f"g{n}.col" for n in (60, 200, 14))
+        g60.write_text(_graph_text(gen_gnp(60, 0.1, seed=60)))
+        g200.write_text(_graph_text(gen_gnp(200, 0.1, seed=200)))
+        g14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
+        runs = []
+        for seed in ("1", "2"):
+            runs.append(["--input", str(g60), "--seed", seed])
+            runs.append(["--input", str(g200), "--seed", seed])
+        runs.append(["--input", str(g14), "--deterministic"])
+        lines = []
+        for argv in runs:
+            argv = ["solve", "--problem", "vc", "--oracle", "matching", *argv, "--json", "-"]
+            assert main(argv) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.MATCHING_DIGEST, lines
+
 
 class TestBrute:
     def test_triangle(self, k3_file, capsys):

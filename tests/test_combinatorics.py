@@ -367,6 +367,42 @@ class TestArgminFold:
             assert list(_pascal_row(m)) == [math.comb(m, j) for j in range(m + 1)], m
 
 
+SHORT_CIRCUIT_NS = (8, 50, 200)
+SHORT_CIRCUIT_ALPHAS = [1, 4 / 3, 2, 3]
+
+
+class TestPolynomialOracleShortCircuit:
+    """At c = 1 every t costs factor(t) >= 1 = factor(0), so t = 0."""
+
+    @pytest.mark.parametrize("alpha", SHORT_CIRCUIT_ALPHAS)
+    def test_argmin_t_does_not_call_factor(self, alpha):
+        def factor(t):
+            raise AssertionError(f"factor({t}) called at c = 1")
+
+        a = exact_ratio(alpha)
+        for n in SHORT_CIRCUIT_NS:
+            for k in range(math.floor(n / a) + 1):
+                assert argmin_t(n, k, alpha, 1, factor) == 0, (n, k)
+
+    @pytest.mark.parametrize("alpha", SHORT_CIRCUIT_ALPHAS)
+    def test_select_t_matches_reference(self, alpha):
+        a = exact_ratio(alpha)
+        for n in SHORT_CIRCUIT_NS:
+            for k in range(math.floor(n / a) + 1):
+                got = select_t(n, k, alpha, 1)
+                want = reference_select_t(n, k, alpha, 1)
+                assert (got.t, got.p, got.repetitions) == (
+                    want.t, want.p, want.repetitions
+                ), (n, k)
+                assert got.log_cost.hex() == want.log_cost.hex(), (n, k)
+
+    def test_validation_still_applies(self):
+        with pytest.raises(ValueError):
+            argmin_t(10, 11, 1, 1, lambda t: (1, 1))
+        with pytest.raises(ValueError):
+            argmin_t(10, 3, 0.5, 1, lambda t: (1, 1))
+
+
 class TestContinuousT:
     def test_zero_at_balance_point(self):
         # alpha=1, c=2: critical density is 1/2, so k = n/2 balances exactly

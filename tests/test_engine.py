@@ -281,6 +281,34 @@ class TestDeterministicMode:
         with pytest.raises(LimitExceededError):
             run_deterministic(vc_system(g), vc_exact_oracle(g), RunConfig(family_limit=14))
 
+    def test_limit_fires_before_any_oracle_call(self):
+        g = gen_gnp(15, 0.2, seed=1)
+        calls = []
+        exact = vc_exact_oracle(g)
+
+        def extend(x, k, rng):
+            calls.append(k)
+            return exact.extend(x, k, rng)
+
+        oracle = ExtensionOracle(alpha=1.0, c=2.0, success_prob=1.0, extend=extend)
+        with pytest.raises(LimitExceededError, match="limited to n <= 14, got n=15"):
+            run_deterministic(vc_system(g), oracle, RunConfig(family_limit=14))
+        assert calls == []
+
+    def test_matching_runs_above_the_limit(self):
+        # at c = 1 every t is 0, so no k builds a family and n may exceed
+        # family_limit; each k extends X = {} once
+        g = gen_gnp(200, 0.1, seed=7)
+        rep = run_deterministic(vc_system(g), vc_matching_oracle(g), RunConfig())
+        matched = set()
+        for u, v in g.edges:
+            if u not in matched and v not in matched:
+                matched.update((u, v))
+        assert rep.size == len(matched)
+        assert vc_system(g).membership(frozenset(rep.solution))
+        assert rep.total_samples == g.n // 2 + 1 == 101
+        assert rep.warnings == ()
+
 
 class TestBruteForce:
     def test_triangle_two_approx(self):

@@ -23,6 +23,7 @@ from amls.problems import (
     vc_exact_oracle,
     vc_extend_exact,
     vc_extend_matching,
+    vc_matching_oracle,
     vc_system,
 )
 from conftest import exhaustive_vc_exists, exhaustive_vc_opt, hits_all, is_cover
@@ -112,6 +113,31 @@ class TestVcMatchingExtension:
                 assert vc_extend_matching(g, x, k) == reference_vc_extend_matching(
                     g, x, k
                 ), (i, k)
+
+    def test_oracle_memo_matches_full_scan(self):
+        # one oracle per graph answers an interleaved X sequence, so each
+        # answer comes from a fresh scan or from the last X's matching
+        rng = random.Random(17)
+        xs = [frozenset(), frozenset(), frozenset({0}), frozenset(),
+              frozenset({0, 3}), frozenset({0, 3})]
+        for i in range(60):
+            g = gen_gnp(rng.randint(4, 40), rng.uniform(0.05, 0.5), seed=3000 + i)
+            extend = vc_matching_oracle(g).extend
+            for x in xs:
+                for k in range(-1, g.n + 1):
+                    assert extend(x, k, None) == reference_vc_extend_matching(
+                        g, x, k
+                    ), (i, sorted(x), k)
+
+    def test_oracles_do_not_share_a_memo(self):
+        path = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+        on_path, on_star = vc_matching_oracle(path).extend, vc_matching_oracle(star).extend
+        assert on_path(frozenset(), 2, None) == frozenset({0, 1, 2, 3})
+        assert on_star(frozenset(), 2, None) == frozenset({0, 1})
+        assert on_path(frozenset(), 2, None) == frozenset({0, 1, 2, 3})
+        assert on_star(frozenset(), 0, None) is None
+        assert on_path(frozenset(), 1, None) is None
 
     def test_triangle(self):
         assert vc_extend_matching(K3, frozenset(), 1) == frozenset({0, 1})
