@@ -29,6 +29,14 @@ member of the family:
 Both search modes pick t with the same combinatorics.argmin_t; they differ
 only in the factor it weighs c^(k - t/alpha) by (1/p or kappa).
 
+All three run each k through _run_k, the one place an X is drawn from its
+source, extended, checked (|X u Y| <= floor(alpha*k) and membership),
+offered to the running best and counted.  The modes differ only in the X
+source (random t-subsets, family members, covering members), the
+extension (the oracle with budget k - ceil(t/alpha), or Y = {} in brute
+force) and stopping (randomized stops at its first hit; the others visit
+every X).
+
 Reproducibility: the iteration for target size k draws from one generator
 seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
 to earlier releases) and stops at its first qualifying hit; the result is
@@ -178,11 +186,14 @@ class RunReport:
 
 
 class _Best:
-    """Running minimum by (size, lexicographic order of the sorted elements)."""
+    """Running minimum by (size, lexicographic order of the sorted elements).
 
-    def __init__(self, solution: frozenset, k: int) -> None:
-        self.key = (len(solution), tuple(sorted(solution)))
-        self.k = k
+    It starts at the full universe [n) with k = -1.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.key = (n, tuple(range(n)))
+        self.k = -1
 
     def offer(self, solution: frozenset, k: int) -> None:
         key = (len(solution), tuple(sorted(solution)))
@@ -208,35 +219,30 @@ class _Best:
         )
 
 
-def _sampler(inst: MonotoneInstance, ext: ExtensionOracle, k: int, t: int):
-    """Check (k, t) and return draw(rng), one sample-then-extend attempt.
+def _run_k(best, k, alpha_k, xs, extend, membership, stop_on_hit):
+    """Run every X in xs for target size k; return (samples, hit, broken).
 
-    draw returns (X u Y, False) when the oracle's Y completes a member of
-    size at most alpha * k, (None, False) when the oracle returns None, and
-    (None, True) when it returns a Y that breaks its contract.  Everything
-    that depends only on (k, t) is computed here, once.
+    The one place an X is handled: Z = X u extend(X) is offered to best when
+    |Z| <= alpha_k and Z is a member.  extend returning None is a miss; any
+    other Z is a broken oracle contract.  With stop_on_hit, xs is read no
+    further after the first hit.
     """
-    alpha = exact_ratio(ext.alpha)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    alpha_k = math.floor(alpha * k)
-    if not 0 <= t <= min(alpha_k, inst.n):
-        raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)] for k={k}")
-    population = range(inst.n)
-    budget = k - math.ceil(Fraction(t) / alpha)
-    extend, membership = ext.extend, inst.membership
-
-    def draw(rng: random.Random) -> tuple[Optional[frozenset], bool]:
-        x = frozenset(rng.sample(population, t))
-        y = extend(x, budget, rng)
+    samples = broken = 0
+    hit = False
+    for x in xs:
+        samples += 1
+        y = extend(x)
         if y is None:
-            return None, False
+            continue
         z = x.union(y)
         if len(z) <= alpha_k and membership(z):
-            return z, False
-        return None, True
-
-    return draw
+            best.offer(z, k)
+            hit = True
+            if stop_on_hit:
+                break
+        else:
+            broken += 1
+    return samples, hit, broken
 
 
 def sample_once(
@@ -253,8 +259,17 @@ def sample_once(
     at most alpha * k.  Any failure returns the full universe (the harmless
     placeholder: always a member).
     """
-    z, _ = _sampler(inst, ext, k, t)(rng)
-    return frozenset(range(inst.n)) if z is None else z
+    alpha = exact_ratio(ext.alpha)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    alpha_k = math.floor(alpha * k)
+    if not 0 <= t <= min(alpha_k, inst.n):
+        raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)] for k={k}")
+    best = _Best(inst.n)
+    budget = k - math.ceil(Fraction(t) / alpha)
+    xs = (frozenset(rng.sample(range(inst.n), t)),)
+    _run_k(best, k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), inst.membership, True)
+    return frozenset(best.key[1])
 
 
 def _contract_warning(k: int, broken: int, samples: int) -> str:
@@ -276,11 +291,11 @@ def run_randomized(
         raise ValueError("cfg.deterministic is set; use run_deterministic")
     start = time.perf_counter()
     alpha = exact_ratio(ext.alpha)
-    universe = frozenset(range(inst.n))
-    best = _Best(universe, -1)
+    best = _Best(inst.n)
     warnings: list[str] = []
     total_samples = 0
     boost = exact_ratio(cfg.boost)
+    population = range(inst.n)
 
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
         cost = select_t(inst.n, k, ext.alpha, ext.c)
@@ -291,20 +306,15 @@ def run_randomized(
                 f"(needed {reps}); success guarantee degraded"
             )
             reps = cfg.max_repetitions
-        draw = _sampler(inst, ext, k, cost.t)
         alpha_k = math.floor(alpha * k)
+        if alpha_k >= inst.n:  # a failed sample stands for the universe, a hit here
+            reps = 1
+        budget = k - math.ceil(Fraction(cost.t) / alpha)
         rng = random.Random(f"{cfg.seed}:{k}:0")
-        hit = False
-        samples = broken = 0
-        while samples < reps and not hit:
-            z, broke = draw(rng)
-            samples += 1
-            broken += broke
-            if z is None:  # a failed sample stands for the universe
-                z = universe
-            if len(z) <= alpha_k:
-                best.offer(z, k)
-                hit = True
+        xs = (frozenset(rng.sample(population, cost.t)) for _ in range(reps))
+        samples, hit, broken = _run_k(
+            best, k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), inst.membership, True
+        )
         total_samples += samples
         if broken:
             warnings.append(_contract_warning(k, broken, samples))
@@ -346,39 +356,26 @@ def run_deterministic(
                 f"deterministic mode limited to n <= {cfg.family_limit}, got n={inst.n}"
             )
         ts.append(t)
-    universe = frozenset(range(inst.n))
-    best = _Best(universe, -1)
+    best = _Best(inst.n)
     warnings: list[str] = []
     total_samples = 0
     rng = random.Random(f"{cfg.seed}:deterministic")
 
     for k, t in enumerate(ts):
         r = math.ceil(t / alpha)
-        if t == 0:
-            members: tuple[tuple[int, ...], ...] = ((),)
-        else:
-            family = build_intersection_family(
+        members = ((),)
+        if t:
+            members = build_intersection_family(
                 inst.n, k, t, r, strong=False, limit=cfg.family_limit
-            )
-            members = family.members
+            ).members
         budget = k - r
-        alpha_k = math.floor(alpha * k)
-        hit = False
-        broken = 0
-        for member in members:
-            x = frozenset(member)
-            y = ext.extend(x, budget, rng)
-            if y is None:
-                continue
-            z = x.union(y)
-            if len(z) <= alpha_k and inst.membership(z):
-                best.offer(z, k)
-                hit = True
-            else:
-                broken += 1
-        total_samples += len(members)
+        samples, hit, broken = _run_k(
+            best, k, math.floor(alpha * k), map(frozenset, members),
+            lambda x: ext.extend(x, budget, rng), inst.membership, False,
+        )
+        total_samples += samples
         if broken:
-            warnings.append(_contract_warning(k, broken, len(members)))
+            warnings.append(_contract_warning(k, broken, samples))
         if cfg.stop_at_first and hit:
             break
 
@@ -394,7 +391,8 @@ def brute_force_search(
 
     For each k tests every member of an (n, floor(alpha*k), k)-covering for
     membership; by monotonicity some member contains an optimum once
-    k = OPT, so the result has size at most floor(alpha * OPT).
+    k = OPT, so the result has size at most floor(alpha * OPT).  Y is always
+    empty, so a non-member is a plain miss, not a broken contract.
     """
     a = exact_ratio(alpha)
     if a < 1:
@@ -404,16 +402,12 @@ def brute_force_search(
             f"brute-force search limited to n <= {limit}, got n={inst.n}"
         )
     start = time.perf_counter()
-    universe = frozenset(range(inst.n))
-    best = _Best(universe, -1)
+    best = _Best(inst.n)
     checks = 0
     for k in range(math.floor(Fraction(inst.n) / a) + 1):
-        covering = build_covering(inst.n, math.floor(a * k), k, limit=limit)
-        for member in covering.members:
-            s = frozenset(member)
-            checks += 1
-            if inst.membership(s):
-                best.offer(s, k)
+        alpha_k = math.floor(a * k)
+        xs = map(frozenset, build_covering(inst.n, alpha_k, k, limit=limit).members)
+        checks += _run_k(best, k, alpha_k, xs, lambda x: frozenset(), inst.membership, False)[0]
     return best.report(inst, "brute", a, None, checks, 0, (), start)
 
 
@@ -447,6 +441,8 @@ def success_rate(
     OPT is computed exhaustively when not supplied (guarded to n <= 20).
     Trial i runs with seed cfg.seed + i.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if opt_size is None:
         if inst.n > 20:
             raise ValueError("supply opt_size for instances with n > 20")

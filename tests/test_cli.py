@@ -252,6 +252,34 @@ class TestGoldenReports:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.MATCHING_DIGEST, lines
 
+    # sha256 of the --json - lines below as the three per-k loops wrote them
+    # before they were folded into one executor: brute force, stop-at-first
+    # in both modes, and a repetition cap whose warnings land in the JSON
+    LOOPS_DIGEST = "629d524faf6e52046e350d68eb8fe092bb5b7c4a01b9abf5493f10a5282aa401"
+
+    def test_brute_stop_and_cap_reports_are_pinned(self, tmp_path, capsys):
+        vc16, vc14, hs14 = (tmp_path / name for name in ("vc16.col", "vc14.col", "hs14.hs3"))
+        vc16.write_text(_graph_text(gen_gnp(16, 0.3, seed=16)))
+        vc14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
+        hs14.write_text(_hs3_text(14, 30, seed=14))
+        runs = []
+        for alpha in ("1.5", "1"):
+            runs.append(["brute", "--problem", "vc", "--input", str(vc14), "--alpha", alpha])
+            runs.append(["brute", "--problem", "hs3", "--input", str(hs14), "--alpha", alpha])
+        runs.append(["solve", "--problem", "vc", "--input", str(vc16), "--stop-at-first",
+                     "--seed", "1"])
+        runs.append(["solve", "--problem", "hs3", "--input", str(hs14),
+                     "--max-repetitions", "2", "--seed", "1"])
+        runs.append(["solve", "--problem", "vc", "--input", str(vc14), "--deterministic",
+                     "--stop-at-first"])
+        lines = []
+        for argv in runs:
+            assert main([*argv, "--json", "-"]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        assert any(json.loads(line)["warnings"] for line in lines)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.LOOPS_DIGEST, lines
+
 
 class TestBrute:
     def test_triangle(self, k3_file, capsys):

@@ -174,6 +174,11 @@ class TestStatistics:
         )
         assert fraction == 1.0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_non_positive_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            success_rate(vc_system(P3), vc_exact_oracle(P3), trials=trials)
+
     def test_matching_oracle_randomized_always_within_twice(self):
         # c = 1 selects t = 0, so the deterministic matching extension makes
         # every randomized run succeed at k = OPT
@@ -477,6 +482,26 @@ class TestContractViolations:
                 for deterministic in (False, True):
                     cfg = RunConfig(seed=seed, deterministic=deterministic)
                     assert solve(inst, oracle, cfg).warnings == ()
+
+
+class TestFailedSamples:
+    # an oracle that always fails: every randomized sample stands for the
+    # universe, which is a hit only at the last k, where floor(alpha*k) >= n
+    NEVER = ExtensionOracle(1.0, 2.0, 1.0, lambda x, k, rng: None)
+
+    def test_universe_hit_draws_one_sample_at_the_last_k(self):
+        inst = vc_system(gen_gnp(8, 0.5, seed=3))
+        rep = run_randomized(inst, self.NEVER, RunConfig(seed=1))
+        assert rep.total_samples == 51
+        assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
+        cfg = RunConfig(seed=1, stop_at_first=True, max_repetitions=2)
+        assert run_randomized(inst, self.NEVER, cfg).total_samples == 17
+
+    def test_deterministic_visits_every_member(self):
+        inst = vc_system(gen_gnp(8, 0.5, seed=3))
+        rep = run_deterministic(inst, self.NEVER)
+        assert rep.total_samples == 20
+        assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
 
 
 class TestExhaustiveMinimum:
