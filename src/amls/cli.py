@@ -249,7 +249,7 @@ def _cmd_families(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if not verify_family(family):
+    if not verify_family(family, limit=args.limit):
         print("verification FAILED", file=sys.stderr)
         return 2
     print(f"verified: {len(family.members)} members", file=sys.stderr)

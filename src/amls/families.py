@@ -17,13 +17,14 @@ smallest candidate, so outputs are reproducible).  Greedy pays a factor of
 (1 + ln(#targets)) over the optimum; ``family_size_bound`` combines that
 ratio with the probabilistic existence bound kappa(n,p,q,r)*(p+1)*ln(n).
 
-The greedy keeps a running score vector, the counting form of Minoux's lazy
-greedy: scores are computed once, and each pick subtracts only the rows of
-the targets it newly covered, so every round's argmax equals a full
-recount's.  The target x candidate coverage matrix is built in fixed blocks
-of target rows from popcounts of uint64 subset masks, so subsets of any
-universe with n <= 64 are representable.  numpy is imported by the builder
-itself, so importing this module (and the ``amls`` CLI) does not load it.
+The builder is pure Python over int bitsets.  Targets and candidates are
+indexed in combinations order, and a candidate's column is the bitset of
+the targets it serves.  Columns come from bit-sliced threshold counters
+shared along a depth-first walk of the candidates (``_columns``).  The
+greedy is Minoux's lazy greedy: a score only falls as targets get covered,
+so only candidates whose last count ties the current maximum are
+recounted, in index order, and the first whose recount keeps the maximum
+is the first maximum of a full recount.  That is the tie rule above.
 
 Construction enumerates all p- and q-subsets, so its cost grows with
 C(n, p) * C(n, q); a universe-size limit (default 14) gates it.  Families
@@ -36,12 +37,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from .combinatorics import binomial, kappa
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "LimitExceededError",
@@ -55,6 +52,7 @@ __all__ = [
 ]
 
 KINDS = ("intersection_weak", "intersection_strong", "covering")
+Members = tuple[tuple[int, ...], ...]
 
 
 class LimitExceededError(RuntimeError):
@@ -71,7 +69,7 @@ class SetFamily:
 
     n: int
     member_size: int
-    members: tuple[tuple[int, ...], ...]
+    members: Members
     kind: str
     params: tuple[int, ...]
     verified: bool = field(default=False, compare=False)
@@ -84,71 +82,99 @@ def _check_limit(n: int, limit: int, what: str) -> None:
         )
 
 
-# target rows per block of the coverage build; caps the uint64 AND temporary
-# at _BLOCK_ROWS x #candidates
-_BLOCK_ROWS = 128
+def _containing(n: int, size: int) -> list[int]:
+    """elem[e]: bitset of the size-subsets of [n), in combinations order, holding e.
 
-
-def _masks(n: int, size: int) -> tuple[list[tuple[int, ...]], "np.ndarray"]:
-    import numpy as np
-
-    combos = list(combinations(range(n), size))
-    elements = np.array(combos, dtype=np.uint64).reshape(len(combos), size)
-    masks = np.bitwise_or.reduce(np.uint64(1) << elements, axis=1)
-    return combos, masks
-
-
-def _greedy(
-    n: int, target_size: int, member_size: int, admits
-) -> tuple[tuple[int, ...], ...]:
-    """Greedy set cover; admits(count_matrix) -> bool matrix of coverage.
-
-    served[i, j] says whether candidate j serves target i.  scores[j] counts
-    the still-uncovered targets candidate j serves; after each pick only the
-    rows of the targets it newly covered are subtracted.
+    The p-subsets of [a, n) are a + each (p - 1)-subset of [a + 1, n), then
+    the p-subsets of [a + 1, n); rows[p] holds the bitsets for suffix [a, n).
     """
-    import numpy as np
+    rows = [[0] * n for _ in range(size + 1)]
+    for a in range(n - 1, -1, -1):
+        for p in range(min(size, n - a), 0, -1):
+            shift = binomial(n - a - 1, p - 1)
+            rows[p] = [w | o << shift for w, o in zip(rows[p - 1], rows[p])]
+            rows[p][a] = (1 << shift) - 1
+    return rows[size]
 
+
+def _columns(n: int, target_size: int, member_size: int, lo: int, hi: int) -> list[int]:
+    """Column j: bitset of the targets i with lo <= |T_i & C_j| <= hi.
+
+    A depth-first walk over the candidates (member_size >= 1) keeps per
+    prefix the counters ge[m], the targets meeting it in >= m elements;
+    adding e sets ge[m] |= ge[m - 1] & elem[e].  Only counters that can still
+    reach ge[lo] or ge[hi + 1] are updated (the window).
+    """
+    elem = _containing(n, target_size)
+    bounded = hi < min(target_size, member_size)  # else no count exceeds hi
+    cap = hi + 1 if bounded else lo
+    cols: list[int] = []
+    # per depth, in place: reads hit the parent's window, ge[0] or unwritten 0s
+    gs = [[(1 << binomial(n, target_size)) - 1] + [0] * cap for _ in range(member_size)]
+
+    def walk(start: int, depth: int) -> None:
+        ge, left = gs[depth], member_size - depth
+        if left == 1:  # the extensions are candidates; ge[0] is full if lo = 0
+            for x in elem[start:]:
+                col = ge[lo] | ge[lo - 1] & x
+                cols.append(col & ~(ge[hi + 1] | ge[hi] & x) if bounded else col)
+            return
+        child = gs[depth + 1]
+        window = range(max(1, lo - left + 1), min(cap, depth + 1) + 1)
+        for e in range(start, n - left + 1):
+            x = elem[e]
+            for m in window:
+                child[m] = ge[m] | ge[m - 1] & x
+            walk(e + 1, depth + 1)
+
+    walk(0, 0)
+    return cols
+
+
+def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Members:
+    """Lazy greedy cover where candidate C serves target T iff lo <= |T & C| <= hi.
+
+    buckets[s] holds the candidates last counted at s; the top bucket is
+    recounted in index order, and the module docstring says why that works.
+    """
     if n > 64:
-        raise LimitExceededError(f"subset masks are 64-bit, so n <= 64, got {n}")
-    _, tmasks = _masks(n, target_size)
-    candidates, cmasks = _masks(n, member_size)
-    served = np.empty((len(tmasks), len(cmasks)), dtype=bool)
-    for lo in range(0, len(tmasks), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        served[rows] = admits(np.bitwise_count(tmasks[rows, None] & cmasks))
-    scores = served.sum(axis=0, dtype=np.int32)  # each score <= #targets < 2**31
-    uncovered = np.ones(len(tmasks), dtype=bool)
-    remaining = len(tmasks)
+        raise LimitExceededError(f"family construction needs n <= 64, got {n}")
+    cols = _columns(n, target_size, member_size, lo, hi)
+    candidates = list(combinations(range(n), member_size))
+    uncovered = (1 << binomial(n, target_size)) - 1
+    buckets: list[list[int]] = [[] for _ in range(uncovered.bit_length() + 1)]
+    for j, col in enumerate(cols):
+        buckets[col.bit_count()].append(j)
     picked: list[tuple[int, ...]] = []
-    while remaining:
-        best = int(np.argmax(scores))  # first maximum = lexicographically smallest
-        if scores[best] == 0:
+    top = len(buckets) - 1
+    while uncovered:
+        while top and not buckets[top]:
+            top -= 1
+        if not top:
             raise ValueError("infeasible parameter combination: uncoverable target")
-        picked.append(candidates[best])
-        newly = np.flatnonzero(uncovered & served[:, best])
-        uncovered[newly] = False
-        remaining -= len(newly)
-        scores -= served[newly].sum(axis=0, dtype=np.int32)
+        level, buckets[top] = sorted(buckets[top]), []
+        for j in level:
+            score = (cols[j] & uncovered).bit_count()
+            if score == top:
+                picked.append(candidates[j])
+                uncovered &= ~cols[j]
+            else:
+                buckets[score].append(j)
     return tuple(picked)
 
 
 @lru_cache(maxsize=None)
-def _intersection_members(
-    n: int, p: int, q: int, r: int, strong: bool
-) -> tuple[tuple[int, ...], ...]:
-    if strong:
-        return _greedy(n, p, q, lambda counts: counts == r)
-    return _greedy(n, p, q, lambda counts: counts >= r)
+def _intersection_members(n: int, p: int, q: int, r: int, strong: bool) -> Members:
+    return _greedy(n, p, q, r, r if strong else q)
 
 
 @lru_cache(maxsize=None)
-def _covering_members(n: int, t: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _covering_members(n: int, t: int, k: int) -> Members:
     if t == k:
         return tuple(combinations(range(n), k))
     if t == n:
         return (tuple(range(n)),)
-    return _greedy(n, k, t, lambda counts: counts == k)
+    return _greedy(n, k, t, k, k)
 
 
 def build_intersection_family(
@@ -165,13 +191,8 @@ def build_intersection_family(
         raise ValueError(f"need n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}")
     _check_limit(n, limit, "intersection family")
     kind = "intersection_strong" if strong else "intersection_weak"
-    return SetFamily(
-        n=n,
-        member_size=q,
-        members=_intersection_members(n, p, q, r, strong),
-        kind=kind,
-        params=(p, q, r),
-    )
+    members = _intersection_members(n, p, q, r, strong)
+    return SetFamily(n=n, member_size=q, members=members, kind=kind, params=(p, q, r))
 
 
 def build_covering(n: int, t: int, k: int, limit: int = 14) -> SetFamily:
@@ -183,13 +204,8 @@ def build_covering(n: int, t: int, k: int, limit: int = 14) -> SetFamily:
     if not 0 <= k <= t <= n:
         raise ValueError(f"need 0 <= k <= t <= n, got n={n}, t={t}, k={k}")
     _check_limit(n, limit, "covering")
-    return SetFamily(
-        n=n,
-        member_size=t,
-        members=_covering_members(n, t, k),
-        kind="covering",
-        params=(t, k),
-    )
+    members = _covering_members(n, t, k)
+    return SetFamily(n=n, member_size=t, members=members, kind="covering", params=(t, k))
 
 
 def verify_family(family: SetFamily, limit: int = 16) -> bool:
@@ -206,38 +222,22 @@ def verify_family(family: SetFamily, limit: int = 16) -> bool:
             return False
         if not all(0 <= v < family.n for v in member):
             return False
-    member_masks = [sum(1 << v for v in m) for m in family.members]
-
     if family.kind == "covering":
-        t, k = family.params
-        if t != q:
-            return False
-        ok = _all_targets_served(family.n, k, member_masks, lambda inter, tm: inter == tm)
+        declared, size = family.params
+        lo = hi = size  # a k-subset lies in X iff it meets X in k elements
     elif family.kind in ("intersection_weak", "intersection_strong"):
-        p, q_declared, r = family.params
-        if q_declared != q:
-            return False
-        if family.kind == "intersection_strong":
-            ok = _all_targets_served(
-                family.n, p, member_masks, lambda inter, tm: inter.bit_count() == r
-            )
-        else:
-            ok = _all_targets_served(
-                family.n, p, member_masks, lambda inter, tm: inter.bit_count() >= r
-            )
+        size, declared, lo = family.params
+        hi = lo if family.kind == "intersection_strong" else size
     else:
         raise ValueError(f"unknown family kind {family.kind!r}")
-
-    if ok:
-        family.verified = True
-    return ok
-
-
-def _all_targets_served(n: int, target_size: int, member_masks, served) -> bool:
-    for target in combinations(range(n), target_size):
+    if declared != q:
+        return False
+    masks = [sum(1 << v for v in m) for m in family.members]
+    for target in combinations(range(family.n), size):
         tmask = sum(1 << v for v in target)
-        if not any(served(mask & tmask, tmask) for mask in member_masks):
+        if not any(lo <= (mask & tmask).bit_count() <= hi for mask in masks):
             return False
+    family.verified = True
     return True
 
 

@@ -19,6 +19,15 @@ K3_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 EMPTY_TEXT = "p edge 4 0\n"
 
 
+def _child_env() -> dict:
+    """This environment, with the amls this process imported first on PYTHONPATH."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
 @pytest.fixture
 def p3_file(tmp_path):
     path = tmp_path / "p3.col"
@@ -176,17 +185,13 @@ class TestSolve:
     def test_cross_process_determinism(self, p3_file):
         # hash randomization must not leak into reports
         # the child must import the same amls as this process, installed or from src/
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
-        pythonpath = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-        )
         outputs = set()
         for hashseed in ("0", "random"):
             proc = subprocess.run(
                 [sys.executable, "-m", "amls.cli", "solve", "--problem", "vc",
                  "--input", p3_file, "--seed", "5", "--json", "-"],
                 capture_output=True, text=True,
-                env=dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=pythonpath),
+                env=dict(_child_env(), PYTHONHASHSEED=hashseed),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout.splitlines()[-1])
@@ -330,6 +335,15 @@ class TestFamilies:
     def test_missing_params_usage_error(self):
         assert main(["families", "--kind", "intersection", "--n", "4"]) == 1
 
+    def test_limit_also_gates_verification(self, capsys):
+        # the verifier's own default limit is 16; --limit must reach it too
+        rc = main(
+            ["families", "--kind", "covering", "--n", "18", "--t", "2", "--k", "1",
+             "--limit", "18"]
+        )
+        assert rc == 0
+        assert "verified: 9 members" in capsys.readouterr().err
+
     def test_infeasible_exits_2(self):
         rc = main(
             ["families", "--kind", "intersection", "--n", "4", "--p", "5",
@@ -366,20 +380,38 @@ class TestBench:
 
 class TestImport:
     def test_cli_import_does_not_load_numpy(self):
-        # only the family and covering builders need numpy
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
-        pythonpath = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, amls, amls.cli; "
              "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True, text=True, timeout=60, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
+
+    def test_commands_run_without_numpy(self, tmp_path):
+        # brute force, deterministic search and the families command build
+        # coverings and families; none of them may need numpy
+        vc10 = tmp_path / "vc10.col"
+        vc10.write_text(_graph_text(gen_gnp(10, 0.3, seed=10)))
+        commands = [
+            ["brute", "--problem", "vc", "--input", str(vc10), "--alpha", "1.5"],
+            ["solve", "--problem", "vc", "--input", str(vc10), "--deterministic"],
+            ["families", "--kind", "intersection", "--n", "9", "--p", "4", "--q", "5",
+             "--r", "2", "--strong"],
+            ["families", "--kind", "covering", "--n", "9", "--t", "5", "--k", "3"],
+        ]
+        main_call = "from amls.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv in commands:
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-c", f"import sys; {block}{main_call}", *argv],
+                    capture_output=True, text=True, timeout=60, env=_child_env(),
+                )
+                for block in ("", "sys.modules['numpy'] = None; ")
+            ]
+            assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
+            assert runs[1].stdout == runs[0].stdout
 
 
 class TestNonFinite:
@@ -396,14 +428,9 @@ class TestNonFinite:
     def test_rejected_without_traceback(self, argv, p3_file):
         if argv[0] != "bounds":
             argv = argv + ["--input", p3_file]
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
-        pythonpath = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "amls.cli", *argv],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True, text=True, timeout=60, env=_child_env(),
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:")

@@ -99,6 +99,16 @@ BENCHMARK_WEAK_14 = [
 ]
 BENCHMARK_DIGEST_14 = "2cd61303402e16c3a44892b79a09b69ea1348b83123c899ac764c38eb0d56910"
 
+# Heavier families outside the benchmark: weak with r < q, strong, and
+# coverings at n = 12..14, pinned as the numpy coverage-matrix greedy built them.
+HEAVY_INTERSECTION = [
+    (14, 7, 7, 3, False), (14, 7, 7, 3, True), (14, 6, 8, 4, False),
+    (14, 6, 8, 3, True), (14, 5, 9, 3, False), (12, 6, 6, 2, True),
+    (13, 6, 7, 3, False), (14, 4, 10, 3, False),
+]
+HEAVY_COVERINGS = [(14, 8, 4), (14, 7, 3), (13, 7, 5)]
+HEAVY_DIGEST = "298cdb926c8be1326b06b241baedc821af978c9f9bba2c82ed1f339a2fbd872d"
+
 
 class TestIntersectionFamilies:
     def test_small_weak_family_is_optimal(self):
@@ -223,6 +233,16 @@ class TestGoldenGreedy:
         assert sum(len(f.members) for f in families) == 1345
         text = "".join(family_to_text(f) for f in families)
         assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_DIGEST_14
+
+    def test_heavy_families_are_pinned(self):
+        families = [
+            build_intersection_family(n, p, q, r, strong=strong)
+            for n, p, q, r, strong in HEAVY_INTERSECTION
+        ]
+        families += [build_covering(n, t, k) for n, t, k in HEAVY_COVERINGS]
+        assert sum(len(f.members) for f in families) == 200
+        text = "".join(family_to_text(f) for f in families)
+        assert hashlib.sha256(text.encode()).hexdigest() == HEAVY_DIGEST
 
 
 class TestLimits:
