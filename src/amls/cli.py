@@ -62,9 +62,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        values = [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty float list: {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true", help="family-driven mode")
     p.add_argument("--stop-at-first", action="store_true", help="return at the first qualifying k")
     p.add_argument("--max-repetitions", type=int, help="cap repetitions per k (degrades the guarantee)")
-    p.add_argument("--family-limit", type=int, default=14)
     p.add_argument("--json", metavar="PATH", help="write the JSON report here, '-' for stdout")
     p.set_defaults(func=_cmd_solve)
 
@@ -103,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=("vc", "hs3"), required=True)
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--limit", type=int, default=14)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_brute)
 
@@ -116,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true", help="require overlap exactly r")
     p.add_argument("--t", type=int, help="member size (covering)")
     p.add_argument("--k", type=int, help="covered subset size (covering)")
-    p.add_argument("--limit", type=int, default=14)
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     p.set_defaults(func=_cmd_families)
 
@@ -215,7 +215,6 @@ def _cmd_solve(args) -> int:
         max_repetitions=args.max_repetitions,
         deterministic=args.deterministic,
         stop_at_first=args.stop_at_first,
-        family_limit=args.family_limit,
     )
     rep = solve(inst, oracle, cfg)
     _print_report(rep, args.json)
@@ -224,7 +223,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_brute(args) -> int:
     inst, _ = _load_instance(args)
-    rep = brute_force_search(inst, args.alpha, limit=args.limit)
+    rep = brute_force_search(inst, args.alpha)
     _print_report(rep, args.json)
     return 0
 
@@ -235,21 +234,19 @@ def _cmd_families(args) -> int:
         if missing:
             print(f"error: intersection families need --{' --'.join(missing)}", file=sys.stderr)
             return 1
-        family = build_intersection_family(
-            args.n, args.p, args.q, args.r, strong=args.strong, limit=args.limit
-        )
+        family = build_intersection_family(args.n, args.p, args.q, args.r, strong=args.strong)
     else:
         if args.t is None or args.k is None:
             print("error: coverings need --t and --k", file=sys.stderr)
             return 1
-        family = build_covering(args.n, args.t, args.k, limit=args.limit)
+        family = build_covering(args.n, args.t, args.k)
     text = family_to_text(family)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if not verify_family(family, limit=args.limit):
+    if not verify_family(family):
         print("verification FAILED", file=sys.stderr)
         return 2
     print(f"verified: {len(family.members)} members", file=sys.stderr)

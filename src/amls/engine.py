@@ -20,11 +20,12 @@ member of the family:
   run_deterministic   replace sampling with iteration over a weak
                       (n, k, t, ceil(t/alpha))-set-intersection family, with
                       t minimizing kappa(n,k,t,ceil(t/alpha)) * c^(k-t/alpha);
-                      unconditional alpha-approximation, gated by the family
-                      construction limit when some k needs a family.
+                      unconditional alpha-approximation, gated by
+                      families.LIMIT when some k needs a family.
   brute_force_search  no oracle at all: for each k test every member of an
                       (n, floor(alpha*k), k)-covering; unconditional
-                      alpha-approximation by monotonicity.
+                      alpha-approximation by monotonicity, gated by
+                      families.LIMIT.
 
 Both search modes pick t with the same combinatorics.argmin_t; they differ
 only in the factor it weighs c^(k - t/alpha) by (1/p or kappa).
@@ -56,7 +57,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .combinatorics import argmin_t, exact_ratio, kappa, select_t
-from .families import LimitExceededError, build_covering, build_intersection_family
+from .families import build_covering, build_intersection_family, check_limit
 
 __all__ = [
     "MonotoneInstance",
@@ -71,9 +72,6 @@ __all__ = [
     "success_rate",
     "exhaustive_minimum",
 ]
-
-Subset = frozenset
-
 
 @dataclass(frozen=True)
 class MonotoneInstance:
@@ -120,9 +118,9 @@ class RunConfig:
     boost multiplies the baseline ceil(1/p) repetition count, pushing the
     per-k failure probability below exp(-boost * success_prob).
     max_repetitions caps the per-k repetitions (a warning is recorded and the
-    success guarantee degrades).  family_limit gates the deterministic mode's
-    family construction.  stop_at_first returns at the first k whose
-    iteration finds a set of size <= alpha * k instead of finishing the loop.
+    success guarantee degrades).  stop_at_first returns at the first k
+    whose iteration finds a set of size <= alpha * k instead of finishing
+    the loop.
     """
 
     seed: int = 0
@@ -130,15 +128,12 @@ class RunConfig:
     max_repetitions: Optional[int] = None
     deterministic: bool = False
     stop_at_first: bool = False
-    family_limit: int = 14
 
     def __post_init__(self) -> None:
         if not self.boost >= 1.0:
             raise ValueError(f"boost must be >= 1, got {self.boost}")
         if self.max_repetitions is not None and self.max_repetitions < 1:
             raise ValueError(f"max_repetitions must be >= 1, got {self.max_repetitions}")
-        if self.family_limit < 1:
-            raise ValueError(f"family_limit must be >= 1, got {self.family_limit}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +330,7 @@ def run_deterministic(
     (n, k, t, ceil(t/alpha))-set-intersection family instead of sampling, so
     the alpha-approximation guarantee holds unconditionally.  A k with t = 0
     iterates X = {} alone.  Every k's t is chosen first, and the run is
-    rejected before any oracle call if n exceeds cfg.family_limit and some
+    rejected before any oracle call if n exceeds families.LIMIT and some
     t >= 1 needs a family; at c == 1 every t is 0, so any n runs.
     """
     if ext.success_prob != 1.0:
@@ -351,11 +346,9 @@ def run_deterministic(
             ext.c,
             lambda t: kappa(inst.n, k, t, math.ceil(t / alpha)).as_integer_ratio(),
         )
-        if t and inst.n > cfg.family_limit:
-            raise LimitExceededError(
-                f"deterministic mode limited to n <= {cfg.family_limit}, got n={inst.n}"
-            )
         ts.append(t)
+    if any(ts):
+        check_limit(inst.n, "deterministic mode")
     best = _Best(inst.n)
     warnings: list[str] = []
     total_samples = 0
@@ -365,9 +358,7 @@ def run_deterministic(
         r = math.ceil(t / alpha)
         members = ((),)
         if t:
-            members = build_intersection_family(
-                inst.n, k, t, r, strong=False, limit=cfg.family_limit
-            ).members
+            members = build_intersection_family(inst.n, k, t, r).members
         budget = k - r
         samples, hit, broken = _run_k(
             best, k, math.floor(alpha * k), map(frozenset, members),
@@ -384,9 +375,7 @@ def run_deterministic(
     )
 
 
-def brute_force_search(
-    inst: MonotoneInstance, alpha, limit: int = 14
-) -> RunReport:
+def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
     """Oracle-free approximate search through coverings.
 
     For each k tests every member of an (n, floor(alpha*k), k)-covering for
@@ -397,16 +386,13 @@ def brute_force_search(
     a = exact_ratio(alpha)
     if a < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if inst.n > limit:
-        raise LimitExceededError(
-            f"brute-force search limited to n <= {limit}, got n={inst.n}"
-        )
+    check_limit(inst.n, "brute-force search")
     start = time.perf_counter()
     best = _Best(inst.n)
     checks = 0
     for k in range(math.floor(Fraction(inst.n) / a) + 1):
         alpha_k = math.floor(a * k)
-        xs = map(frozenset, build_covering(inst.n, alpha_k, k, limit=limit).members)
+        xs = map(frozenset, build_covering(inst.n, alpha_k, k).members)
         checks += _run_k(best, k, alpha_k, xs, lambda x: frozenset(), inst.membership, False)[0]
     return best.report(inst, "brute", a, None, checks, 0, (), start)
 

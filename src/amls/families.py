@@ -27,8 +27,10 @@ recounted, in index order, and the first whose recount keeps the maximum
 is the first maximum of a full recount.  That is the tie rule above.
 
 Construction enumerates all p- and q-subsets, so its cost grows with
-C(n, p) * C(n, q); a universe-size limit (default 14) gates it.  Families
-are immutable once built.
+C(n, p) * C(n, q).  One fixed universe-size limit, LIMIT = 14, gates every
+construction, verification and search that enumerates subsets; the
+largest construction it admits, C(14, 7) targets by C(14, 7) candidates,
+holds about 1.5 MB of columns.  Families are immutable once built.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from itertools import combinations
 from .combinatorics import binomial, kappa
 
 __all__ = [
+    "LIMIT",
     "LimitExceededError",
+    "check_limit",
     "SetFamily",
     "build_intersection_family",
     "build_covering",
@@ -53,10 +57,17 @@ __all__ = [
 
 KINDS = ("intersection_weak", "intersection_strong", "covering")
 Members = tuple[tuple[int, ...], ...]
+LIMIT = 14
 
 
 class LimitExceededError(RuntimeError):
-    """Requested construction is above the configured universe-size limit."""
+    """Requested construction is above the universe-size limit LIMIT."""
+
+
+def check_limit(n: int, what: str) -> None:
+    """Raise LimitExceededError if n > LIMIT; what names the caller."""
+    if n > LIMIT:
+        raise LimitExceededError(f"{what} limited to n <= {LIMIT}, got n={n}")
 
 
 @dataclass
@@ -73,13 +84,6 @@ class SetFamily:
     kind: str
     params: tuple[int, ...]
     verified: bool = field(default=False, compare=False)
-
-
-def _check_limit(n: int, limit: int, what: str) -> None:
-    if n > limit:
-        raise LimitExceededError(
-            f"{what} with n={n} exceeds the construction limit {limit}"
-        )
 
 
 def _containing(n: int, size: int) -> list[int]:
@@ -137,8 +141,6 @@ def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Mem
     buckets[s] holds the candidates last counted at s; the top bucket is
     recounted in index order, and the module docstring says why that works.
     """
-    if n > 64:
-        raise LimitExceededError(f"family construction needs n <= 64, got {n}")
     cols = _columns(n, target_size, member_size, lo, hi)
     candidates = list(combinations(range(n), member_size))
     uncovered = (1 << binomial(n, target_size)) - 1
@@ -177,45 +179,43 @@ def _covering_members(n: int, t: int, k: int) -> Members:
     return _greedy(n, k, t, k, k)
 
 
-def build_intersection_family(
-    n: int, p: int, q: int, r: int, strong: bool = False, limit: int = 14
-) -> SetFamily:
+def build_intersection_family(n: int, p: int, q: int, r: int, strong: bool = False) -> SetFamily:
     """Weak or strong (n, p, q, r)-set-intersection family via greedy cover.
 
-    Requires n >= p >= r >= 1, n - p + r >= q >= r, and n <= limit.
+    Requires n >= p >= r >= 1, n - p + r >= q >= r, and n <= LIMIT.
     Construction results are cached per parameter tuple.
     """
     if not n >= p >= r >= 1:
         raise ValueError(f"need n >= p >= r >= 1, got n={n}, p={p}, r={r}")
     if not n - p + r >= q >= r:
         raise ValueError(f"need n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}")
-    _check_limit(n, limit, "intersection family")
+    check_limit(n, "intersection family")
     kind = "intersection_strong" if strong else "intersection_weak"
     members = _intersection_members(n, p, q, r, strong)
     return SetFamily(n=n, member_size=q, members=members, kind=kind, params=(p, q, r))
 
 
-def build_covering(n: int, t: int, k: int, limit: int = 14) -> SetFamily:
+def build_covering(n: int, t: int, k: int) -> SetFamily:
     """(n, t, k)-covering via greedy cover.
 
-    Requires 0 <= k <= t <= n and n <= limit.  t == k degenerates to the
+    Requires 0 <= k <= t <= n and n <= LIMIT.  t == k degenerates to the
     family of all k-subsets and t == n to the single full universe.
     """
     if not 0 <= k <= t <= n:
         raise ValueError(f"need 0 <= k <= t <= n, got n={n}, t={t}, k={k}")
-    _check_limit(n, limit, "covering")
+    check_limit(n, "covering")
     members = _covering_members(n, t, k)
     return SetFamily(n=n, member_size=t, members=members, kind="covering", params=(t, k))
 
 
-def verify_family(family: SetFamily, limit: int = 16) -> bool:
+def verify_family(family: SetFamily) -> bool:
     """Exhaustively check the defining property over all target subsets.
 
     Sets family.verified (and returns True) only if every target is served.
     Also rejects families with malformed members.  Enumerates all p- or
-    k-subsets, hence the n <= limit gate.
+    k-subsets, hence the n <= LIMIT gate.
     """
-    _check_limit(family.n, limit, "verification")
+    check_limit(family.n, "verification")
     q = family.member_size
     for member in family.members:
         if len(member) != q or len(set(member)) != q:
@@ -279,6 +279,8 @@ def family_from_text(text: str) -> SetFamily:
         params = tuple(int(v) for v in _expect_prefix(head[4], "params=").split(","))
     except ValueError as exc:
         raise ValueError(f"malformed family header: {lines[0]!r}") from exc
+    if n < 0 or len(params) != (2 if kind == "covering" else 3):
+        raise ValueError(f"malformed family header: {lines[0]!r}")
     members = []
     for line in lines[1:]:
         members.append(tuple(int(v) for v in line.split()))

@@ -89,6 +89,11 @@ class TestBounds:
         assert main(["bounds", "--alpha", "nope", "--c", "2"]) == 1
         assert main(["bounds", "--alpha", "2", "--c", "2", "--preset", "vc-1.1"]) == 1
 
+    @pytest.mark.parametrize("alpha,c", [("", "2"), ("2", ","), (",,", "")])
+    def test_empty_list_is_usage_error(self, alpha, c, capsys):
+        assert main(["bounds", "--alpha", alpha, "--c", c]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_runtime_error_on_bad_domain(self, capsys):
         assert main(["bounds", "--alpha", "0.5", "--c", "2"]) == 2
 
@@ -214,7 +219,7 @@ def _hs3_text(n, m, seed):
 class TestGoldenReports:
     # sha256 of the seeded --json - lines below as the set-based branching
     # oracles wrote them; the deterministic VC run uses G(14, 0.3) because
-    # the default family limit is 14
+    # families.LIMIT is 14
     DIGEST = "4d4fd53cb338e6ceb48d3019a733895bd7fbd7945c59564b502649c24a473530"
 
     def test_seeded_reports_are_pinned(self, tmp_path, capsys):
@@ -296,8 +301,7 @@ class TestBrute:
         path = tmp_path / "big.col"
         path.write_text("\n".join(lines) + "\n")
         rc = main(
-            ["brute", "--problem", "vc", "--input", str(path), "--alpha", "2",
-             "--limit", "14"]
+            ["brute", "--problem", "vc", "--input", str(path), "--alpha", "2"]
         )
         assert rc == 2
 
@@ -334,15 +338,6 @@ class TestFamilies:
 
     def test_missing_params_usage_error(self):
         assert main(["families", "--kind", "intersection", "--n", "4"]) == 1
-
-    def test_limit_also_gates_verification(self, capsys):
-        # the verifier's own default limit is 16; --limit must reach it too
-        rc = main(
-            ["families", "--kind", "covering", "--n", "18", "--t", "2", "--k", "1",
-             "--limit", "18"]
-        )
-        assert rc == 0
-        assert "verified: 9 members" in capsys.readouterr().err
 
     def test_infeasible_exits_2(self):
         rc = main(
@@ -451,3 +446,15 @@ class TestTopLevel:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    def test_limit_flags_are_usage_errors(self, p3_file, capsys):
+        # the universe-size limit is the constant families.LIMIT
+        for args in (["solve", "--problem", "vc", "--input", p3_file, "--family-limit", "14"],
+                     ["brute", "--problem", "vc", "--input", p3_file, "--alpha", "2",
+                      "--limit", "14"],
+                     ["families", "--kind", "covering", "--n", "4", "--t", "3", "--k", "2",
+                      "--limit", "14"]):
+            assert main(args) == 1
+            assert capsys.readouterr().out == ""
+            assert main([args[0], "--help"]) == 0
+            assert "limit" not in capsys.readouterr().out

@@ -4,9 +4,9 @@ import json
 import math
 import random
 import re
+from dataclasses import fields
 
 import pytest
-from scipy import stats
 
 from amls.engine import (
     ExtensionOracle,
@@ -215,7 +215,7 @@ class TestStatistics:
         assert len(counts) == cells
         expected = draws / cells
         statistic = sum((o - expected) ** 2 / expected for o in counts.values())
-        critical = stats.chi2.isf(0.001, df=cells - 1)
+        critical = 43.82  # upper 0.001 quantile of chi-square, df = 19: 43.8202
         assert statistic < critical
 
 
@@ -284,7 +284,7 @@ class TestDeterministicMode:
     def test_rejects_large_instances(self):
         g = gen_gnp(15, 0.2, seed=1)
         with pytest.raises(LimitExceededError):
-            run_deterministic(vc_system(g), vc_exact_oracle(g), RunConfig(family_limit=14))
+            run_deterministic(vc_system(g), vc_exact_oracle(g))
 
     def test_limit_fires_before_any_oracle_call(self):
         g = gen_gnp(15, 0.2, seed=1)
@@ -297,12 +297,12 @@ class TestDeterministicMode:
 
         oracle = ExtensionOracle(alpha=1.0, c=2.0, success_prob=1.0, extend=extend)
         with pytest.raises(LimitExceededError, match="limited to n <= 14, got n=15"):
-            run_deterministic(vc_system(g), oracle, RunConfig(family_limit=14))
+            run_deterministic(vc_system(g), oracle)
         assert calls == []
 
     def test_matching_runs_above_the_limit(self):
         # at c = 1 every t is 0, so no k builds a family and n may exceed
-        # family_limit; each k extends X = {} once
+        # families.LIMIT; each k extends X = {} once
         g = gen_gnp(200, 0.1, seed=7)
         rep = run_deterministic(vc_system(g), vc_matching_oracle(g), RunConfig())
         matched = set()
@@ -343,7 +343,7 @@ class TestBruteForce:
     def test_limit(self):
         g = gen_gnp(16, 0.2, seed=2)
         with pytest.raises(LimitExceededError):
-            brute_force_search(vc_system(g), 2, limit=14)
+            brute_force_search(vc_system(g), 2)
 
 
 class TestBudgetSanity:
@@ -520,11 +520,19 @@ class TestExhaustiveMinimum:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(boost=0.5), dict(max_repetitions=0), dict(family_limit=0)],
+        [dict(boost=0.5), dict(max_repetitions=0), dict(boost=math.nan)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_has_no_limit_field(self):
+        # the universe-size limit is families.LIMIT, not a setting
+        assert [f.name for f in fields(RunConfig)] == [
+            "seed", "boost", "max_repetitions", "deterministic", "stop_at_first"
+        ]
+        with pytest.raises(TypeError):
+            RunConfig(family_limit=14)
 
     def test_oracle_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 
 from amls.combinatorics import hyper_tail, kappa
+from amls.engine import brute_force_search, run_deterministic
 from amls.families import (
+    LIMIT,
     LimitExceededError,
     SetFamily,
     build_covering,
@@ -17,6 +19,7 @@ from amls.families import (
     family_to_text,
     verify_family,
 )
+from amls.problems import gen_gnp, vc_exact_oracle, vc_system
 
 
 def weak_ok(n, p, r, members) -> bool:
@@ -162,7 +165,7 @@ class TestIntersectionFamilies:
         with pytest.raises(ValueError):
             build_intersection_family(4, 2, 2, 0)
         with pytest.raises(LimitExceededError):
-            build_intersection_family(15, 3, 3, 2, limit=14)
+            build_intersection_family(15, 3, 3, 2)
 
 
 class TestCoverings:
@@ -206,7 +209,7 @@ class TestCoverings:
         with pytest.raises(ValueError):
             build_covering(4, 2, 3)  # k > t
         with pytest.raises(LimitExceededError):
-            build_covering(20, 10, 3, limit=14)
+            build_covering(20, 10, 3)
 
 
 class TestGoldenGreedy:
@@ -246,20 +249,32 @@ class TestGoldenGreedy:
 
 
 class TestLimits:
-    def test_universe_above_16_builds(self):
-        covering = build_covering(20, 2, 1, limit=20)
-        assert verify_family(covering, limit=20)
-        family = build_intersection_family(20, 2, 2, 1, limit=20)
-        assert verify_family(family, limit=20)
+    def test_largest_construction_builds(self):
+        # C(14, 7) targets by C(14, 7) candidates: the most the limit admits
+        assert LIMIT == 14
+        family = build_intersection_family(14, 7, 7, 3, strong=True)
+        assert verify_family(family)
+        assert verify_family(build_covering(14, 8, 7))
 
     def test_default_limit_still_gates(self):
         with pytest.raises(LimitExceededError):
             build_covering(15, 3, 2)
 
-    def test_masks_hold_64_elements(self):
-        assert verify_family(build_covering(64, 63, 1, limit=64), limit=64)
-        with pytest.raises(LimitExceededError):
-            build_covering(65, 2, 1, limit=65)
+    def test_one_limit_gates_every_search(self):
+        g = gen_gnp(15, 0.2, seed=1)
+        calls = [
+            lambda: build_intersection_family(15, 2, 2, 1),
+            lambda: build_covering(15, 2, 1),
+            lambda: verify_family(
+                SetFamily(n=15, member_size=15, members=(tuple(range(15)),),
+                          kind="covering", params=(15, 1))
+            ),
+            lambda: run_deterministic(vc_system(g), vc_exact_oracle(g)),
+            lambda: brute_force_search(vc_system(g), 2),
+        ]
+        for call in calls:
+            with pytest.raises(LimitExceededError, match=r"limited to n <= 14, got n=15$"):
+                call()
 
 
 class TestVerifyFamily:
@@ -334,3 +349,14 @@ class TestSerialization:
             family_from_text("not a family\n0 1\n")
         with pytest.raises(ValueError):
             family_from_text("family sideways n=4 q=3 params=3,2\n")
+
+    @pytest.mark.parametrize(
+        "header",
+        ["family covering n=-3 q=2 params=2,1",
+         "family covering n=4 q=2 params=2",
+         "family covering n=4 q=2 params=2,1,1",
+         "family intersection_weak n=4 q=2 params=2,1"],
+    )
+    def test_parse_rejects_unverifiable_headers(self, header):
+        with pytest.raises(ValueError, match="malformed family header"):
+            family_from_text(header + "\n")
