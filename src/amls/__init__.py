@@ -14,72 +14,53 @@ O*(c^k), this package provides:
   * families        greedy set-intersection families and coverings
   * problems        vertex cover and 3-hitting set front ends
   * cli             the ``amls`` command
+
+``import amls`` loads none of these modules.  The names below resolve on
+first access (PEP 562), so ``from amls import solve`` imports only the
+layers ``solve`` needs, and ``amls.engine`` imports ``engine``.
 """
 
-from .bounds import (
-    BoundQuery,
-    BoundReport,
-    amls_bound,
-    bound_report,
-    bound_table,
-    brute_bound,
-    emls_bound,
-    entropy,
-    kl_divergence,
-    naive_bound,
-)
-from .combinatorics import (
-    IterationCost,
-    binomial,
-    continuous_t,
-    empirical_brute_exponent,
-    exact_ratio,
-    hyper_symmetry_check,
-    hyper_tail,
-    iteration_cost,
-    kappa,
-    relaxed_log_cost,
-    select_t,
-)
-from .engine import (
-    ExtensionOracle,
-    MonotoneInstance,
-    RunConfig,
-    RunReport,
-    brute_force_search,
-    exhaustive_minimum,
-    run_deterministic,
-    run_randomized,
-    sample_once,
-    solve,
-    success_rate,
-)
-from .families import (
-    LimitExceededError,
-    SetFamily,
-    build_covering,
-    build_intersection_family,
-    family_from_text,
-    family_size_bound,
-    family_to_text,
-    verify_family,
-)
-from .problems import (
-    Graph,
-    Hypergraph3,
-    ParseError,
-    gen_gnp,
-    gen_planted_vc,
-    hs3_exact_oracle,
-    hs3_extend_exact,
-    hs3_system,
-    parse_graph,
-    parse_hypergraph,
-    vc_exact_oracle,
-    vc_extend_exact,
-    vc_extend_matching,
-    vc_matching_oracle,
-    vc_system,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "bounds": (
+        "BoundQuery", "BoundReport", "amls_bound", "bound_report", "bound_table",
+        "brute_bound", "emls_bound", "entropy", "kl_divergence", "naive_bound",
+    ),
+    "combinatorics": (
+        "IterationCost", "binomial", "continuous_t", "empirical_brute_exponent",
+        "exact_ratio", "hyper_symmetry_check", "hyper_tail", "iteration_cost", "kappa",
+        "relaxed_log_cost", "select_t",
+    ),
+    "engine": (
+        "ExtensionOracle", "MonotoneInstance", "RunConfig", "RunReport",
+        "brute_force_search", "exhaustive_minimum", "run_deterministic",
+        "run_randomized", "sample_once", "solve", "success_rate",
+    ),
+    "families": (
+        "LimitExceededError", "SetFamily", "build_covering",
+        "build_intersection_family", "family_from_text", "family_size_bound",
+        "family_to_text", "verify_family",
+    ),
+    "problems": (
+        "Graph", "Hypergraph3", "ParseError", "gen_gnp", "gen_planted_vc",
+        "hs3_exact_oracle", "hs3_extend_exact", "hs3_system", "parse_graph",
+        "parse_hypergraph", "vc_exact_oracle", "vc_extend_exact", "vc_extend_matching",
+        "vc_matching_oracle", "vc_system",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value

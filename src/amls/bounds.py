@@ -165,19 +165,30 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
     is at most ``tol``, giving a deterministic, bit-reproducible result.
 
     c == 1 is the degenerate polynomial-oracle case and returns exactly 1.0.
+
+    The loop evaluates kl_divergence(a, b) inline, with the same float
+    operations in the same order: BoundQuery has checked the arguments,
+    a = 1/alpha lies in (0, 1] and every midpoint gives b in (0, 1).
     """
     BoundQuery(alpha, c, tol)  # validate
     if c == 1.0:
         return 1.0
+    log = math.log
     a = 1.0 / alpha
-    target = math.log(c) / alpha
+    one_minus_a = 1.0 - a  # 0 at alpha == 1, where the second term drops
+    c_minus_1 = c - 1.0
+    target = log(c) / alpha
     lo = 1.0
-    hi = 1.0 + (c - 1.0) / alpha
+    hi = 1.0 + c_minus_1 / alpha
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket narrower than one ulp
             break
-        if kl_divergence(a, (mid - 1.0) / (c - 1.0)) > target:
+        b = (mid - 1.0) / c_minus_1
+        divergence = a * log(a / b)
+        if one_minus_a:
+            divergence += one_minus_a * log(one_minus_a / (1.0 - b))
+        if divergence > target:
             lo = mid
         else:
             hi = mid

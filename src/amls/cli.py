@@ -8,13 +8,20 @@ Subcommands:
   brute     covering-driven approximate search (no extension oracle)
   families  build and print a set-intersection family or covering
   verify    run the built-in invariant suites
-  bench     seeded success-rate experiment presets
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (bad input file,
 construction limit exceeded, failed verification).  stdout carries data;
 diagnostics go to stderr.  Vertices in instance files and in the printed
 solutions are 1-based (DIMACS convention); JSON reports keep the engine's
 0-based internal ids.
+
+Importing this module loads no other layer of the package.  Each
+subcommand binds the names it calls from the layers in ``_LAYERS`` when it
+starts (``bounds``: bounds; ``solve`` and ``brute``: engine and problems;
+``families``: families; ``verify``: verification), and a module attribute
+such as ``amls.cli.solve`` binds its layer on first access.  Binding keeps
+a name that is already set, so a wrapper installed on this module before
+the call stays in place.
 """
 
 from __future__ import annotations
@@ -22,35 +29,46 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from importlib import import_module
 
 from . import __version__
-from .bounds import CSV_HEADER, bound_table, format_csv_rows
-from .engine import RunConfig, brute_force_search, solve, success_rate
-from .families import (
-    LimitExceededError,
-    build_covering,
-    build_intersection_family,
-    family_to_text,
-    verify_family,
-)
-from .problems import (
-    gen_gnp,
-    hs3_exact_oracle,
-    hs3_system,
-    parse_graph,
-    parse_hypergraph,
-    vc_exact_oracle,
-    vc_matching_oracle,
-    vc_system,
-)
-from .verification import SUITES, run_suites
+
+# layer -> the names this module calls from it
+_LAYERS = {
+    "bounds": ("CSV_HEADER", "bound_table", "format_csv_rows"),
+    "engine": ("RunConfig", "brute_force_search", "solve"),
+    "families": ("build_covering", "build_intersection_family", "family_to_text", "verify_family"),
+    "problems": (
+        "hs3_exact_oracle", "hs3_system", "parse_graph", "parse_hypergraph",
+        "vc_exact_oracle", "vc_matching_oracle", "vc_system",
+    ),
+    "verification": ("run_suites",),
+}
+
+# sorted(verification.SUITES), kept here so that parsing loads no layer
+SUITE_NAMES = ("combinatorics", "engine", "exponents", "families", "problems")
 
 PRESETS = {
     "vc-1.1": ([1.1], [1.1652]),  # 1.1-approximate vertex cover extension base
     "dfvs-2": ([2.0], [1024.0]),  # 2-approximate directed feedback vertex set base
 }
 
-BENCH_PRESETS = ("small-vc",)
+
+def _bind(*layers: str) -> None:
+    """Import each layer and bind its names here, keeping any name already set."""
+    namespace = globals()
+    for layer in layers:
+        module = import_module(f"{__package__}.{layer}")
+        for name in _LAYERS[layer]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _LAYERS.items():
+        if name in names:
+            _bind(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,21 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("verify", help="run the built-in invariant suites")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=[*SUITE_NAMES, "all"], default="all")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="seeded success-rate experiments")
-    p.add_argument("--preset", choices=BENCH_PRESETS, required=True)
-    p.add_argument("--trials", type=int, default=300)
-    p.add_argument("--boost", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--graphs", type=int, default=10, help="instances to spread trials over")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
 def _cmd_bounds(args) -> int:
+    _bind("bounds")
     if args.preset is not None:
         if args.alpha is not None or args.c is not None:
             print("error: --preset conflicts with --alpha/--c", file=sys.stderr)
@@ -200,6 +211,7 @@ def _print_report(rep, json_path) -> None:
 
 
 def _cmd_solve(args) -> int:
+    _bind("engine", "problems")
     inst, oracle = _load_instance(args)
     if args.alpha is not None:
         if args.alpha < oracle.alpha:
@@ -222,6 +234,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    _bind("engine", "problems")
     inst, _ = _load_instance(args)
     rep = brute_force_search(inst, args.alpha)
     _print_report(rep, args.json)
@@ -229,6 +242,7 @@ def _cmd_brute(args) -> int:
 
 
 def _cmd_families(args) -> int:
+    _bind("families")
     if args.kind == "intersection":
         missing = [f for f in ("p", "q", "r") if getattr(args, f) is None]
         if missing:
@@ -254,6 +268,7 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _bind("verification")
     failures = 0
     for suite_name, checks in run_suites(args.suite):
         for name, ok, detail in checks:
@@ -265,25 +280,11 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 2
 
 
-def _cmd_bench(args) -> int:
-    if args.trials < 1 or args.graphs < 1:
-        print("error: --trials and --graphs must be positive", file=sys.stderr)
-        return 1
-    total = 0
-    hits = 0
-    for g_index in range(args.graphs):
-        trials = args.trials // args.graphs + (1 if g_index < args.trials % args.graphs else 0)
-        if trials == 0:
-            continue
-        graph = gen_gnp(12, 0.3, seed=args.seed + 7919 * g_index)
-        inst = vc_system(graph)
-        cfg = RunConfig(seed=args.seed + 104729 * g_index, boost=args.boost)
-        fraction = success_rate(inst, vc_exact_oracle(graph), trials, cfg)
-        hits += round(fraction * trials)
-        total += trials
-        print(f"graph {g_index}: trials={trials} fraction={fraction:.3f}", file=sys.stderr)
-    print(f"fraction {hits / total:.4f}")
-    return 0
+def _runtime_errors() -> tuple:
+    """The errors main() reports with exit 2.  ParseError is a ValueError;
+    LimitExceededError can only have been raised once families is loaded."""
+    families = sys.modules.get(f"{__package__}.families")
+    return (ValueError, OSError) + ((families.LimitExceededError,) if families else ())
 
 
 def main(argv=None) -> int:
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, LimitExceededError, OSError) as exc:  # ParseError is a ValueError
+    except _runtime_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

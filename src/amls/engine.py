@@ -43,6 +43,11 @@ seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
 to earlier releases) and stops at its first qualifying hit; the result is
 the (size, lexicographic) minimum over all k.  So identical (instance,
 oracle, RunConfig) produce bit-identical reports.
+
+The families layer is imported only when a search first needs a family or
+a covering: ``_bind_families`` binds its names here then, keeping any name
+already set (a wrapper installed on this module stays), and a module
+attribute such as ``engine.build_covering`` binds them on first access.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .combinatorics import argmin_t, exact_ratio, kappa, select_t
-from .families import build_covering, build_intersection_family, check_limit
 
 __all__ = [
     "MonotoneInstance",
@@ -72,6 +76,24 @@ __all__ = [
     "success_rate",
     "exhaustive_minimum",
 ]
+
+_FAMILY_NAMES = ("build_covering", "build_intersection_family", "check_limit")
+
+
+def _bind_families() -> None:
+    from . import families
+
+    namespace = globals()
+    for name in _FAMILY_NAMES:
+        namespace.setdefault(name, getattr(families, name))
+
+
+def __getattr__(name: str):
+    if name in _FAMILY_NAMES:
+        _bind_families()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 @dataclass(frozen=True)
 class MonotoneInstance:
@@ -348,6 +370,7 @@ def run_deterministic(
         )
         ts.append(t)
     if any(ts):
+        _bind_families()
         check_limit(inst.n, "deterministic mode")
     best = _Best(inst.n)
     warnings: list[str] = []
@@ -386,6 +409,7 @@ def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
     a = exact_ratio(alpha)
     if a < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _bind_families()
     check_limit(inst.n, "brute-force search")
     start = time.perf_counter()
     best = _Best(inst.n)

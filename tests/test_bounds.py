@@ -166,6 +166,40 @@ class TestAmlsBound:
             refined = amls_bound(alpha, c, tol=1e-15)
             assert abs(gamma - refined) <= 1e-12 + 1e-15
 
+    @staticmethod
+    def _reference_bisection(alpha, c, tol):
+        # the bisection as first written, calling kl_divergence per midpoint
+        a = 1.0 / alpha
+        target = math.log(c) / alpha
+        lo, hi = 1.0, 1.0 + (c - 1.0) / alpha
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if kl_divergence(a, (mid - 1.0) / (c - 1.0)) > target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_inlined_divergence_is_bit_identical(self, tol):
+        # a seeded 60 x 60 grid drawn like the benchmark's bounds ops (alpha
+        # in [1, 4] to 4 decimals, c in [1.01, 1024] to 5 digits), plus
+        # random pairs that include alpha == 1 and very large c
+        rng = random.Random(f"bisection:{tol}")
+        alphas = [float(f"{rng.uniform(1.0, 4.0):.4f}") for _ in range(60)]
+        cs = [float(f"{rng.uniform(1.01, 1024.0):.5g}") for _ in range(60)]
+        pairs = [(alpha, c) for alpha in alphas for c in cs]
+        for _ in range(1000):
+            alpha = rng.choice([1.0, rng.uniform(1.0, 4.0), math.exp(rng.uniform(0.0, 20.0))])
+            c = rng.choice([rng.uniform(1.01, 1024.0), math.exp(rng.uniform(0.1, 700.0))])
+            if tol < (c - 1.0) / alpha:
+                pairs.append((alpha, c))
+        for alpha, c in pairs:
+            assert amls_bound(alpha, c, tol) == self._reference_bisection(alpha, c, tol), (
+                alpha, c, tol)
+
 
 class TestBenchmarks:
     def test_brute_values(self):

@@ -358,21 +358,6 @@ class TestVerify:
         assert main(["verify", "--suite", "nonsense"]) == 1
 
 
-class TestBench:
-    def test_small_run(self, capsys):
-        rc = main(
-            ["bench", "--preset", "small-vc", "--trials", "6", "--graphs", "2",
-             "--seed", "5"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.startswith("fraction ")
-        assert 0.0 <= float(out.split()[1]) <= 1.0
-
-    def test_bad_trials_usage_error(self):
-        assert main(["bench", "--preset", "small-vc", "--trials", "0"]) == 1
-
-
 class TestImport:
     def test_cli_import_does_not_load_numpy(self):
         proc = subprocess.run(
@@ -409,6 +394,144 @@ class TestImport:
             assert runs[1].stdout == runs[0].stdout
 
 
+# the names `from amls import X` served when amls/__init__ imported every layer
+PACKAGE_EXPORTS = {
+    "bounds": "BoundQuery BoundReport amls_bound bound_report bound_table brute_bound "
+              "emls_bound entropy kl_divergence naive_bound",
+    "combinatorics": "IterationCost binomial continuous_t empirical_brute_exponent "
+                     "exact_ratio hyper_symmetry_check hyper_tail iteration_cost kappa "
+                     "relaxed_log_cost select_t",
+    "engine": "ExtensionOracle MonotoneInstance RunConfig RunReport brute_force_search "
+              "exhaustive_minimum run_deterministic run_randomized sample_once solve "
+              "success_rate",
+    "families": "LimitExceededError SetFamily build_covering build_intersection_family "
+                "family_from_text family_size_bound family_to_text verify_family",
+    "problems": "Graph Hypergraph3 ParseError gen_gnp gen_planted_vc hs3_exact_oracle "
+                "hs3_extend_exact hs3_system parse_graph parse_hypergraph vc_exact_oracle "
+                "vc_extend_exact vc_extend_matching vc_matching_oracle vc_system",
+}
+
+# runs one CLI call, then prints the loaded amls modules as the last stderr line
+_LIST_MODULES = (
+    "import json, sys\n"
+    "from amls.cli import main\n"
+    "try:\n"
+    "    rc = main(sys.argv[1:])\n"
+    "finally:\n"
+    "    names = sorted(m for m in sys.modules if m.split('.')[0] == 'amls')\n"
+    "    print(json.dumps(names), file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+def _cli_modules(*argv):
+    """(exit code, loaded amls modules, stderr) of one CLI call in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIST_MODULES, *argv],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    *diagnostics, modules = proc.stderr.splitlines()
+    return proc.returncode, json.loads(modules), "\n".join(diagnostics)
+
+
+class TestImportSet:
+    def test_package_import_loads_no_layer(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, amls; print(sorted(m for m in sys.modules if m.startswith('amls')))"],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["['amls']"]
+
+    def test_bounds_loads_only_bounds(self):
+        rc, modules, err = _cli_modules("bounds", "--alpha", "1.5,2", "--c", "2,3")
+        assert rc == 0, err
+        assert modules == ["amls", "amls.bounds", "amls.cli"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--oracle", "matching"], ["--oracle", "matching", "--deterministic"]],
+    )
+    def test_solves_skip_unused_layers(self, flags, p3_file):
+        # a deterministic solve at c = 1 has t = 0 at every k and needs no family
+        rc, modules, err = _cli_modules("solve", "--problem", "vc", "--input", p3_file, *flags)
+        assert rc == 0, err
+        assert {"amls.engine", "amls.problems"} <= set(modules)
+        assert not {"amls.families", "amls.bounds", "amls.verification"} & set(modules)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["brute", "--problem", "vc", "--alpha", "2"],
+         ["solve", "--problem", "vc", "--deterministic"]],
+    )
+    def test_limit_exits_2_in_a_fresh_process(self, argv, tmp_path):
+        path = tmp_path / "n15.col"
+        path.write_text(_graph_text(gen_gnp(15, 0.3, seed=15)))
+        rc, modules, err = _cli_modules(*argv, "--input", str(path))
+        assert rc == 2
+        assert "limited to n <= 14, got n=15" in err
+        assert "Traceback" not in err
+
+    def test_exports_resolve_to_layer_objects(self):
+        import importlib
+
+        names = [name for group in PACKAGE_EXPORTS.values() for name in group.split()]
+        assert len(names) == 55
+        assert sorted(amls.__all__) == sorted(names)
+        for module, group in PACKAGE_EXPORTS.items():
+            layer = importlib.import_module(f"amls.{module}")
+            assert getattr(amls, module) is layer
+            for name in group.split():
+                assert getattr(amls, name) is getattr(layer, name), name
+        namespace = {}
+        exec("from amls import solve, Graph, amls_bound", namespace)
+        assert namespace["solve"] is amls.engine.solve
+
+    def test_unknown_attributes_raise(self):
+        import amls.cli as cli
+        import amls.engine as engine
+
+        for module in (amls, cli, engine):
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+    def test_verify_suite_choices_match_the_suites(self):
+        import amls.cli as cli
+        from amls.verification import SUITES
+
+        assert list(cli.SUITE_NAMES) == sorted(SUITES)
+
+
+class TestTracer:
+    SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "spans.py")
+
+    def _span_names(self, tmp_path, *argv):
+        out = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, self.SPANS, str(out), "0", *argv],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return [span[0] for span in json.loads(out.read_text())["spans"]]
+
+    def test_wrappers_installed_before_the_call_stay(self, tmp_path):
+        # the tracer wraps cli and engine names right after `import amls.cli`;
+        # binding a layer later must keep the wrappers
+        vc10 = tmp_path / "vc10.col"
+        vc10.write_text(_graph_text(gen_gnp(10, 0.3, seed=10)))
+        names = self._span_names(
+            tmp_path, "solve", "--problem", "vc", "--input", str(vc10), "--deterministic"
+        )
+        assert {"cli.main", "cli.parse", "engine.solve", "families.build",
+                "combinatorics.kappa"} <= set(names)
+        names = self._span_names(tmp_path, "bounds", "--alpha", "1.5,2", "--c", "2,3")
+        assert names.count("bounds.report") == 4
+        assert names.count("bounds.amls_bound") == 4
+        assert "bounds.table" in names
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "argv",
@@ -439,13 +562,17 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         for args in (["--help"], ["bounds", "--help"], ["solve", "--help"],
-                     ["families", "--help"], ["verify", "--help"], ["bench", "--help"],
-                     ["brute", "--help"]):
+                     ["families", "--help"], ["verify", "--help"], ["brute", "--help"]):
             assert main(args) == 0
             assert "usage" in capsys.readouterr().out
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    def test_bench_is_usage_error(self, capsys):
+        # success fractions are checked by `verify --suite engine`
+        assert main(["bench", "--preset", "small-vc"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_limit_flags_are_usage_errors(self, p3_file, capsys):
         # the universe-size limit is the constant families.LIMIT
