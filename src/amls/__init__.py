@@ -37,7 +37,7 @@ _EXPORTS = {
     "engine": (
         "ExtensionOracle", "MonotoneInstance", "RunConfig", "RunReport",
         "brute_force_search", "exhaustive_minimum", "run_deterministic",
-        "run_randomized", "sample_once", "solve", "success_rate",
+        "run_randomized", "solve", "success_rate",
     ),
     "families": (
         "LimitExceededError", "SetFamily", "build_covering",
@@ -46,9 +46,8 @@ _EXPORTS = {
     ),
     "problems": (
         "Graph", "Hypergraph3", "ParseError", "gen_gnp", "gen_planted_vc",
-        "hs3_exact_oracle", "hs3_extend_exact", "hs3_system", "parse_graph",
-        "parse_hypergraph", "vc_exact_oracle", "vc_extend_exact", "vc_extend_matching",
-        "vc_matching_oracle", "vc_system",
+        "hs3_exact_oracle", "hs3_system", "parse_graph", "parse_hypergraph",
+        "vc_exact_oracle", "vc_matching_oracle", "vc_system",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -195,12 +195,6 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _delta_star(alpha: float, c: float, gamma: float) -> float:
-    if c == 1.0:
-        return 1.0 / alpha
-    return (gamma - 1.0) / (c - 1.0)
-
-
 def bound_report(query: BoundQuery) -> BoundReport:
     """Evaluate all four bases plus delta* for one query."""
     gamma = amls_bound(query.alpha, query.c, query.tol)
@@ -214,7 +208,7 @@ def bound_report(query: BoundQuery) -> BoundReport:
         alpha=query.alpha,
         c=query.c,
         gamma=gamma,
-        delta_star=_delta_star(query.alpha, query.c, gamma),
+        delta_star=1.0 / query.alpha if query.c == 1.0 else (gamma - 1.0) / (query.c - 1.0),
         brute=benchmarks["brute"],
         naive=benchmarks["naive"],
         emls=benchmarks["emls"],

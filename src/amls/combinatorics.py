@@ -33,10 +33,10 @@ factors are reciprocal probabilities, so at least factor(0) = 1; at c == 1
 (a polynomial oracle) every t costs its factor alone, so ``argmin_t``
 returns t = 0 without calling factor.
 ``select_t`` feeds it C(n, t) over the favourable count, both read from
-cached Pascal rows.  Probabilities stay exact Fractions at the API
-boundary: ``hyper_tail``, ``iteration_cost`` and ``kappa`` are the
-reference definitions, and ``select_t`` reports its choice through
-``iteration_cost``.
+cached Pascal rows; one helper sums that count for ``hyper_tail`` too.
+Probabilities stay exact Fractions at the API boundary: ``hyper_tail``,
+``iteration_cost`` and ``kappa`` are the reference definitions, and
+``select_t`` reports its choice through ``iteration_cost``.
 """
 
 from __future__ import annotations
@@ -99,6 +99,17 @@ def _pascal_row(m: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _favourable(n: int, k: int, t: int, x: int) -> int:
+    """sum_{y >= x} C(k, y) * C(n-k, t-y) over cached Pascal rows: the
+    t-subsets of [n] meeting a fixed k-subset in at least x elements."""
+    lo = max(x, 0, t - (n - k))
+    hi = min(k, t)
+    if lo > hi:
+        return 0
+    tail = reversed(_pascal_row(n - k)[t - hi : t - lo + 1])
+    return sum(map(operator.mul, _pascal_row(k)[lo : hi + 1], tail))
+
+
 def hyper_tail(n: int, k: int, t: int, x: int) -> Fraction:
     """Pr(|X cap K| >= x) for a uniform t-subset X of [n] and fixed |K| = k.
 
@@ -111,12 +122,9 @@ def hyper_tail(n: int, k: int, t: int, x: int) -> Fraction:
         raise ValueError(f"hyper_tail requires 0 <= t <= n, got t={t}, n={n}")
     if x < 0:
         raise ValueError(f"hyper_tail requires x >= 0, got {x}")
-    lo = max(x, 0, t - (n - k))
-    hi = min(k, t)
-    if lo > hi:
-        return Fraction(0)
-    favorable = sum(binomial(k, y) * binomial(n - k, t - y) for y in range(lo, hi + 1))
-    return Fraction(favorable, binomial(n, t))
+    if x <= max(0, t - (n - k)):  # every y in the support; reads no Pascal row
+        return Fraction(1)
+    return Fraction(_favourable(n, k, t, x), binomial(n, t))
 
 
 def hyper_symmetry_check(n: int, k: int, t: int, x: int) -> bool:
@@ -258,20 +266,15 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
 
     The argmin_t of c^(k - t/alpha) / p(n, k, t, ceil(t/alpha)), with its
     cost profile.  The factor 1/p is the pair (C(n, t), favourable count),
-    summed over the cached Pascal rows of k, n - k and n, read only when
-    argmin_t scans.
+    the count being the _favourable sum hyper_tail divides; both read cached
+    Pascal rows, and only when argmin_t scans.
     """
     a = exact_ratio(alpha)
     num_a, den_a = a.numerator, a.denominator
 
     def factor(t: int) -> tuple[int, int]:
-        row_k, row_nk, row_n = _pascal_row(k), _pascal_row(n - k), _pascal_row(n)
-        # sum over y in [lo, hi] of C(k, y) * C(n-k, t-y), y >= ceil(t/alpha);
-        # argmin_t keeps t <= alpha*k, so ceil(t/alpha) <= min(k, t) = hi
-        lo = max(-(-t * den_a // num_a), t - (n - k))
-        hi = min(k, t)
-        tail = reversed(row_nk[t - hi : t - lo + 1])
-        return row_n[t], sum(map(operator.mul, row_k[lo : hi + 1], tail))
+        # argmin_t keeps t <= alpha*k, so ceil(t/alpha) <= min(k, t): count > 0
+        return _pascal_row(n)[t], _favourable(n, k, t, -(-t * den_a // num_a))
 
     t = argmin_t(n, k, alpha, c, factor)
     return iteration_cost(n, k, t, alpha, c)

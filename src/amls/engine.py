@@ -57,7 +57,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -68,7 +68,6 @@ __all__ = [
     "ExtensionOracle",
     "RunConfig",
     "RunReport",
-    "sample_once",
     "run_randomized",
     "run_deterministic",
     "brute_force_search",
@@ -137,8 +136,12 @@ class ExtensionOracle:
 class RunConfig:
     """Knobs for a solving run.
 
-    boost multiplies the baseline ceil(1/p) repetition count, pushing the
-    per-k failure probability below exp(-boost * success_prob).
+    seed names the run's random streams: randomized mode draws the samples
+    for target size k from a generator seeded with "seed:k:0", and
+    deterministic mode hands its oracle one seeded "seed:deterministic".
+    deterministic makes solve run run_deterministic; run_randomized rejects
+    it.  boost multiplies the baseline ceil(1/p) repetition count, pushing
+    the per-k failure probability below exp(-boost * success_prob).
     max_repetitions caps the per-k repetitions (a warning is recorded and the
     success guarantee degrades).  stop_at_first returns at the first k
     whose iteration finds a set of size <= alpha * k instead of finishing
@@ -184,19 +187,8 @@ class RunReport:
     elapsed: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "alpha": self.alpha,
-            "c": self.c,
-            "mode": self.mode,
-            "size": self.size,
-            "solution": list(self.solution),
-            "k_found": self.k_found,
-            "total_samples": self.total_samples,
-            "seed": self.seed,
-            "warnings": list(self.warnings),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed"}
+        return dict(data, solution=list(self.solution), warnings=list(self.warnings))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -260,33 +252,6 @@ def _run_k(best, k, alpha_k, xs, extend, membership, stop_on_hit):
         else:
             broken += 1
     return samples, hit, broken
-
-
-def sample_once(
-    inst: MonotoneInstance,
-    ext: ExtensionOracle,
-    k: int,
-    t: int,
-    rng: random.Random,
-) -> frozenset:
-    """One sample-then-extend attempt for target size k.
-
-    Draws X uniformly from all t-subsets, asks the oracle to extend it with
-    budget k - ceil(t/alpha), and returns X u Y if that is a member of size
-    at most alpha * k.  Any failure returns the full universe (the harmless
-    placeholder: always a member).
-    """
-    alpha = exact_ratio(ext.alpha)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    alpha_k = math.floor(alpha * k)
-    if not 0 <= t <= min(alpha_k, inst.n):
-        raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)] for k={k}")
-    best = _Best(inst.n)
-    budget = k - math.ceil(Fraction(t) / alpha)
-    xs = (frozenset(rng.sample(range(inst.n), t)),)
-    _run_k(best, k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), inst.membership, True)
-    return frozenset(best.key[1])
 
 
 def _contract_warning(k: int, broken: int, samples: int) -> str:

@@ -46,12 +46,9 @@ __all__ = [
     "Graph",
     "Hypergraph3",
     "vc_system",
-    "vc_extend_exact",
-    "vc_extend_matching",
     "vc_exact_oracle",
     "vc_matching_oracle",
     "hs3_system",
-    "hs3_extend_exact",
     "hs3_exact_oracle",
     "parse_graph",
     "parse_hypergraph",
@@ -190,23 +187,24 @@ def vc_system(g: Graph, label: Optional[str] = None) -> MonotoneInstance:
     return _hitting_system(g.n, g.edges, label or f"vc(n={g.n},m={len(g.edges)})")
 
 
-def vc_extend_exact(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
-    """Cover of G - x of size <= k via two-way edge branching, else None.
-
-    Branches on the lexicographically first uncovered edge, lower endpoint
-    first, to depth k: complete for vertex cover, so None means no such
-    cover exists.
-    """
-    return _extend_hitting(_hitting_sets(sorted(g.edges)), x, k)
+def vc_exact_oracle(g: Graph) -> ExtensionOracle:
+    """Exact vertex-cover extension (alpha 1, base 2): a cover of G - x of
+    size <= k by two-way branching on the lexicographically first uncovered
+    edge, lower endpoint first.  The branching is complete, so None means no
+    completion of size <= k exists."""
+    return _exact_oracle(sorted(g.edges), 2.0, "vc-exact")
 
 
-def _matching_extend(g: Graph):
-    """extend(x, k, rng) of the matching oracle over g's edge bitmasks,
-    remembering the matching of the last x it scanned for."""
+def vc_matching_oracle(g: Graph) -> ExtensionOracle:
+    """Polynomial 2-approximate extension (alpha 2, base 1): both endpoints
+    of a greedy maximal matching of G - x, one pass over the edge bitmasks
+    in input order, remembered for the last x.  None when the matching has
+    more than k edges: any cover hits each matched edge, so no completion
+    of size <= k exists either."""
     masks = _hitting_sets(g.edges)[0]
     last_x, size, matched = None, 0, frozenset()
 
-    def extend(x: frozenset, k: int, rng=None) -> Optional[frozenset]:
+    def extend(x: frozenset, k: int, rng) -> Optional[frozenset]:
         nonlocal last_x, size, matched
         if k < 0:
             return None
@@ -222,26 +220,11 @@ def _matching_extend(g: Graph):
             matched = frozenset(v for v in range(blocked.bit_length()) if blocked >> v & 1)
         return None if size > k else matched
 
-    return extend
-
-
-def vc_extend_matching(g: Graph, x: frozenset, k: int) -> Optional[frozenset]:
-    """Both endpoints of a greedy maximal matching of G - x; None if it has
-    more than k edges (then no cover of size <= k exists either, since any
-    cover hits each matched edge)."""
-    return _matching_extend(g)(x, k)
-
-
-def vc_exact_oracle(g: Graph) -> ExtensionOracle:
-    return _exact_oracle(sorted(g.edges), 2.0, "vc-exact")
-
-
-def vc_matching_oracle(g: Graph) -> ExtensionOracle:
     return ExtensionOracle(
         alpha=2.0,
         c=1.0,
         success_prob=1.0,
-        extend=_matching_extend(g),
+        extend=extend,
         name="vc-matching",
     )
 
@@ -254,13 +237,11 @@ def hs3_system(h: Hypergraph3, label: Optional[str] = None) -> MonotoneInstance:
     return _hitting_system(h.n, h.sets, label or f"hs3(n={h.n},m={len(h.sets)})")
 
 
-def hs3_extend_exact(h: Hypergraph3, x: frozenset, k: int) -> Optional[frozenset]:
-    """Hitting set of the sets missed by x, of size <= k, via <=3-way
-    branching on the first unhit set (elements in ascending order)."""
-    return _extend_hitting(_hitting_sets(h.sets), x, k)
-
-
 def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:
+    """Exact 3-hitting-set extension (alpha 1, base 3): a hitting set of the
+    sets x misses, of size <= k, by <=3-way branching on the first unhit set
+    in stored order, elements ascending.  The branching is complete, so None
+    means no completion of size <= k exists."""
     return _exact_oracle(h.sets, 3.0, "hs3-exact")
 
 

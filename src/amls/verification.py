@@ -205,8 +205,9 @@ def _suite_problems() -> list[Check]:
     for i in range(40):
         g = problems.gen_gnp(7, 0.35, seed=1000 + i)
         opt = engine.exhaustive_minimum(problems.vc_system(g))
+        extend = problems.vc_exact_oracle(g).extend
         for k in range(g.n + 1):
-            got = problems.vc_extend_exact(g, frozenset(), k)
+            got = extend(frozenset(), k, None)
             if (got is not None) != (opt <= k):
                 ok = False
             elif got is not None and not (
@@ -220,7 +221,7 @@ def _suite_problems() -> list[Check]:
     for i in range(40):
         g = problems.gen_gnp(8, 0.3, seed=2000 + i)
         inst = problems.vc_system(g)
-        got = problems.vc_extend_matching(g, frozenset(), g.n)
+        got = problems.vc_matching_oracle(g).extend(frozenset(), g.n, None)
         if got is None or not inst.membership(got):
             ok = False
     checks.append(("matching endpoints always cover", ok, ""))

@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -394,7 +396,7 @@ class TestImport:
             assert runs[1].stdout == runs[0].stdout
 
 
-# the names `from amls import X` served when amls/__init__ imported every layer
+# the names `from amls import X` serves, by the layer that defines them
 PACKAGE_EXPORTS = {
     "bounds": "BoundQuery BoundReport amls_bound bound_report bound_table brute_bound "
               "emls_bound entropy kl_divergence naive_bound",
@@ -402,14 +404,14 @@ PACKAGE_EXPORTS = {
                      "exact_ratio hyper_symmetry_check hyper_tail iteration_cost kappa "
                      "relaxed_log_cost select_t",
     "engine": "ExtensionOracle MonotoneInstance RunConfig RunReport brute_force_search "
-              "exhaustive_minimum run_deterministic run_randomized sample_once solve "
-              "success_rate",
+              "exhaustive_minimum run_deterministic run_randomized solve success_rate",
     "families": "LimitExceededError SetFamily build_covering build_intersection_family "
                 "family_from_text family_size_bound family_to_text verify_family",
     "problems": "Graph Hypergraph3 ParseError gen_gnp gen_planted_vc hs3_exact_oracle "
-                "hs3_extend_exact hs3_system parse_graph parse_hypergraph vc_exact_oracle "
-                "vc_extend_exact vc_extend_matching vc_matching_oracle vc_system",
+                "hs3_system parse_graph parse_hypergraph vc_exact_oracle vc_matching_oracle "
+                "vc_system",
 }
+LAYERS = ("bounds", "combinatorics", "engine", "families", "problems", "verification")
 
 # runs one CLI call, then prints the loaded amls modules as the last stderr line
 _LIST_MODULES = (
@@ -460,6 +462,19 @@ class TestImportSet:
         assert {"amls.engine", "amls.problems"} <= set(modules)
         assert not {"amls.families", "amls.bounds", "amls.verification"} & set(modules)
 
+    def test_families_loads_only_families(self):
+        rc, modules, err = _cli_modules("families", "--kind", "covering", "--n", "4",
+                                        "--t", "3", "--k", "2")
+        assert rc == 0, err
+        assert modules == ["amls", "amls.cli", "amls.combinatorics", "amls.families"]
+
+    def test_brute_skips_bounds_and_verification(self, p3_file):
+        rc, modules, err = _cli_modules("brute", "--problem", "vc", "--input", p3_file,
+                                        "--alpha", "2")
+        assert rc == 0, err
+        assert "amls.families" in modules
+        assert not {"amls.bounds", "amls.verification"} & set(modules)
+
     @pytest.mark.parametrize(
         "argv",
         [["brute", "--problem", "vc", "--alpha", "2"],
@@ -477,7 +492,7 @@ class TestImportSet:
         import importlib
 
         names = [name for group in PACKAGE_EXPORTS.values() for name in group.split()]
-        assert len(names) == 55
+        assert len(names) == 51
         assert sorted(amls.__all__) == sorted(names)
         for module, group in PACKAGE_EXPORTS.items():
             layer = importlib.import_module(f"amls.{module}")
@@ -501,6 +516,45 @@ class TestImportSet:
         from amls.verification import SUITES
 
         assert list(cli.SUITE_NAMES) == sorted(SUITES)
+
+
+class TestExports:
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_star_import_serves_every_listed_name(self, layer):
+        import importlib
+
+        namespace = {}
+        exec(f"from amls.{layer} import *", namespace)  # a stale name raises
+        assert set(importlib.import_module(f"amls.{layer}").__all__) <= set(namespace)
+
+    def test_package_names_are_listed_by_their_layer(self):
+        namespace = {}
+        exec("from amls import *", namespace)
+        for name in amls.__all__:
+            layer = sys.modules[namespace[name].__module__]
+            assert layer.__name__ in {f"amls.{module}" for module in LAYERS}, name
+            assert name in layer.__all__, name
+
+
+# every ```python block of the README, in the order it appears
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8"),
+    flags=re.DOTALL | re.MULTILINE,
+)
+
+
+class TestReadme:
+    def test_has_a_python_block(self):
+        assert README_BLOCKS
+
+    @pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+    def test_python_block_runs(self, index, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", README_BLOCKS[index]],
+            capture_output=True, text=True, timeout=60, env=_child_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTracer:

@@ -97,6 +97,15 @@ class TestHyperTail:
         for n, k, t in [(6, 3, 2), (9, 0, 4), (5, 5, 5)]:
             assert hyper_tail(n, k, t, 0) == 1
 
+    def test_whole_support_reads_no_pascal_row(self):
+        # a matching solve asks for t = x = 0 at every k; building rows there
+        # costs time and memory for nothing
+        _pascal_row.cache_clear()
+        for k in range(201):
+            assert hyper_tail(200, k, 0, 0) == 1
+        assert hyper_tail(200, 150, 80, 30) == 1  # |X cap K| >= t - (n - k) = 30
+        assert _pascal_row.cache_info().currsize == 0
+
     def test_examples(self):
         assert hyper_tail(4, 2, 2, 1) == Fraction(5, 6)
         assert hyper_tail(5, 2, 2, 2) == Fraction(1, 10)

@@ -5,9 +5,11 @@ import math
 import random
 import re
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
+from amls.combinatorics import select_t
 from amls.engine import (
     ExtensionOracle,
     MonotoneInstance,
@@ -16,7 +18,6 @@ from amls.engine import (
     exhaustive_minimum,
     run_deterministic,
     run_randomized,
-    sample_once,
     solve,
     success_rate,
 )
@@ -37,32 +38,6 @@ P3 = Graph(3, ((0, 1), (1, 2)))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 C5 = Graph(5, tuple((i, (i + 1) % 5) for i in range(5)))
 EMPTY = Graph(4, ())
-
-
-class TestSampleOnce:
-    def test_zero_sample_reduces_to_one_oracle_call(self):
-        got = sample_once(vc_system(P3), vc_exact_oracle(P3), 1, 0, random.Random(0))
-        assert got == frozenset({1})
-
-    def test_triangle_with_impossible_budget_returns_universe(self):
-        inst = vc_system(K3)
-        for seed in range(20):
-            got = sample_once(inst, vc_exact_oracle(K3), 1, 1, random.Random(seed))
-            assert got == frozenset({0, 1, 2})
-
-    def test_result_is_always_a_member(self):
-        for seed in range(30):
-            g = gen_gnp(8, 0.4, seed=seed)
-            inst = vc_system(g)
-            rng = random.Random(seed)
-            k = rng.randrange(0, 5)
-            t = rng.randrange(0, k + 1)
-            got = sample_once(inst, vc_exact_oracle(g), k, t, rng)
-            assert inst.membership(got)
-
-    def test_rejects_oversized_sample(self):
-        with pytest.raises(ValueError):
-            sample_once(vc_system(P3), vc_exact_oracle(P3), 1, 2, random.Random(0))
 
 
 class TestRandomized:
@@ -192,28 +167,33 @@ class TestStatistics:
             assert rep.size <= 2 * opt
 
     def test_sampler_uniformity_chi_square(self):
-        # 10^5 draws of 3-subsets of a 6-universe through the engine's own
-        # sampling path; reject only below significance 0.001
-        seen: list[frozenset] = []
+        # the 3-subsets of a 6-universe that run_randomized draws at k = 3,
+        # where c = 1024 picks t = 3 with p = 1/20, so boost 5000 asks for
+        # exactly 10^5 of them; reject only below significance 0.001
+        cost = select_t(6, 3, 1.0, 1024.0)
+        assert (cost.t, cost.p) == (3, Fraction(1, 20))
+        draws: list[frozenset] = []
 
         def recording_extend(x, k, rng):
-            seen.append(x)
+            # every other k picks t = k and stops at its first sample
+            if len(x) != 3:
+                return frozenset()
+            draws.append(x)
             return None
 
         recorder = ExtensionOracle(
-            alpha=1.0, c=2.0, success_prob=1.0, extend=recording_extend
+            alpha=1.0, c=1024.0, success_prob=1.0, extend=recording_extend
         )
-        inst = MonotoneInstance(n=6, membership=lambda s: len(s) == 6)
-        rng = random.Random(12345)
-        draws = 100_000
-        for _ in range(draws):
-            sample_once(inst, recorder, 3, 3, rng)
+        inst = MonotoneInstance(n=6, membership=lambda s: True)
+        rep = run_randomized(inst, recorder, RunConfig(seed=12345, boost=5000.0))
+        assert rep.total_samples == 100_006
+        assert len(draws) == 100_000
         counts: dict[frozenset, int] = {}
-        for x in seen:
+        for x in draws:
             counts[x] = counts.get(x, 0) + 1
         cells = math.comb(6, 3)
         assert len(counts) == cells
-        expected = draws / cells
+        expected = len(draws) / cells
         statistic = sum((o - expected) ** 2 / expected for o in counts.values())
         critical = 43.82  # upper 0.001 quantile of chi-square, df = 19: 43.8202
         assert statistic < critical

@@ -16,13 +16,10 @@ from amls.problems import (
     gen_gnp,
     gen_planted_vc,
     hs3_exact_oracle,
-    hs3_extend_exact,
     hs3_system,
     parse_graph,
     parse_hypergraph,
     vc_exact_oracle,
-    vc_extend_exact,
-    vc_extend_matching,
     vc_matching_oracle,
     vc_system,
 )
@@ -64,13 +61,13 @@ class TestVcSystem:
 
 class TestVcExactExtension:
     def test_path(self):
-        assert vc_extend_exact(P3, frozenset(), 1) == frozenset({1})
+        assert vc_exact_oracle(P3).extend(frozenset(), 1, None) == frozenset({1})
 
     def test_triangle_hopeless(self):
-        assert vc_extend_exact(K3, frozenset(), 1) is None
+        assert vc_exact_oracle(K3).extend(frozenset(), 1, None) is None
 
     def test_triangle_partial(self):
-        assert vc_extend_exact(K3, frozenset({0}), 1) == frozenset({1})
+        assert vc_exact_oracle(K3).extend(frozenset({0}), 1, None) == frozenset({1})
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(5)
@@ -78,7 +75,7 @@ class TestVcExactExtension:
             g = gen_gnp(rng.randrange(4, 10), 0.4, seed=i)
             x = frozenset(rng.sample(range(g.n), rng.randrange(0, g.n + 1)))
             k = rng.randrange(0, g.n + 1)
-            got = vc_extend_exact(g, x, k)
+            got = vc_exact_oracle(g).extend(x, k, None)
             feasible = exhaustive_vc_exists(g, x, k)
             assert (got is not None) == feasible
             if got is not None:
@@ -110,9 +107,9 @@ class TestVcMatchingExtension:
             g = gen_gnp(rng.randint(2, 40), rng.uniform(0.05, 0.5), seed=2000 + i)
             x = frozenset(rng.sample(range(g.n), rng.randint(0, g.n // 3)))
             for k in range(-1, g.n + 1):
-                assert vc_extend_matching(g, x, k) == reference_vc_extend_matching(
-                    g, x, k
-                ), (i, k)
+                # a fresh oracle per call, so every answer is a full scan
+                got = vc_matching_oracle(g).extend(x, k, None)
+                assert got == reference_vc_extend_matching(g, x, k), (i, k)
 
     def test_oracle_memo_matches_full_scan(self):
         # one oracle per graph answers an interleaved X sequence, so each
@@ -140,12 +137,12 @@ class TestVcMatchingExtension:
         assert on_path(frozenset(), 1, None) is None
 
     def test_triangle(self):
-        assert vc_extend_matching(K3, frozenset(), 1) == frozenset({0, 1})
-        assert vc_extend_matching(K3, frozenset(), 0) is None
+        assert vc_matching_oracle(K3).extend(frozenset(), 1, None) == frozenset({0, 1})
+        assert vc_matching_oracle(K3).extend(frozenset(), 0, None) is None
 
     def test_edgeless(self):
         g = Graph(4, ())
-        assert vc_extend_matching(g, frozenset(), 0) == frozenset()
+        assert vc_matching_oracle(g).extend(frozenset(), 0, None) == frozenset()
 
     def test_contract_on_random_graphs(self):
         rng = random.Random(6)
@@ -153,7 +150,7 @@ class TestVcMatchingExtension:
             g = gen_gnp(rng.randrange(4, 10), 0.4, seed=1000 + i)
             x = frozenset(rng.sample(range(g.n), rng.randrange(0, g.n + 1)))
             k = rng.randrange(0, g.n + 1)
-            got = vc_extend_matching(g, x, k)
+            got = vc_matching_oracle(g).extend(x, k, None)
             surviving = [e for e in g.edges if e[0] not in x and e[1] not in x]
             if got is None:
                 # maximal matching size <= OPT, so refusal proves OPT > k
@@ -174,10 +171,10 @@ class TestHs3:
 
     def test_extension_examples(self):
         h = Hypergraph3(3, ((0, 1, 2),))
-        assert hs3_extend_exact(h, frozenset(), 1) == frozenset({0})
+        assert hs3_exact_oracle(h).extend(frozenset(), 1, None) == frozenset({0})
         h2 = Hypergraph3(2, ((0,), (1,)))
-        assert hs3_extend_exact(h2, frozenset(), 1) is None
-        assert hs3_extend_exact(h2, frozenset({0}), 1) == frozenset({1})
+        assert hs3_exact_oracle(h2).extend(frozenset(), 1, None) is None
+        assert hs3_exact_oracle(h2).extend(frozenset({0}), 1, None) == frozenset({1})
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(7)
@@ -189,7 +186,7 @@ class TestHs3:
             )
             h = Hypergraph3(n, sets)
             k = rng.randrange(0, n + 1)
-            got = hs3_extend_exact(h, frozenset(), k)
+            got = hs3_exact_oracle(h).extend(frozenset(), k, None)
             feasible = any(
                 hits_all(h.sets, set(c))
                 for size in range(k + 1)
@@ -361,7 +358,6 @@ class TestBitmaskCoreEquivalence:
             x = frozenset(rng.sample(range(g.n), rng.randint(0, g.n // 2)))
             k = rng.randint(-1, 8)
             expected = reference_vc_extend(g, x, k)
-            assert vc_extend_exact(g, x, k) == expected
             assert oracle.extend(x, k, rng) == expected
 
     def test_hs3_matches_reference(self):
@@ -375,7 +371,6 @@ class TestBitmaskCoreEquivalence:
             x = frozenset(rng.sample(range(n), rng.randint(0, n // 2)))
             k = rng.randint(-1, 7)
             expected = reference_hs3_extend(h, x, k)
-            assert hs3_extend_exact(h, x, k) == expected
             assert oracle.extend(x, k, rng) == expected
         assert unsorted > 100
 
@@ -383,8 +378,8 @@ class TestBitmaskCoreEquivalence:
         # the first unhit set in stored order is branched on first
         a = Hypergraph3(4, ((0, 1), (1, 2), (2, 3)))
         b = Hypergraph3(4, ((1, 2), (0, 1), (2, 3)))
-        assert hs3_extend_exact(a, frozenset(), 2) == frozenset({0, 2})
-        assert hs3_extend_exact(b, frozenset(), 2) == frozenset({1, 2})
+        assert hs3_exact_oracle(a).extend(frozenset(), 2, None) == frozenset({0, 2})
+        assert hs3_exact_oracle(b).extend(frozenset(), 2, None) == frozenset({1, 2})
         assert reference_hs3_extend(b, frozenset(), 2) == frozenset({1, 2})
 
 
@@ -392,14 +387,14 @@ class TestBitmaskCoreEquivalence:
 # leaves before it answers None for k = 29; the disjoint-sets bound answers
 # at the root.  Likewise 3**19 leaves for 20 disjoint triples at k = 19.
 DISJOINT_SETS = """
-from amls.problems import Graph, Hypergraph3, hs3_extend_exact, vc_extend_exact
+from amls.problems import Graph, Hypergraph3, hs3_exact_oracle, vc_exact_oracle
 
 g = Graph(60, tuple((2 * i, 2 * i + 1) for i in range(30)))
-assert vc_extend_exact(g, frozenset(), 29) is None
-assert vc_extend_exact(g, frozenset(), 30) == frozenset(range(0, 60, 2))
+assert vc_exact_oracle(g).extend(frozenset(), 29, None) is None
+assert vc_exact_oracle(g).extend(frozenset(), 30, None) == frozenset(range(0, 60, 2))
 h = Hypergraph3(60, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(20)))
-assert hs3_extend_exact(h, frozenset(), 19) is None
-assert hs3_extend_exact(h, frozenset({0}), 18) is None
+assert hs3_exact_oracle(h).extend(frozenset(), 19, None) is None
+assert hs3_exact_oracle(h).extend(frozenset({0}), 18, None) is None
 print("done")
 """
 
