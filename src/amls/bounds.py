@@ -14,7 +14,12 @@ and an extension-oracle base ``c >= 1``.  The four bases:
 ``amls_bound`` has no closed form; it is computed by bisection, which is
 valid because gamma -> D(1/alpha || (gamma-1)/(c-1)) is strictly decreasing
 on the open interval, diverging to +inf at the left end and dropping to 0 at
-the right end.  Useful facts (all checked by the test suite):
+the right end.  The bisection evaluates the divergence only at midpoints
+inside a certified interval around the root, found by Newton's method and
+checked with the loop's own float operations; a midpoint outside it takes
+the side that the evaluation would have given, so the root is the plain
+bisection's, bit for bit (see ``amls_bound``).  Useful facts (all checked by
+the test suite):
 
   * amls_bound(1, c) == emls_bound(c) exactly,
   * amls_bound < min(brute, naive) for c > 1, and < emls for alpha > 1,
@@ -29,7 +34,7 @@ base collapses to 1 and the critical density delta* to 1/alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "BoundQuery",
@@ -78,36 +83,41 @@ def kl_divergence(a: float, b: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+def _check(alpha: float, c: float, tol: float) -> None:
+    """Raise ValueError unless (alpha, c, tol) is a valid bound query."""
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
+    if not 1.0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 1, got {c}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    width = (c - 1.0) / alpha
+    if c > 1.0 and tol >= width:
+        raise ValueError(
+            f"tol must be below the bracket width (c-1)/alpha = {width}, got {tol}"
+        )
+
+
+class BoundQuery(namedtuple("BoundQuery", "alpha c tol")):
     """One (alpha, c) query with an absolute tolerance on the bisection root.
 
     For c > 1 the tolerance must be below the first bracket's width
     (c-1)/alpha; a wider one would skip the bisection and return the
-    bracket's midpoint.
+    bracket's midpoint.  Immutable; validated on construction.
     """
 
-    alpha: float
-    c: float
-    tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
-        if not 1.0 <= self.c < math.inf:
-            raise ValueError(f"c must be finite and >= 1, got {self.c}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        width = (self.c - 1.0) / self.alpha
-        if self.c > 1.0 and self.tol >= width:
-            raise ValueError(
-                f"tol must be below the bracket width (c-1)/alpha = {width}, "
-                f"got {self.tol}"
-            )
+    def __new__(cls, alpha: float, c: float, tol: float = 1e-12):
+        _check(alpha, c, tol)
+        return super().__new__(cls, alpha, c, tol)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(
+    namedtuple(
+        "BoundReport", "alpha c gamma delta_star brute naive emls dominant_benchmark"
+    )
+):
     """Exponent bundle for one (alpha, c) query.
 
     delta_star is (gamma - 1)/(c - 1), the critical density at which sampling
@@ -116,14 +126,7 @@ class BoundReport:
     in that order.
     """
 
-    alpha: float
-    c: float
-    gamma: float
-    delta_star: float
-    brute: float
-    naive: float
-    emls: float
-    dominant_benchmark: str
+    __slots__ = ()
 
 
 def brute_bound(alpha: float) -> float:
@@ -166,54 +169,120 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
 
     c == 1 is the degenerate polynomial-oracle case and returns exactly 1.0.
 
-    The loop evaluates kl_divergence(a, b) inline, with the same float
-    operations in the same order: BoundQuery has checked the arguments,
-    a = 1/alpha lies in (0, 1] and every midpoint gives b in (0, 1).
+    The divergence is evaluated (``_divergence``, the float operations of
+    kl_divergence in the same order) only at midpoints inside an interval
+    (low, high) around the root that ``_certified_interval`` has checked; a
+    midpoint <= low moves ``lo`` and one >= high moves ``hi`` unevaluated.
+    This returns the plain bisection's root bit for bit.  Write T for the
+    target ln(c)/alpha, D for the exact divergence at the loop's computed b,
+    and D^ for the computed divergence:
+
+      * the computed b never decreases as gamma grows (rounding is
+        monotone), and D strictly decreases in b up to its minimum, within
+        an ulp of a, where D is a few ulps;
+      * each computed term is within a few ulps times (1 + |term|) of the
+        exact one, and the second term lies in [-1/e, 0] on the bracket, so
+        |D^ - D| < 2^-50 * (3 + 2 D);
+      * the interval is accepted only if D^(low) - T > M and
+        T - D^(high) > M, with M = 2^-40 * (1 + T), over 2^8 times that
+        error near the root.
+
+    Hence D^ > T at every midpoint <= low and D^ < T at every midpoint
+    >= high, whatever the estimate behind low and high.  When no interval
+    passes, as when T <= M (for example c = 1 + 2^-52), low and high are the
+    bracket's ends and every midpoint is evaluated.
     """
-    BoundQuery(alpha, c, tol)  # validate
+    _check(alpha, c, tol)
     if c == 1.0:
         return 1.0
-    log = math.log
     a = 1.0 / alpha
     one_minus_a = 1.0 - a  # 0 at alpha == 1, where the second term drops
     c_minus_1 = c - 1.0
-    target = log(c) / alpha
+    target = math.log(c) / alpha
     lo = 1.0
     hi = 1.0 + c_minus_1 / alpha
+    low, high = _certified_interval(a, one_minus_a, c_minus_1, target, hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket narrower than one ulp
             break
-        b = (mid - 1.0) / c_minus_1
-        divergence = a * log(a / b)
-        if one_minus_a:
-            divergence += one_minus_a * log(one_minus_a / (1.0 - b))
-        if divergence > target:
+        if mid <= low:
+            lo = mid
+        elif mid >= high:
+            hi = mid
+        elif _divergence(mid, a, one_minus_a, c_minus_1) > target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
+def _divergence(gamma: float, a: float, one_minus_a: float, c_minus_1: float) -> float:
+    """kl_divergence(a, (gamma-1)/(c-1)) with its float operations, unchecked."""
+    b = (gamma - 1.0) / c_minus_1
+    total = a * math.log(a / b)
+    if one_minus_a:
+        total += one_minus_a * math.log(one_minus_a / (1.0 - b))
+    return total
+
+
+def _certified_interval(a, one_minus_a, c_minus_1, target, hi):
+    """(low, high) with _divergence - target > M at low and < -M at high.
+
+    M = 2^-40 * (1 + target).  A side outside (1, hi) is not checked, since
+    no midpoint lies beyond it; (1.0, hi) when no interval passes.  See
+    ``amls_bound`` for why skipping midpoints outside it is exact.
+
+    The estimate is Newton's method on u = ln b for g(u) = D(a || e^u) - T.
+    It starts left of the root, where g is convex and decreasing, so the
+    iterates rise toward the root without overshooting: the start is the
+    root of D without its term -(1-a) ln(1-b) >= 0, less 10^-3.  It stops at
+    b >= a, at a step below 10^-15 |u| or after 30 steps.  The half-width
+    starts at 2M over the slope of D at the estimate and grows 16-fold, at
+    most 6 times.  An arithmetic failure on the way leaves (1.0, hi).
+    """
+    whole = (1.0, hi)
+    margin = 2.0**-40 * (1.0 + target)
+    if not target > margin:
+        return whole
+    try:
+        log_a = math.log(a)
+        entropy_part = one_minus_a * math.log(one_minus_a) if one_minus_a else 0.0
+        u = log_a - (target - entropy_part) / a - 1e-3
+        for _ in range(30):
+            if not u < log_a:  # b >= a
+                break
+            b = math.exp(u)
+            g = a * (log_a - u) + entropy_part - one_minus_a * math.log1p(-b) - target
+            step = g / (one_minus_a * b / (1.0 - b) - a)
+            u -= step
+            if abs(step) < 1e-15 * abs(u):
+                break
+        b = math.exp(min(u, log_a))
+        root = 1.0 + b * c_minus_1
+        half = 2.0 * margin * c_minus_1 / (a / b - one_minus_a / (1.0 - b))
+        terms = (a, one_minus_a, c_minus_1)
+        for _ in range(7):
+            low, high = root - half, root + half
+            if (low <= 1.0 or _divergence(low, *terms) - target > margin) and (
+                high >= hi or target - _divergence(high, *terms) > margin
+            ):
+                return low, high
+            half *= 16.0
+    except (ZeroDivisionError, OverflowError, ValueError):  # from exp, log and /
+        pass
+    return whole
+
+
 def bound_report(query: BoundQuery) -> BoundReport:
     """Evaluate all four bases plus delta* for one query."""
-    gamma = amls_bound(query.alpha, query.c, query.tol)
-    benchmarks = {
-        "brute": brute_bound(query.alpha),
-        "naive": naive_bound(query.alpha, query.c),
-        "emls": emls_bound(query.c),
-    }
-    dominant = min(benchmarks, key=benchmarks.__getitem__)  # dict order breaks ties
-    return BoundReport(
-        alpha=query.alpha,
-        c=query.c,
-        gamma=gamma,
-        delta_star=1.0 / query.alpha if query.c == 1.0 else (gamma - 1.0) / (query.c - 1.0),
-        brute=benchmarks["brute"],
-        naive=benchmarks["naive"],
-        emls=benchmarks["emls"],
-        dominant_benchmark=dominant,
-    )
+    alpha, c, tol = query
+    gamma = amls_bound(alpha, c, tol)
+    benchmarks = (brute_bound(alpha), naive_bound(alpha, c), emls_bound(c))
+    # the first minimum wins, so ties go to brute, then naive
+    dominant = ("brute", "naive", "emls")[benchmarks.index(min(benchmarks))]
+    delta_star = 1.0 / alpha if c == 1.0 else (gamma - 1.0) / (c - 1.0)
+    return BoundReport(alpha, c, gamma, delta_star, *benchmarks, dominant)
 
 
 def bound_table(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from importlib import import_module
 
 from . import __version__
@@ -211,6 +210,8 @@ def _print_report(rep, json_path) -> None:
 
 
 def _cmd_solve(args) -> int:
+    from dataclasses import replace
+
     _bind("engine", "problems")
     inst, oracle = _load_instance(args)
     if args.alpha is not None:

@@ -103,7 +103,7 @@ def _normalized(n: int, sets, sizes: tuple[int, ...], what: str) -> tuple[tuple[
     normalized = []
     for s in sets:
         t = tuple(sorted(s))
-        if len(t) not in sizes or len(set(t)) != len(t) or not all(0 <= v < n for v in t):
+        if len(t) not in sizes or len(set(t)) != len(t) or not (0 <= t[0] and t[-1] < n):
             allowed = "/".join(map(str, sizes))
             raise ValueError(f"{what} {s} must have {allowed} distinct elements in [0, {n})")
         normalized.append(t)
@@ -120,9 +120,10 @@ def _hitting_system(n: int, sets, label: str) -> MonotoneInstance:
 
 
 def _hitting_sets(sets) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Bitmasks and ascending elements of the sets, in the given order."""
-    elems = tuple(tuple(sorted(t)) for t in sets)
-    return tuple(sum(1 << v for v in t) for t in elems), elems
+    """Bitmasks and elements of the sets, in the given order; each set is an
+    ascending tuple, as ``Graph`` and ``Hypergraph3`` store them."""
+    elems = tuple(sets)
+    return tuple(sum(map((1).__lshift__, t)) for t in elems), elems
 
 
 def _exact_oracle(sets, c: float, name: str) -> ExtensionOracle:
@@ -302,7 +303,8 @@ def parse_graph(text: str) -> Graph:
     def parse_edge(tokens, line_no, n):
         if len(tokens) != 2:
             raise ParseError(line_no, "edge lines take exactly two vertices")
-        u, v = (_parse_vertex(t, line_no, n) for t in tokens)
+        u = _parse_vertex(tokens[0], line_no, n)
+        v = _parse_vertex(tokens[1], line_no, n)
         if u == v:
             raise ParseError(line_no, f"loop edge on vertex {u + 1}")
         return (u, v) if u < v else (v, u)

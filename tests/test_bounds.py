@@ -13,6 +13,8 @@ import pytest
 from amls.bounds import (
     CSV_HEADER,
     BoundQuery,
+    BoundReport,
+    _certified_interval,
     amls_bound,
     bound_report,
     bound_table,
@@ -200,6 +202,50 @@ class TestAmlsBound:
             assert amls_bound(alpha, c, tol) == self._reference_bisection(alpha, c, tol), (
                 alpha, c, tol)
 
+    def test_certificate_corners_are_bit_identical(self):
+        # the corners of the certified interval: c = 1 + j*2^-52, where it
+        # must fall back to the whole bracket; alpha at and just above 1;
+        # c up to 1e300; tol from 1e-15 to 1e-3, plus an eighth of the
+        # bracket width so that every pair is bisected
+        rng = random.Random("certificate corners")
+        alphas = [1.0, 1.0 + 2.0**-52] + [1.0 + 10.0**-u for u in range(1, 16)]
+        alphas += [float(f"{rng.uniform(1.0, 4.0):.4f}") for _ in range(40)]
+        alphas += [math.exp(rng.uniform(0.0, 20.0)) for _ in range(6)]
+        cs = [1.0 + j * 2.0**-52 for j in range(1, 5)]
+        cs += [1.0 + 10.0**-u for u in (3, 6, 9, 12)] + [1e10, 1e30, 1e100, 1e200, 1e300]
+        cs += [float(f"{rng.uniform(1.01, 1024.0):.5g}") for _ in range(50)]
+        checked = 0
+        for alpha in alphas:
+            for c in cs:
+                width = (c - 1.0) / alpha
+                for tol in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, width / 8):
+                    if tol < width:
+                        assert amls_bound(alpha, c, tol) == self._reference_bisection(
+                            alpha, c, tol), (alpha, c, tol)
+                        checked += 1
+        assert checked >= 20_000
+
+    @staticmethod
+    def _interval(alpha, c):
+        a = 1.0 / alpha
+        hi = 1.0 + (c - 1.0) / alpha
+        return _certified_interval(a, 1.0 - a, c - 1.0, math.log(c) / alpha, hi), hi
+
+    def test_certificate_skips_all_but_the_root(self):
+        # on the benchmark's grid the interval is certified and narrow;
+        # below the margin it is the whole bracket
+        rng = random.Random("certificate")
+        for _ in range(200):
+            alpha = float(f"{rng.uniform(1.0, 4.0):.4f}")
+            c = float(f"{rng.uniform(1.01, 1024.0):.5g}")
+            (low, high), hi = self._interval(alpha, c)
+            assert 1.0 < low < amls_bound(alpha, c, 1e-15) < high < hi
+            assert high - low < 1e-9
+        for alpha in (1.0, 1.0 + 2.0**-52, 1.5, 3.0):
+            for j in range(1, 5):
+                (low, high), hi = self._interval(alpha, 1.0 + j * 2.0**-52)
+                assert (low, high) == (1.0, hi)
+
 
 class TestBenchmarks:
     def test_brute_values(self):
@@ -261,6 +307,46 @@ class TestBoundReport:
 
     def test_delta_star_degenerate(self):
         assert bound_report(BoundQuery(2, 1)).delta_star == 0.5
+
+
+class TestQueryAndReportTypes:
+    def test_keyword_construction_and_value_equality(self):
+        query = BoundQuery(alpha=2, c=1024)
+        assert query == BoundQuery(2, 1024, 1e-12)
+        assert (query.alpha, query.c, query.tol) == (2, 1024, 1e-12)
+        assert query != BoundQuery(alpha=2, c=1024, tol=1e-9)
+        report = bound_report(query)
+        assert list(report._asdict()) == [
+            "alpha", "c", "gamma", "delta_star", "brute", "naive", "emls", "dominant_benchmark"]
+        assert BoundReport(**report._asdict()) == report
+        assert bound_report(BoundQuery(2, 1024)) == report
+
+    @pytest.mark.parametrize(
+        "value", [BoundQuery(2, 1024), bound_report(BoundQuery(2, 1024))]
+    )
+    def test_immutable(self, value):
+        with pytest.raises(AttributeError):
+            value.alpha = 3.0
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0.9, 2.0), "alpha must be finite and >= 1, got 0.9"),
+            ((math.inf, 2.0), "alpha must be finite and >= 1, got inf"),
+            ((1.5, 0.5), "c must be finite and >= 1, got 0.5"),
+            ((1.5, math.nan), "c must be finite and >= 1, got nan"),
+            ((1.5, 2.0, 0.0), "tol must be finite and > 0, got 0.0"),
+            ((1.5, 2.0, math.inf), "tol must be finite and > 0, got inf"),
+            ((2.0, 2.0, 0.5), "tol must be below the bracket width (c-1)/alpha = 0.5, got 0.5"),
+        ],
+    )
+    def test_invalid_arguments_keep_their_messages(self, args, message):
+        for build in (BoundQuery, amls_bound):
+            with pytest.raises(ValueError) as info:
+                build(*args)
+            assert str(info.value) == message
 
 
 class TestTable:

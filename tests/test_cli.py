@@ -292,6 +292,24 @@ class TestGoldenReports:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.LOOPS_DIGEST, lines
 
+    # sha256 of the bounds CSV below as the plain bisection wrote it, before
+    # it skipped the divergence at midpoints outside a certified interval
+    BOUNDS_DIGEST = "6a490574657c97dc8c93adb6ffe07e376b9656937312a201ddf52e57b51b8bd7"
+
+    def test_bounds_table_is_pinned(self, tmp_path):
+        # a 60 x 60 grid drawn like the benchmark's bounds ops: distinct alpha
+        # in [1, 4] to 4 decimals, c in [1.01, 1024] to 5 significant digits
+        rng = random.Random(13)
+        alphas = sorted({f"{rng.uniform(1.0, 4.0):.4f}" for _ in range(120)}, key=float)
+        cs = sorted({f"{rng.uniform(1.01, 1024.0):.5g}" for _ in range(120)}, key=float)
+        alphas, cs = rng.sample(alphas, 60), rng.sample(cs, 60)
+        path = tmp_path / "bounds.csv"
+        argv = ["bounds", "--alpha", ",".join(alphas), "--c", ",".join(cs), "--csv", str(path)]
+        assert main(argv) == 0
+        text = path.read_text()
+        assert len(text.splitlines()) == 1 + 60 * 60
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BOUNDS_DIGEST
+
 
 class TestBrute:
     def test_triangle(self, k3_file, capsys):
@@ -450,6 +468,24 @@ class TestImportSet:
         rc, modules, err = _cli_modules("bounds", "--alpha", "1.5,2", "--c", "2,3")
         assert rc == 0, err
         assert modules == ["amls", "amls.bounds", "amls.cli"]
+
+    def test_bounds_loads_no_dataclasses(self):
+        # modules a site hook loaded before amls do not count
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from amls.cli import main\n"
+            "imported = set(sys.modules) - before\n"
+            "rc = main(['bounds', '--alpha', '1.5,2', '--c', '2,3'])\n"
+            "ran = set(sys.modules) - before\n"
+            "watched = {'dataclasses', 'inspect'}\n"
+            "print(json.dumps([sorted(imported & watched), sorted(ran & watched)]))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
 
     @pytest.mark.parametrize(
         "flags",

@@ -40,6 +40,27 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, ((0, 3),))
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Graph(3, ((0, 3),)), "edge (0, 3) must have 2 distinct elements in [0, 3)"),
+            (lambda: Graph(3, ((2, -1),)), "edge (2, -1) must have 2 distinct elements in [0, 3)"),
+            (lambda: Graph(3, ((1, 1),)), "edge (1, 1) must have 2 distinct elements in [0, 3)"),
+            (lambda: Graph(3, ((0, 1, 2),)),
+             "edge (0, 1, 2) must have 2 distinct elements in [0, 3)"),
+            (lambda: Hypergraph3(4, ((4, 0, 1),)),
+             "set (4, 0, 1) must have 1/2/3 distinct elements in [0, 4)"),
+            (lambda: Hypergraph3(4, ((1, -1),)),
+             "set (1, -1) must have 1/2/3 distinct elements in [0, 4)"),
+            (lambda: Hypergraph3(4, ((),)), "set () must have 1/2/3 distinct elements in [0, 4)"),
+            (lambda: Graph(-1, ()), "universe size must be >= 0, got -1"),
+        ],
+    )
+    def test_range_errors_keep_their_messages(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
 
 class TestVcSystem:
     def test_membership_examples(self):
@@ -231,6 +252,21 @@ class TestGraphParser:
             parse_graph(text)
         assert err.value.line_no == line
         assert f"line {line}:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p edge 2 1\ne 3 x\n", "line 2: vertex 3 outside 1..2"),
+            ("p edge 2 1\ne x 3\n", "line 2: non-integer vertex 'x'"),
+            ("p edge 2 1\ne 1 0\n", "line 2: vertex 0 outside 1..2"),
+            ("p edge 2 1\ne 2 2\n", "line 2: loop edge on vertex 2"),
+            ("p edge 3 1\ne 1 2 3\n", "line 2: edge lines take exactly two vertices"),
+        ],
+    )
+    def test_edge_errors_keep_their_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ParseError):
