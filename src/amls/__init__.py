@@ -17,7 +17,9 @@ O*(c^k), this package provides:
 
 ``import amls`` loads none of these modules.  The names below resolve on
 first access (PEP 562), so ``from amls import solve`` imports only the
-layers ``solve`` needs, and ``amls.engine`` imports ``engine``.
+layers ``solve`` needs, and ``amls.engine`` imports ``engine``.  ``_lazy``
+below is the one lazy-loading rule of the package: this module, ``cli``
+and ``engine`` each give it their table of layer -> names.
 """
 
 from importlib import import_module
@@ -50,16 +52,41 @@ _EXPORTS = {
         "vc_exact_oracle", "vc_matching_oracle", "vc_system",
     ),
 }
-_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_ORIGIN)
 
 
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
-    if name not in _ORIGIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
-    globals()[name] = value
-    return value
+def _lazy(namespace: dict, layers: dict):
+    """Install the lazy-loading rule on a module; returns (bind, __getattr__).
+
+    namespace is the module's globals() and layers maps each layer of this
+    package to the names the module takes from it.
+
+    bind(*layers) imports each layer and binds its listed names into
+    namespace with setdefault, so a name already set stays: a wrapper
+    installed on the module before the layer loads keeps its place.
+
+    __getattr__(name), the module's PEP 562 hook, returns the layer module
+    when name is a layer, binds the layer of a listed name and returns that
+    name's value, and raises AttributeError naming the module otherwise.
+    """
+    package = namespace["__package__"]
+    origin = {name: layer for layer, names in layers.items() for name in names}
+
+    def bind(*names: str) -> None:
+        for layer in names:
+            module = import_module(f"{package}.{layer}")
+            for name in layers[layer]:
+                namespace.setdefault(name, getattr(module, name))
+
+    def __getattr__(name: str):
+        if name in layers:
+            return import_module(f"{package}.{name}")
+        if name not in origin:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        bind(origin[name])
+        return namespace[name]
+
+    return bind, __getattr__
+
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__ = _lazy(globals(), _EXPORTS)[1]

@@ -17,20 +17,15 @@ solutions are 1-based (DIMACS convention); JSON reports keep the engine's
 
 Importing this module loads no other layer of the package.  Each
 subcommand binds the names it calls from the layers in ``_LAYERS`` when it
-starts (``bounds``: bounds; ``solve`` and ``brute``: engine and problems;
-``families``: families; ``verify``: verification), and a module attribute
-such as ``amls.cli.solve`` binds its layer on first access.  Binding keeps
-a name that is already set, so a wrapper installed on this module before
-the call stays in place.
+starts, by the package's one lazy-loading rule (``amls._lazy``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 
-from . import __version__
+from . import __version__, _lazy
 
 # layer -> the names this module calls from it
 _LAYERS = {
@@ -43,6 +38,7 @@ _LAYERS = {
     ),
     "verification": ("run_suites",),
 }
+_bind, __getattr__ = _lazy(globals(), _LAYERS)
 
 # sorted(verification.SUITES), kept here so that parsing loads no layer
 SUITE_NAMES = ("combinatorics", "engine", "exponents", "families", "problems")
@@ -51,23 +47,6 @@ PRESETS = {
     "vc-1.1": ([1.1], [1.1652]),  # 1.1-approximate vertex cover extension base
     "dfvs-2": ([2.0], [1024.0]),  # 2-approximate directed feedback vertex set base
 }
-
-
-def _bind(*layers: str) -> None:
-    """Import each layer and bind its names here, keeping any name already set."""
-    namespace = globals()
-    for layer in layers:
-        module = import_module(f"{__package__}.{layer}")
-        for name in _LAYERS[layer]:
-            namespace.setdefault(name, getattr(module, name))
-
-
-def __getattr__(name: str):
-    for layer, names in _LAYERS.items():
-        if name in names:
-            _bind(layer)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,13 +260,6 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 2
 
 
-def _runtime_errors() -> tuple:
-    """The errors main() reports with exit 2.  ParseError is a ValueError;
-    LimitExceededError can only have been raised once families is loaded."""
-    families = sys.modules.get(f"{__package__}.families")
-    return (ValueError, OSError) + ((families.LimitExceededError,) if families else ())
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -299,7 +271,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except _runtime_errors() as exc:
+    except (ValueError, OSError) as exc:  # ParseError and LimitExceededError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,9 +45,7 @@ the (size, lexicographic) minimum over all k.  So identical (instance,
 oracle, RunConfig) produce bit-identical reports.
 
 The families layer is imported only when a search first needs a family or
-a covering: ``_bind_families`` binds its names here then, keeping any name
-already set (a wrapper installed on this module stays), and a module
-attribute such as ``engine.build_covering`` binds them on first access.
+a covering, by the package's one lazy-loading rule (``amls._lazy``).
 """
 
 from __future__ import annotations
@@ -61,6 +59,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import _lazy
 from .combinatorics import argmin_t, exact_ratio, kappa, select_t
 
 __all__ = [
@@ -76,22 +75,9 @@ __all__ = [
     "exhaustive_minimum",
 ]
 
-_FAMILY_NAMES = ("build_covering", "build_intersection_family", "check_limit")
-
-
-def _bind_families() -> None:
-    from . import families
-
-    namespace = globals()
-    for name in _FAMILY_NAMES:
-        namespace.setdefault(name, getattr(families, name))
-
-
-def __getattr__(name: str):
-    if name in _FAMILY_NAMES:
-        _bind_families()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_bind, __getattr__ = _lazy(
+    globals(), {"families": ("build_covering", "build_intersection_family", "check_limit")}
+)
 
 
 @dataclass(frozen=True)
@@ -335,7 +321,7 @@ def run_deterministic(
         )
         ts.append(t)
     if any(ts):
-        _bind_families()
+        _bind("families")
         check_limit(inst.n, "deterministic mode")
     best = _Best(inst.n)
     warnings: list[str] = []
@@ -374,7 +360,7 @@ def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
     a = exact_ratio(alpha)
     if a < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    _bind_families()
+    _bind("families")
     check_limit(inst.n, "brute-force search")
     start = time.perf_counter()
     best = _Best(inst.n)

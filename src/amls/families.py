@@ -60,7 +60,7 @@ Members = tuple[tuple[int, ...], ...]
 LIMIT = 14
 
 
-class LimitExceededError(RuntimeError):
+class LimitExceededError(RuntimeError, ValueError):
     """Requested construction is above the universe-size limit LIMIT."""
 
 

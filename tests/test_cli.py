@@ -554,6 +554,49 @@ class TestImportSet:
         assert list(cli.SUITE_NAMES) == sorted(SUITES)
 
 
+class TestLazyBinding:
+    """A name set on a module before its layer is bound survives the bind."""
+
+    SENTINEL = object()
+
+    def _unbind(self, monkeypatch, module, names):
+        # monkeypatch puts back whatever was bound when the test ends
+        for name in names:
+            monkeypatch.delitem(vars(module), name, raising=False)
+
+    def test_package(self, monkeypatch):
+        import amls.engine as engine
+
+        self._unbind(monkeypatch, amls, amls._EXPORTS["engine"])
+        monkeypatch.setitem(vars(amls), "solve", self.SENTINEL)
+        assert amls.run_randomized is engine.run_randomized  # binds the engine layer
+        assert amls.solve is self.SENTINEL
+        assert amls.engine is engine
+
+    def test_cli(self, monkeypatch):
+        import amls.cli as cli
+        import amls.engine as engine
+
+        self._unbind(monkeypatch, cli, cli._LAYERS["engine"])
+        monkeypatch.setitem(vars(cli), "solve", self.SENTINEL)
+        assert cli.RunConfig is engine.RunConfig  # binds the engine layer
+        assert cli.solve is self.SENTINEL
+        cli._bind("engine")
+        assert cli.solve is self.SENTINEL
+
+    def test_engine(self, monkeypatch):
+        import amls.engine as engine
+        import amls.families as families
+
+        names = ("build_covering", "build_intersection_family", "check_limit")
+        self._unbind(monkeypatch, engine, names)
+        monkeypatch.setitem(vars(engine), "build_covering", self.SENTINEL)
+        engine._bind("families")
+        assert engine.build_covering is self.SENTINEL
+        assert engine.check_limit is families.check_limit
+        assert engine.families is families
+
+
 class TestExports:
     @pytest.mark.parametrize("layer", LAYERS)
     def test_star_import_serves_every_listed_name(self, layer):

@@ -276,6 +276,11 @@ class TestLimits:
             with pytest.raises(LimitExceededError, match=r"limited to n <= 14, got n=15$"):
                 call()
 
+    def test_limit_error_is_a_runtime_and_a_value_error(self):
+        # the CLI reports ValueErrors with exit 2, without loading families
+        assert issubclass(LimitExceededError, RuntimeError)
+        assert issubclass(LimitExceededError, ValueError)
+
 
 class TestVerifyFamily:
     def test_accepts_valid(self):
