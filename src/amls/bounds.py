@@ -133,11 +133,15 @@ def brute_bound(alpha: float) -> float:
     """Base of alpha-approximate exhaustive search.
 
     1 + (alpha-1)^(alpha-1) / alpha^alpha with the 0^0 = 1 convention, which
-    equals 1 + exp(-alpha * entropy(1/alpha)).  brute_bound(1) == 2.
+    equals 1 + exp(-alpha * entropy(1/alpha)).  brute_bound(1) == 2.  The
+    entropy form serves only where the ratio overflows (alpha > 143.016).
     """
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return 1.0 + (alpha - 1.0) ** (alpha - 1.0) / alpha**alpha
+    try:
+        return 1.0 + (alpha - 1.0) ** (alpha - 1.0) / alpha**alpha
+    except OverflowError:
+        return 1.0 + math.exp(-alpha * entropy(1.0 / alpha))
 
 
 def naive_bound(alpha: float, c: float) -> float:
@@ -218,8 +222,14 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
 
 
 def _divergence(gamma: float, a: float, one_minus_a: float, c_minus_1: float) -> float:
-    """kl_divergence(a, (gamma-1)/(c-1)) with its float operations, unchecked."""
+    """kl_divergence(a, (gamma-1)/(c-1)) with its float operations, unchecked.
+
+    A b that underflows to 0 gives +inf, the divergence's limit at the
+    bracket's left end.
+    """
     b = (gamma - 1.0) / c_minus_1
+    if not b:
+        return math.inf
     total = a * math.log(a / b)
     if one_minus_a:
         total += one_minus_a * math.log(one_minus_a / (1.0 - b))

@@ -168,6 +168,30 @@ class TestAmlsBound:
             refined = amls_bound(alpha, c, tol=1e-15)
             assert abs(gamma - refined) <= 1e-12 + 1e-15
 
+    def test_float_range_edges_stay_bracketed(self):
+        # valid (alpha, c, tol) at the edges of the float range, where a
+        # midpoint's b = (gamma-1)/(c-1) can underflow to 0 and alpha**alpha
+        # overflows; each query must return a bracketed base and a finite brute
+        rng = random.Random("float range edges")
+        alphas = [1.0, 1.0 + 2.0**-52, 143.0, 144.0, 1e3, 1e16, 1e300, math.exp(20.0)]
+        cs = [1.0, 1.0 + 2.0**-52, 2.0, 1e100, 1e300, 1.7e308, math.exp(709.0)]
+        triples = [(1e16, 1.7e308, 1e-300), (144.0, 2.0, 1e-12)]
+        while len(triples) < 3000:
+            alpha = rng.choice(
+                [rng.choice(alphas), 10.0 ** rng.uniform(0.0, 300.0),
+                 1.0 + 10.0 ** rng.uniform(-16.0, 0.0)])
+            c = rng.choice(
+                [rng.choice(cs), math.exp(rng.uniform(0.0, 709.7)),
+                 1.0 + rng.randint(1, 64) * 2.0**-52])
+            width = (c - 1.0) / alpha
+            tol = rng.choice([10.0 ** rng.uniform(-300.0, -3.0), width * rng.uniform(1e-6, 1.0)])
+            if 0.0 < tol and (c == 1.0 or tol < width):
+                triples.append((alpha, c, tol))
+        for alpha, c, tol in triples:
+            report = bound_report(BoundQuery(alpha, c, tol))
+            assert 1.0 <= report.gamma <= 1.0 + (c - 1.0) / alpha, (alpha, c, tol)
+            assert math.isfinite(report.brute), alpha
+
     @staticmethod
     def _reference_bisection(alpha, c, tol):
         # the bisection as first written, calling kl_divergence per midpoint
@@ -257,6 +281,12 @@ class TestBenchmarks:
         for alpha in ALPHA_GRID:
             expected = 1 + math.exp(-alpha * entropy(1 / alpha))
             assert brute_bound(alpha) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [144.0, 1e3, 1e16])
+    def test_brute_is_finite_where_the_ratio_overflows(self, alpha):
+        value = brute_bound(alpha)
+        assert math.isfinite(value)
+        assert value == 1 + math.exp(-alpha * entropy(1 / alpha))
 
     def test_naive_values(self):
         assert naive_bound(1, 1.5) == 1.5
