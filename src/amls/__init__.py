@@ -55,18 +55,15 @@ _EXPORTS = {
 
 
 def _lazy(namespace: dict, layers: dict):
-    """Install the lazy-loading rule on a module; returns (bind, __getattr__).
+    """The package's lazy-loading rule for one module: (bind, __getattr__).
 
-    namespace is the module's globals() and layers maps each layer of this
-    package to the names the module takes from it.
-
-    bind(*layers) imports each layer and binds its listed names into
-    namespace with setdefault, so a name already set stays: a wrapper
-    installed on the module before the layer loads keeps its place.
-
-    __getattr__(name), the module's PEP 562 hook, returns the layer module
-    when name is a layer, binds the layer of a listed name and returns that
-    name's value, and raises AttributeError naming the module otherwise.
+    namespace is the module's globals(); layers maps each layer to the
+    names the module takes from it.  bind(*layers) imports each layer and
+    setdefaults its names into namespace, so a name already set (a wrapper
+    installed before the layer loads) stays.  __getattr__(name), the
+    module's PEP 562 hook, returns the layer module for a layer, binds the
+    layer of a listed name and returns its value, and raises AttributeError
+    naming the module for any other name.
     """
     package = namespace["__package__"]
     origin = {name: layer for layer, names in layers.items() for name in names}

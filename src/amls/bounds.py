@@ -222,13 +222,9 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
 
 
 def _divergence(gamma: float, a: float, one_minus_a: float, c_minus_1: float) -> float:
-    """kl_divergence(a, (gamma-1)/(c-1)) with its float operations, unchecked.
-
-    A b that underflows to 0 gives +inf, the divergence's limit at the
-    bracket's left end.
-    """
+    """kl_divergence(a, (gamma-1)/(c-1)) with its float operations, unchecked."""
     b = (gamma - 1.0) / c_minus_1
-    if not b:
+    if not b:  # underflow: the divergence's limit at the bracket's left end
         return math.inf
     total = a * math.log(a / b)
     if one_minus_a:

@@ -275,7 +275,9 @@ def run_randomized(
             )
             reps = cfg.max_repetitions
         alpha_k = math.floor(alpha * k)
-        if alpha_k >= inst.n:  # a failed sample stands for the universe, a hit here
+        # one sample decides k when a failed sample stands for the universe
+        # (a hit here), or when X is always {} and the oracle cannot miss
+        if alpha_k >= inst.n or (cost.t == 0 and ext.success_prob == 1):
             reps = 1
         budget = k - math.ceil(Fraction(cost.t) / alpha)
         rng = random.Random(f"{cfg.seed}:{k}:0")

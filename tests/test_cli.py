@@ -99,6 +99,20 @@ class TestBounds:
     def test_runtime_error_on_bad_domain(self, capsys):
         assert main(["bounds", "--alpha", "0.5", "--c", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--alpha", "1e16", "--c", "1.7e308", "--tol", "1e-300"],  # b underflows to 0
+         ["--alpha", "144", "--c", "2"]],  # alpha**alpha overflows
+    )
+    def test_float_range_edges_run(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "amls.cli", "bounds", *argv],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stdout.splitlines()) == 2  # the header and one row
+
 
 class TestSolve:
     def test_path(self, p3_file, capsys):
@@ -218,79 +232,108 @@ def _hs3_text(n, m, seed):
     return "\n".join(lines) + "\n"
 
 
+def _golden_instances(tmp_path):
+    vc16, vc14, hs14 = (tmp_path / name for name in ("vc16.col", "vc14.col", "hs14.hs3"))
+    vc16.write_text(_graph_text(gen_gnp(16, 0.3, seed=16)))
+    vc14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
+    hs14.write_text(_hs3_text(14, 30, seed=14))
+    return str(vc16), str(vc14), str(hs14)
+
+
+def _seeded_runs(tmp_path):
+    vc16, vc14, hs14 = _golden_instances(tmp_path)
+    runs = []
+    for seed in ("1", "2"):
+        runs.append(["solve", "--problem", "vc", "--input", vc16, "--seed", seed])
+        runs.append(["solve", "--problem", "hs3", "--input", hs14, "--seed", seed])
+    runs.append(["solve", "--problem", "vc", "--input", vc14, "--deterministic"])
+    runs.append(["solve", "--problem", "hs3", "--input", hs14, "--deterministic"])
+    return runs
+
+
+def _matching_runs(tmp_path):
+    g60, g200, g14 = (tmp_path / f"g{n}.col" for n in (60, 200, 14))
+    g60.write_text(_graph_text(gen_gnp(60, 0.1, seed=60)))
+    g200.write_text(_graph_text(gen_gnp(200, 0.1, seed=200)))
+    g14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
+    runs = []
+    for seed in ("1", "2"):
+        runs.append(["--input", str(g60), "--seed", seed])
+        runs.append(["--input", str(g200), "--seed", seed])
+    runs.append(["--input", str(g14), "--deterministic"])
+    return [["solve", "--problem", "vc", "--oracle", "matching", *argv] for argv in runs]
+
+
+def _loops_runs(tmp_path):
+    vc16, vc14, hs14 = _golden_instances(tmp_path)
+    runs = []
+    for alpha in ("1.5", "1"):
+        runs.append(["brute", "--problem", "vc", "--input", vc14, "--alpha", alpha])
+        runs.append(["brute", "--problem", "hs3", "--input", hs14, "--alpha", alpha])
+    runs.append(["solve", "--problem", "vc", "--input", vc16, "--stop-at-first", "--seed", "1"])
+    runs.append(["solve", "--problem", "hs3", "--input", hs14, "--max-repetitions", "2",
+                 "--seed", "1"])
+    runs.append(["solve", "--problem", "vc", "--input", vc14, "--deterministic",
+                 "--stop-at-first"])
+    return runs
+
+
+def _json_lines(runs, capsys):
+    """The --json - report line of each CLI call."""
+    lines = []
+    for argv in runs:
+        assert main([*argv, "--json", "-"]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[-1])
+    return lines
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 class TestGoldenReports:
     # sha256 of the seeded --json - lines below as the set-based branching
-    # oracles wrote them; the deterministic VC run uses G(14, 0.3) because
+    # oracles wrote them, with one sample at each k where t = 0 and the
+    # oracle is sure; the deterministic VC run uses G(14, 0.3) because
     # families.LIMIT is 14
-    DIGEST = "4d4fd53cb338e6ceb48d3019a733895bd7fbd7945c59564b502649c24a473530"
+    DIGEST = "6676371ed2e9c60260d8971638f5765e7604d45cd833ebb80234d8aace71a6f0"
 
     def test_seeded_reports_are_pinned(self, tmp_path, capsys):
-        vc16, vc14, hs14 = (tmp_path / name for name in ("vc16.col", "vc14.col", "hs14.hs3"))
-        vc16.write_text(_graph_text(gen_gnp(16, 0.3, seed=16)))
-        vc14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
-        hs14.write_text(_hs3_text(14, 30, seed=14))
-        runs = []
-        for seed in ("1", "2"):
-            runs.append(["--problem", "vc", "--input", str(vc16), "--seed", seed])
-            runs.append(["--problem", "hs3", "--input", str(hs14), "--seed", seed])
-        runs.append(["--problem", "vc", "--input", str(vc14), "--deterministic"])
-        runs.append(["--problem", "hs3", "--input", str(hs14), "--deterministic"])
-        lines = []
-        for argv in runs:
-            assert main(["solve", *argv, "--json", "-"]) == 0
-            lines.append(capsys.readouterr().out.splitlines()[-1])
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == self.DIGEST, lines
+        lines = _json_lines(_seeded_runs(tmp_path), capsys)
+        assert _sha256(lines) == self.DIGEST, lines
 
     # sha256 of the seeded --json - lines below as the edge-scanning greedy
-    # matching oracle wrote them
-    MATCHING_DIGEST = "78737b537714b26db8d5c16fb885e9e90d14692e5f3680dc40eb17e898cc6c70"
+    # matching oracle wrote them, with one sample at each k where t = 0
+    MATCHING_DIGEST = "86c6cecaa4200dbbb67c97591e38d7fb3c5538787f38134e48f1f45698a57073"
 
     def test_matching_reports_are_pinned(self, tmp_path, capsys):
-        g60, g200, g14 = (tmp_path / f"g{n}.col" for n in (60, 200, 14))
-        g60.write_text(_graph_text(gen_gnp(60, 0.1, seed=60)))
-        g200.write_text(_graph_text(gen_gnp(200, 0.1, seed=200)))
-        g14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
-        runs = []
-        for seed in ("1", "2"):
-            runs.append(["--input", str(g60), "--seed", seed])
-            runs.append(["--input", str(g200), "--seed", seed])
-        runs.append(["--input", str(g14), "--deterministic"])
-        lines = []
-        for argv in runs:
-            argv = ["solve", "--problem", "vc", "--oracle", "matching", *argv, "--json", "-"]
-            assert main(argv) == 0
-            lines.append(capsys.readouterr().out.splitlines()[-1])
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == self.MATCHING_DIGEST, lines
+        lines = _json_lines(_matching_runs(tmp_path), capsys)
+        assert _sha256(lines) == self.MATCHING_DIGEST, lines
 
     # sha256 of the --json - lines below as the three per-k loops wrote them
     # before they were folded into one executor: brute force, stop-at-first
-    # in both modes, and a repetition cap whose warnings land in the JSON
-    LOOPS_DIGEST = "629d524faf6e52046e350d68eb8fe092bb5b7c4a01b9abf5493f10a5282aa401"
+    # in both modes, and a repetition cap whose warnings land in the JSON;
+    # with one sample at each k where t = 0 and the oracle is sure
+    LOOPS_DIGEST = "4de46221995a59fcae4a049dd8551c80f7528c1e9d9514cc1b9d1e0fc2f568e4"
 
     def test_brute_stop_and_cap_reports_are_pinned(self, tmp_path, capsys):
-        vc16, vc14, hs14 = (tmp_path / name for name in ("vc16.col", "vc14.col", "hs14.hs3"))
-        vc16.write_text(_graph_text(gen_gnp(16, 0.3, seed=16)))
-        vc14.write_text(_graph_text(gen_gnp(14, 0.3, seed=14)))
-        hs14.write_text(_hs3_text(14, 30, seed=14))
-        runs = []
-        for alpha in ("1.5", "1"):
-            runs.append(["brute", "--problem", "vc", "--input", str(vc14), "--alpha", alpha])
-            runs.append(["brute", "--problem", "hs3", "--input", str(hs14), "--alpha", alpha])
-        runs.append(["solve", "--problem", "vc", "--input", str(vc16), "--stop-at-first",
-                     "--seed", "1"])
-        runs.append(["solve", "--problem", "hs3", "--input", str(hs14),
-                     "--max-repetitions", "2", "--seed", "1"])
-        runs.append(["solve", "--problem", "vc", "--input", str(vc14), "--deterministic",
-                     "--stop-at-first"])
-        lines = []
-        for argv in runs:
-            assert main([*argv, "--json", "-"]) == 0
-            lines.append(capsys.readouterr().out.splitlines()[-1])
+        lines = _json_lines(_loops_runs(tmp_path), capsys)
         assert any(json.loads(line)["warnings"] for line in lines)
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == self.LOOPS_DIGEST, lines
+        assert _sha256(lines) == self.LOOPS_DIGEST, lines
+
+    # sha256 of the three sets of lines above, each report without its
+    # total_samples, as written before a t = 0 sample with a sure oracle
+    # ran once: running it once changes the sample counts and nothing else
+    REPORTS_BUT_SAMPLES_DIGEST = "f2fcc0ffff3608912836cacb66026f62fc1cb3e5bd74ba0b6ead39abfb2daec3"
+
+    def test_reports_but_samples_are_pinned(self, tmp_path, capsys):
+        lines = []
+        for runs in (_seeded_runs, _matching_runs, _loops_runs):
+            for line in _json_lines(runs(tmp_path), capsys):
+                report = json.loads(line)
+                del report["total_samples"]
+                lines.append(json.dumps(report, sort_keys=True))
+        assert _sha256(lines) == self.REPORTS_BUT_SAMPLES_DIGEST, lines
 
     # sha256 of the bounds CSV below as the plain bisection wrote it, before
     # it skipped the divergence at midpoints outside a certified interval

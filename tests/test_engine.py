@@ -470,12 +470,23 @@ class TestFailedSamples:
     NEVER = ExtensionOracle(1.0, 2.0, 1.0, lambda x, k, rng: None)
 
     def test_universe_hit_draws_one_sample_at_the_last_k(self):
+        # 41 and 12, not 51 and 17: a k with t = 0 draws one sample, as the
+        # oracle is sure
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
         rep = run_randomized(inst, self.NEVER, RunConfig(seed=1))
-        assert rep.total_samples == 51
+        assert rep.total_samples == 41
         assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
         cfg = RunConfig(seed=1, stop_at_first=True, max_repetitions=2)
-        assert run_randomized(inst, self.NEVER, cfg).total_samples == 17
+        assert run_randomized(inst, self.NEVER, cfg).total_samples == 12
+
+    def test_t0_sample_with_a_sure_oracle_runs_once(self):
+        # c = 1 selects t = 0 at every k, so X is always {}: a sure oracle is
+        # asked once per k, an unsure one ceil(boost) = 3 times (9 k's, the
+        # last a universe hit)
+        inst = vc_system(gen_gnp(8, 0.5, seed=3))
+        for success_prob, samples in ((1.0, 9), (0.5, 8 * 3 + 1)):
+            oracle = ExtensionOracle(1.0, 1.0, success_prob, lambda x, k, rng: None)
+            assert run_randomized(inst, oracle, RunConfig(seed=1)).total_samples == samples
 
     def test_deterministic_visits_every_member(self):
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
