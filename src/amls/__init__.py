@@ -68,8 +68,8 @@ def _lazy(namespace: dict, layers: dict):
     package = namespace["__package__"]
     origin = {name: layer for layer, names in layers.items() for name in names}
 
-    def bind(*names: str) -> None:
-        for layer in names:
+    def bind(*selected: str) -> None:
+        for layer in selected:
             module = import_module(f"{package}.{layer}")
             for name in layers[layer]:
                 namespace.setdefault(name, getattr(module, name))
