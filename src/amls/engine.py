@@ -30,13 +30,13 @@ member of the family:
 Both search modes pick t with the same combinatorics.argmin_t; they differ
 only in the factor it weighs c^(k - t/alpha) by (1/p or kappa).
 
-All three run each k through _run_k, the one place an X is drawn from its
-source, extended, checked (|X u Y| <= floor(alpha*k) and membership),
-offered to the running best and counted.  The modes differ only in the X
-source (random t-subsets, family members, covering members), the
-extension (the oracle with budget k - ceil(t/alpha), or Y = {} in brute
-force) and stopping (randomized stops at its first hit; the others visit
-every X).
+All three keep one run state, _Search, that owns the running best, the
+sample count, the warnings and the clock.  Its run_k is the one place an X
+is extended, checked (|X u Y| <= floor(alpha*k) and membership), offered
+to the best and counted.  The modes differ only in the X source (random
+t-subsets, family members, covering members), the extension (the oracle
+with budget k - ceil(t/alpha), or none in brute force) and stopping
+(randomized stops at its first hit; the others visit every X).
 
 Reproducibility: the iteration for target size k draws from one generator
 seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
@@ -128,10 +128,10 @@ class RunConfig:
     deterministic makes solve run run_deterministic; run_randomized rejects
     it.  boost multiplies the baseline ceil(1/p) repetition count, pushing
     the per-k failure probability below exp(-boost * success_prob).
-    max_repetitions caps the per-k repetitions (a warning is recorded and the
-    success guarantee degrades).  stop_at_first returns at the first k
-    whose iteration finds a set of size <= alpha * k instead of finishing
-    the loop.
+    max_repetitions caps the repetitions of each k that needs more than one
+    sample; a capped k records a warning, as its success guarantee degrades.
+    stop_at_first returns at the first k whose iteration finds a set of
+    size <= alpha * k instead of finishing the loop.
     """
 
     seed: int = 0
@@ -154,7 +154,7 @@ class RunReport:
     k_found is the loop index whose iteration produced the final solution,
     or -1 if nothing smaller than the full universe was found.  warnings
     names each k whose repetitions were capped and each k on which the
-    oracle broke its contract: it returned a Y with X u Y not a member or
+    oracle broke the contract: it returned a Y with X u Y not a member or
     larger than alpha * k.  Such samples count as misses.  elapsed is
     wall-clock seconds and is excluded from the JSON form.
     """
@@ -180,68 +180,71 @@ class RunReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class _Best:
-    """Running minimum by (size, lexicographic order of the sorted elements).
+class _Search:
+    """One run's state: its best member and k_found, samples, warnings and clock.
 
-    It starts at the full universe [n) with k = -1.
+    The best is the minimum by (size, lexicographic order of the sorted
+    elements); it starts at the full universe [n) with k_found = -1.
     """
 
-    def __init__(self, n: int) -> None:
-        self.key = (n, tuple(range(n)))
-        self.k = -1
+    def __init__(self, inst: MonotoneInstance) -> None:
+        self.inst = inst
+        self.key = (inst.n, tuple(range(inst.n)))
+        self.k_found = -1
+        self.samples = 0
+        self.warnings: list[str] = []
+        self.start = time.perf_counter()
 
-    def offer(self, solution: frozenset, k: int) -> None:
-        key = (len(solution), tuple(sorted(solution)))
-        if key < self.key:
-            self.key = key
-            self.k = k
+    def run_k(self, k, alpha_k, xs, extend=None, stop_on_hit=False) -> bool:
+        """Run every X in xs for target size k; return whether one hit.
 
-    def report(self, inst, mode, alpha, c, samples, seed, warnings, start) -> RunReport:
-        """The run's report, with this minimum as its solution."""
+        The one place an X is handled: Z = X u extend(X) becomes the best
+        when |Z| <= alpha_k, Z is a member and Z is smaller.  extend returning
+        None is a miss; any other Z is a broken oracle contract, recorded as
+        one warning for k.  With no extend, Y = X and a non-member is a plain
+        miss.  With stop_on_hit, xs is read no further after the first hit.
+        """
+        membership = self.inst.membership
+        samples = broken = 0
+        hit = False
+        for x in xs:
+            samples += 1
+            y = x if extend is None else extend(x)
+            if y is None:
+                continue
+            z = x.union(y)
+            if len(z) <= alpha_k and membership(z):
+                key = (len(z), tuple(sorted(z)))
+                if key < self.key:
+                    self.key, self.k_found = key, k
+                hit = True
+                if stop_on_hit:
+                    break
+            else:
+                broken += 1
+        self.samples += samples
+        if broken and extend is not None:
+            self.warnings.append(
+                f"k={k}: oracle broke its contract on {broken} of {samples} samples"
+            )
+        return hit
+
+    def report(self, mode, alpha, c, seed) -> RunReport:
+        """The run's report, with the best member as its solution."""
         return RunReport(
-            instance=inst.label,
-            n=inst.n,
+            instance=self.inst.label,
+            n=self.inst.n,
             alpha=float(alpha),
             c=c,
             mode=mode,
             solution=self.key[1],
             size=self.key[0],
-            k_found=self.k,
-            total_samples=samples,
+            k_found=self.k_found,
+            total_samples=self.samples,
             seed=seed,
-            warnings=tuple(warnings),
-            elapsed=time.perf_counter() - start,
+            warnings=tuple(self.warnings),
+            elapsed=time.perf_counter() - self.start,
         )
-
-
-def _run_k(best, k, alpha_k, xs, extend, membership, stop_on_hit):
-    """Run every X in xs for target size k; return (samples, hit, broken).
-
-    The one place an X is handled: Z = X u extend(X) is offered to best when
-    |Z| <= alpha_k and Z is a member.  extend returning None is a miss; any
-    other Z is a broken oracle contract.  With stop_on_hit, xs is read no
-    further after the first hit.
-    """
-    samples = broken = 0
-    hit = False
-    for x in xs:
-        samples += 1
-        y = extend(x)
-        if y is None:
-            continue
-        z = x.union(y)
-        if len(z) <= alpha_k and membership(z):
-            best.offer(z, k)
-            hit = True
-            if stop_on_hit:
-                break
-        else:
-            broken += 1
-    return samples, hit, broken
-
-
-def _contract_warning(k: int, broken: int, samples: int) -> str:
-    return f"k={k}: oracle broke its contract on {broken} of {samples} samples"
 
 
 def run_randomized(
@@ -257,43 +260,34 @@ def run_randomized(
     """
     if cfg.deterministic:
         raise ValueError("cfg.deterministic is set; use run_deterministic")
-    start = time.perf_counter()
+    run = _Search(inst)
     alpha = exact_ratio(ext.alpha)
-    best = _Best(inst.n)
-    warnings: list[str] = []
-    total_samples = 0
     boost = exact_ratio(cfg.boost)
     population = range(inst.n)
 
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
         cost = select_t(inst.n, k, ext.alpha, ext.c)
         reps = math.ceil(boost / cost.p)
-        if cfg.max_repetitions is not None and reps > cfg.max_repetitions:
-            warnings.append(
+        alpha_k = math.floor(alpha * k)
+        # one sample decides k, so no cap degrades it, when a failed sample
+        # stands for the universe (a hit here) or X is always {} and the
+        # oracle cannot miss
+        if alpha_k >= inst.n or (cost.t == 0 and ext.success_prob == 1):
+            reps = 1
+        elif cfg.max_repetitions is not None and reps > cfg.max_repetitions:
+            run.warnings.append(
                 f"k={k}: repetitions capped at {cfg.max_repetitions} "
                 f"(needed {reps}); success guarantee degraded"
             )
             reps = cfg.max_repetitions
-        alpha_k = math.floor(alpha * k)
-        # one sample decides k when a failed sample stands for the universe
-        # (a hit here), or when X is always {} and the oracle cannot miss
-        if alpha_k >= inst.n or (cost.t == 0 and ext.success_prob == 1):
-            reps = 1
         budget = k - math.ceil(Fraction(cost.t) / alpha)
         rng = random.Random(f"{cfg.seed}:{k}:0")
         xs = (frozenset(rng.sample(population, cost.t)) for _ in range(reps))
-        samples, hit, broken = _run_k(
-            best, k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), inst.membership, True
-        )
-        total_samples += samples
-        if broken:
-            warnings.append(_contract_warning(k, broken, samples))
+        hit = run.run_k(k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), stop_on_hit=True)
         if cfg.stop_at_first and hit:
             break
 
-    return best.report(
-        inst, "randomized", ext.alpha, float(ext.c), total_samples, cfg.seed, warnings, start
-    )
+    return run.report("randomized", ext.alpha, float(ext.c), cfg.seed)
 
 
 def run_deterministic(
@@ -310,7 +304,7 @@ def run_deterministic(
     """
     if ext.success_prob != 1.0:
         raise ValueError("deterministic mode needs an oracle with success_prob == 1")
-    start = time.perf_counter()
+    run = _Search(inst)
     alpha = exact_ratio(ext.alpha)
     ts = []
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
@@ -325,30 +319,19 @@ def run_deterministic(
     if any(ts):
         _bind("families")
         check_limit(inst.n, "deterministic mode")
-    best = _Best(inst.n)
-    warnings: list[str] = []
-    total_samples = 0
     rng = random.Random(f"{cfg.seed}:deterministic")
 
     for k, t in enumerate(ts):
         r = math.ceil(t / alpha)
-        members = ((),)
+        xs = (frozenset(),)
         if t:
-            members = build_intersection_family(inst.n, k, t, r).members
+            xs = map(frozenset, build_intersection_family(inst.n, k, t, r).members)
         budget = k - r
-        samples, hit, broken = _run_k(
-            best, k, math.floor(alpha * k), map(frozenset, members),
-            lambda x: ext.extend(x, budget, rng), inst.membership, False,
-        )
-        total_samples += samples
-        if broken:
-            warnings.append(_contract_warning(k, broken, samples))
+        hit = run.run_k(k, math.floor(alpha * k), xs, lambda x: ext.extend(x, budget, rng))
         if cfg.stop_at_first and hit:
             break
 
-    return best.report(
-        inst, "deterministic", ext.alpha, float(ext.c), total_samples, cfg.seed, warnings, start
-    )
+    return run.report("deterministic", ext.alpha, float(ext.c), cfg.seed)
 
 
 def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
@@ -364,14 +347,11 @@ def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     _bind("families")
     check_limit(inst.n, "brute-force search")
-    start = time.perf_counter()
-    best = _Best(inst.n)
-    checks = 0
+    run = _Search(inst)
     for k in range(math.floor(Fraction(inst.n) / a) + 1):
         alpha_k = math.floor(a * k)
-        xs = map(frozenset, build_covering(inst.n, alpha_k, k).members)
-        checks += _run_k(best, k, alpha_k, xs, lambda x: frozenset(), inst.membership, False)[0]
-    return best.report(inst, "brute", a, None, checks, 0, (), start)
+        run.run_k(k, alpha_k, map(frozenset, build_covering(inst.n, alpha_k, k).members))
+    return run.report("brute", a, None, 0)
 
 
 def solve(

@@ -291,6 +291,17 @@ def _sha256(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _lines_without(key, tmp_path, capsys):
+    """The report lines of all three run sets, each without its key."""
+    lines = []
+    for runs in (_seeded_runs, _matching_runs, _loops_runs):
+        for line in _json_lines(runs(tmp_path), capsys):
+            report = json.loads(line)
+            del report[key]
+            lines.append(json.dumps(report, sort_keys=True))
+    return lines
+
+
 class TestGoldenReports:
     # sha256 of the seeded --json - lines below as the set-based branching
     # oracles wrote them, with one sample at each k where t = 0 and the
@@ -313,8 +324,9 @@ class TestGoldenReports:
     # sha256 of the --json - lines below as the three per-k loops wrote them
     # before they were folded into one executor: brute force, stop-at-first
     # in both modes, and a repetition cap whose warnings land in the JSON;
-    # with one sample at each k where t = 0 and the oracle is sure
-    LOOPS_DIGEST = "4de46221995a59fcae4a049dd8551c80f7528c1e9d9514cc1b9d1e0fc2f568e4"
+    # with one sample at each k where t = 0 and the oracle is sure, and no
+    # cap warning at a k that one sample decides
+    LOOPS_DIGEST = "fc1c00a7909f40c076b25d44f243ac1b864a0069f3789cabac250483a0d29f60"
 
     def test_brute_stop_and_cap_reports_are_pinned(self, tmp_path, capsys):
         lines = _json_lines(_loops_runs(tmp_path), capsys)
@@ -323,17 +335,22 @@ class TestGoldenReports:
 
     # sha256 of the three sets of lines above, each report without its
     # total_samples, as written before a t = 0 sample with a sure oracle
-    # ran once: running it once changes the sample counts and nothing else
-    REPORTS_BUT_SAMPLES_DIGEST = "f2fcc0ffff3608912836cacb66026f62fc1cb3e5bd74ba0b6ead39abfb2daec3"
+    # ran once (running it once changes the sample counts and nothing else),
+    # and with no cap warning at a k that one sample decides
+    REPORTS_BUT_SAMPLES_DIGEST = "ae9693137703087f3ea78268a1d5317172cb948f1f2a9253ce12f541de84e0a3"
 
     def test_reports_but_samples_are_pinned(self, tmp_path, capsys):
-        lines = []
-        for runs in (_seeded_runs, _matching_runs, _loops_runs):
-            for line in _json_lines(runs(tmp_path), capsys):
-                report = json.loads(line)
-                del report["total_samples"]
-                lines.append(json.dumps(report, sort_keys=True))
+        lines = _lines_without("total_samples", tmp_path, capsys)
         assert _sha256(lines) == self.REPORTS_BUT_SAMPLES_DIGEST, lines
+
+    # sha256 of the three sets of lines above, each report without its
+    # warnings, as written while a k that one sample decides still warned
+    # of a repetition cap: dropping that warning changes nothing else
+    REPORTS_BUT_WARNINGS_DIGEST = "1e3d9a194febd49a1273108e72b841094ee26dddf2b1bd0906c119918a916fcf"
+
+    def test_reports_but_warnings_are_pinned(self, tmp_path, capsys):
+        lines = _lines_without("warnings", tmp_path, capsys)
+        assert _sha256(lines) == self.REPORTS_BUT_WARNINGS_DIGEST, lines
 
     # sha256 of the bounds CSV below as the plain bisection wrote it, before
     # it skipped the divergence at midpoints outside a certified interval

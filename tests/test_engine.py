@@ -90,6 +90,13 @@ class TestRandomized:
         )
         assert rep.warnings
         assert inst.membership(frozenset(rep.solution))
+        # the matching oracle is sure and picks t = 0 at every k, so one
+        # sample decides each k and a cap of 2 degrades none of them
+        g = gen_gnp(30, 0.1, seed=3)
+        cfg = RunConfig(seed=1, max_repetitions=2)
+        rep = solve(vc_system(g), vc_matching_oracle(g), cfg)
+        assert rep.warnings == ()
+        assert rep.total_samples == 16
 
     def test_stop_at_first_still_returns_member(self):
         g = gen_gnp(10, 0.4, seed=9)
@@ -319,6 +326,8 @@ class TestBruteForce:
             opt = exhaustive_vc_opt(g)
             assert rep.size <= math.floor(alpha * opt)
             assert inst.membership(frozenset(rep.solution))
+            # covering members that are no cover are plain misses
+            assert rep.warnings == ()
 
     def test_limit(self):
         g = gen_gnp(16, 0.2, seed=2)
