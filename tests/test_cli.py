@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -14,7 +15,16 @@ import pytest
 
 import amls
 from amls.cli import main
-from amls.problems import gen_gnp
+from amls.engine import RunConfig, brute_force_search, solve
+from amls.problems import (
+    Hypergraph3,
+    gen_gnp,
+    hs3_exact_oracle,
+    hs3_system,
+    vc_exact_oracle,
+    vc_matching_oracle,
+    vc_system,
+)
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 K3_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -278,6 +288,38 @@ def _loops_runs(tmp_path):
     return runs
 
 
+def _corpus_reports():
+    """A seeded corpus of 200 small runs: VC and 3-HS, n <= 14, all three
+    modes, alpha in {1, 4/3, 1.5, 2}, some capped or stopping at the first hit."""
+    rng = random.Random(17)
+    for i in range(200):
+        n = rng.randint(3, 14)
+        alpha = rng.choice((1.0, 4 / 3, 1.5, 2.0))
+        mode = rng.choice(("randomized", "deterministic", "brute"))
+        if rng.random() < 0.5:
+            g = gen_gnp(n, rng.choice((0.2, 0.35, 0.5)), seed=i)
+            inst = vc_system(g)
+            matching = alpha == 2.0 and rng.random() < 0.5
+            oracle = vc_matching_oracle(g) if matching else vc_exact_oracle(g)
+        else:
+            triples = list(combinations(range(n), 3))
+            m = min(len(triples), rng.randint(n, 2 * n))
+            h = Hypergraph3(n, tuple(rng.sample(triples, m)))
+            inst, oracle = hs3_system(h), hs3_exact_oracle(h)
+        cap = rng.choice((None, None, None, 1, 2, 5))
+        stop = rng.random() < 0.25
+        if mode == "brute":
+            yield brute_force_search(inst, alpha)
+        else:
+            cfg = RunConfig(
+                seed=i,
+                max_repetitions=cap,
+                deterministic=mode == "deterministic",
+                stop_at_first=stop,
+            )
+            yield solve(inst, replace(oracle, alpha=alpha), cfg)
+
+
 def _json_lines(runs, capsys):
     """The --json - report line of each CLI call."""
     lines = []
@@ -291,14 +333,21 @@ def _sha256(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _lines_without(key, tmp_path, capsys):
-    """The report lines of all three run sets, each without its key."""
+def _without(keys, reports):
+    """Each JSON report line without the given keys."""
+    lines = []
+    for report in reports:
+        for key in keys:
+            del report[key]
+        lines.append(json.dumps(report, sort_keys=True))
+    return lines
+
+
+def _lines_without(keys, tmp_path, capsys):
+    """The report lines of all three run sets, each without the given keys."""
     lines = []
     for runs in (_seeded_runs, _matching_runs, _loops_runs):
-        for line in _json_lines(runs(tmp_path), capsys):
-            report = json.loads(line)
-            del report[key]
-            lines.append(json.dumps(report, sort_keys=True))
+        lines += _without(keys, map(json.loads, _json_lines(runs(tmp_path), capsys)))
     return lines
 
 
@@ -340,7 +389,7 @@ class TestGoldenReports:
     REPORTS_BUT_SAMPLES_DIGEST = "ae9693137703087f3ea78268a1d5317172cb948f1f2a9253ce12f541de84e0a3"
 
     def test_reports_but_samples_are_pinned(self, tmp_path, capsys):
-        lines = _lines_without("total_samples", tmp_path, capsys)
+        lines = _lines_without(("total_samples",), tmp_path, capsys)
         assert _sha256(lines) == self.REPORTS_BUT_SAMPLES_DIGEST, lines
 
     # sha256 of the three sets of lines above, each report without its
@@ -349,8 +398,20 @@ class TestGoldenReports:
     REPORTS_BUT_WARNINGS_DIGEST = "1e3d9a194febd49a1273108e72b841094ee26dddf2b1bd0906c119918a916fcf"
 
     def test_reports_but_warnings_are_pinned(self, tmp_path, capsys):
-        lines = _lines_without("warnings", tmp_path, capsys)
+        lines = _lines_without(("warnings",), tmp_path, capsys)
         assert _sha256(lines) == self.REPORTS_BUT_WARNINGS_DIGEST, lines
+
+    # sha256 of the three sets of lines above and of the seeded corpus, each
+    # report without both total_samples and warnings, recorded before a k
+    # whose every X is larger than the best member was skipped
+    REPORTS_BUT_BOTH_DIGEST = "14f34a471974401659370eafa5b40140603dd94f309a4e765f46c33c895f19a1"
+
+    def test_reports_but_samples_and_warnings_are_pinned(self, tmp_path, capsys):
+        keys = ("total_samples", "warnings")
+        lines = _lines_without(keys, tmp_path, capsys)
+        lines += _without(keys, (r.to_json_dict() for r in _corpus_reports()))
+        assert len(lines) == 18 + 200
+        assert _sha256(lines) == self.REPORTS_BUT_BOTH_DIGEST
 
     # sha256 of the bounds CSV below as the plain bisection wrote it, before
     # it skipped the divergence at midpoints outside a certified interval
