@@ -23,9 +23,9 @@ member of the family:
                       unconditional alpha-approximation, gated by
                       families.LIMIT when some k needs a family.
   brute_force_search  no oracle at all: for each k test every member of an
-                      (n, floor(alpha*k), k)-covering; unconditional
-                      alpha-approximation by monotonicity, gated by
-                      families.LIMIT.
+                      (n, floor(alpha*k), k)-covering, up to the first k
+                      that hits; unconditional alpha-approximation by
+                      monotonicity, gated by families.LIMIT.
 
 Both search modes pick t with the same combinatorics.argmin_t; they differ
 only in the factor it weighs c^(k - t/alpha) by (1/p or kappa).
@@ -36,7 +36,13 @@ is extended, checked (|X u Y| <= floor(alpha*k) and membership), offered
 to the best and counted.  The modes differ only in the X source (random
 t-subsets, family members, covering members), the extension (the oracle
 with budget k - ceil(t/alpha), or none in brute force) and stopping
-(randomized stops at its first hit; the others visit every X).
+(randomized stops at its first hit; the others visit every X).  Before a k
+builds a family or covering, draws a sample or records a warning, each
+mode asks _Search.can_improve whether that k's X are small enough to
+matter: every Z contains its X, so a k whose X all have more elements than
+the best member cannot change the report, and it is skipped.  Only
+total_samples and warnings differ from visiting it; in brute force, where
+|X| = floor(alpha*k) grows with k, the first k that hits is the last.
 
 Reproducibility: the iteration for target size k draws from one generator
 seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
@@ -195,6 +201,14 @@ class _Search:
         self.warnings: list[str] = []
         self.start = time.perf_counter()
 
+    def can_improve(self, x_size: int) -> bool:
+        """Whether a k whose every X has x_size elements can change the best.
+
+        Every Z contains its X, so no Z of such a k is smaller than a best
+        member with fewer than x_size elements; such a k is skipped.
+        """
+        return x_size <= self.key[0]
+
     def run_k(self, k, alpha_k, xs, extend=None, stop_on_hit=False) -> bool:
         """Run every X in xs for target size k; return whether one hit.
 
@@ -267,6 +281,8 @@ def run_randomized(
 
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
         cost = select_t(inst.n, k, ext.alpha, ext.c)
+        if not run.can_improve(cost.t):
+            continue
         reps = math.ceil(boost / cost.p)
         alpha_k = math.floor(alpha * k)
         # one sample decides k, so no cap degrades it, when a failed sample
@@ -322,6 +338,8 @@ def run_deterministic(
     rng = random.Random(f"{cfg.seed}:deterministic")
 
     for k, t in enumerate(ts):
+        if not run.can_improve(t):
+            continue
         r = math.ceil(t / alpha)
         xs = (frozenset(),)
         if t:
@@ -350,6 +368,8 @@ def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
     run = _Search(inst)
     for k in range(math.floor(Fraction(inst.n) / a) + 1):
         alpha_k = math.floor(a * k)
+        if not run.can_improve(alpha_k):  # and no later k can: alpha_k grows
+            break
         run.run_k(k, alpha_k, map(frozenset, build_covering(inst.n, alpha_k, k).members))
     return run.report("brute", a, None, 0)
 

@@ -354,9 +354,11 @@ def _lines_without(keys, tmp_path, capsys):
 class TestGoldenReports:
     # sha256 of the seeded --json - lines below as the set-based branching
     # oracles wrote them, with one sample at each k where t = 0 and the
-    # oracle is sure; the deterministic VC run uses G(14, 0.3) because
-    # families.LIMIT is 14
-    DIGEST = "6676371ed2e9c60260d8971638f5765e7604d45cd833ebb80234d8aace71a6f0"
+    # oracle is sure and none at a k whose X are all larger than the best
+    # (vc16 26 -> 23 and 27 -> 24, hs14 23 -> 17 twice, deterministic vc14
+    # 120 -> 94 and hs14 623 -> 187 samples; nothing else moved); the
+    # deterministic VC run uses G(14, 0.3) because families.LIMIT is 14
+    DIGEST = "e1e66b466925cc70b597fbafa52eea6c1e390525a6a4f86465959fbf131541d3"
 
     def test_seeded_reports_are_pinned(self, tmp_path, capsys):
         lines = _json_lines(_seeded_runs(tmp_path), capsys)
@@ -374,8 +376,11 @@ class TestGoldenReports:
     # before they were folded into one executor: brute force, stop-at-first
     # in both modes, and a repetition cap whose warnings land in the JSON;
     # with one sample at each k where t = 0 and the oracle is sure, and no
-    # cap warning at a k that one sample decides
-    LOOPS_DIGEST = "fc1c00a7909f40c076b25d44f243ac1b864a0069f3789cabac250483a0d29f60"
+    # cap warning at a k that one sample decides; brute stops after its
+    # first hit (vc14 615 -> 590 and 16384 -> 12911, hs14 615 -> 262 and
+    # 16384 -> 6476 samples) and the capped run skips k = 9..13 (16 -> 10
+    # samples, 9 -> 4 warnings); nothing else moved
+    LOOPS_DIGEST = "0158c5ec94494d3803109903af6ffd689a6e49c52c8447b0f6a17e7d2f458ed8"
 
     def test_brute_stop_and_cap_reports_are_pinned(self, tmp_path, capsys):
         lines = _json_lines(_loops_runs(tmp_path), capsys)
@@ -385,8 +390,9 @@ class TestGoldenReports:
     # sha256 of the three sets of lines above, each report without its
     # total_samples, as written before a t = 0 sample with a sure oracle
     # ran once (running it once changes the sample counts and nothing else),
-    # and with no cap warning at a k that one sample decides
-    REPORTS_BUT_SAMPLES_DIGEST = "ae9693137703087f3ea78268a1d5317172cb948f1f2a9253ce12f541de84e0a3"
+    # with no cap warning at a k that one sample decides, and none at the
+    # k's 9..13 that the capped run skips
+    REPORTS_BUT_SAMPLES_DIGEST = "2bfa3815b45da71cc2f309d79cfea7017111cac2aa6cf3bb2c7c514c73368b3a"
 
     def test_reports_but_samples_are_pinned(self, tmp_path, capsys):
         lines = _lines_without(("total_samples",), tmp_path, capsys)
@@ -394,8 +400,10 @@ class TestGoldenReports:
 
     # sha256 of the three sets of lines above, each report without its
     # warnings, as written while a k that one sample decides still warned
-    # of a repetition cap: dropping that warning changes nothing else
-    REPORTS_BUT_WARNINGS_DIGEST = "1e3d9a194febd49a1273108e72b841094ee26dddf2b1bd0906c119918a916fcf"
+    # of a repetition cap: dropping that warning changes nothing else; with
+    # the sample counts of the skipped k's taken out, as in DIGEST and
+    # LOOPS_DIGEST
+    REPORTS_BUT_WARNINGS_DIGEST = "67da62e6d1b5698fb9462e104a16848e46772b02ab1b1fcad8cd253ebb5cbeed"
 
     def test_reports_but_warnings_are_pinned(self, tmp_path, capsys):
         lines = _lines_without(("warnings",), tmp_path, capsys)
@@ -403,7 +411,8 @@ class TestGoldenReports:
 
     # sha256 of the three sets of lines above and of the seeded corpus, each
     # report without both total_samples and warnings, recorded before a k
-    # whose every X is larger than the best member was skipped
+    # whose every X is larger than the best member was skipped: skipping it
+    # changes those two fields and nothing else
     REPORTS_BUT_BOTH_DIGEST = "14f34a471974401659370eafa5b40140603dd94f309a4e765f46c33c895f19a1"
 
     def test_reports_but_samples_and_warnings_are_pinned(self, tmp_path, capsys):

@@ -4,11 +4,13 @@ import json
 import math
 import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
+import amls.engine as engine
+from amls import families
 from amls.combinatorics import select_t
 from amls.engine import (
     ExtensionOracle,
@@ -175,25 +177,30 @@ class TestStatistics:
 
     def test_sampler_uniformity_chi_square(self):
         # the 3-subsets of a 6-universe that run_randomized draws at k = 3,
-        # where c = 1024 picks t = 3 with p = 1/20, so boost 5000 asks for
-        # exactly 10^5 of them; reject only below significance 0.001
-        cost = select_t(6, 3, 1.0, 1024.0)
-        assert (cost.t, cost.p) == (3, Fraction(1, 20))
+        # where c = 4.5 picks t = 3 with p = 1/20, so boost 5000 asks for
+        # exactly 10^5 of them; reject only below significance 0.001.  No
+        # earlier k may hit, or k = 3 could not beat the best and would be
+        # skipped: k = 0, 1 pick t = 0 (one sample each) and k = 2 t = 1
+        # (p = 1/3, 15 000 samples), all misses
+        costs = [select_t(6, k, 1.0, 4.5) for k in range(5)]
+        assert [c.t for c in costs] == [0, 0, 1, 3, 4]
+        assert (costs[2].p, costs[3].p) == (Fraction(1, 3), Fraction(1, 20))
         draws: list[frozenset] = []
 
         def recording_extend(x, k, rng):
-            # every other k picks t = k and stops at its first sample
-            if len(x) != 3:
-                return frozenset()
-            draws.append(x)
-            return None
+            # misses up to |X| = 3; k = 4 (t = 4) hits at once, and every
+            # later k (t > 4) is skipped
+            if len(x) == 3:
+                draws.append(x)
+            return None if len(x) <= 3 else frozenset()
 
         recorder = ExtensionOracle(
-            alpha=1.0, c=1024.0, success_prob=1.0, extend=recording_extend
+            alpha=1.0, c=4.5, success_prob=1.0, extend=recording_extend
         )
-        inst = MonotoneInstance(n=6, membership=lambda s: True)
+        inst = MonotoneInstance(n=6, membership=lambda s: len(s) >= 3)
         rep = run_randomized(inst, recorder, RunConfig(seed=12345, boost=5000.0))
-        assert rep.total_samples == 100_006
+        assert (rep.size, rep.k_found) == (4, 4)
+        assert rep.total_samples == 1 + 1 + 15_000 + 100_000 + 1
         assert len(draws) == 100_000
         counts: dict[frozenset, int] = {}
         for x in draws:
@@ -502,6 +509,75 @@ class TestFailedSamples:
         rep = run_deterministic(inst, self.NEVER)
         assert rep.total_samples == 20
         assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
+
+
+class TestSkippedK:
+    # every Z contains its X, so a k whose X all have more elements than the
+    # best member cannot change the report and runs no X.  The instance
+    # below tracks the best size as the engine sees it: membership is asked
+    # only of a Z small enough for its k, so each true answer is a hit.
+    G = gen_gnp(12, 0.3, seed=5)
+
+    def _tracked(self):
+        inst = vc_system(self.G)
+        best = [inst.n]
+
+        def membership(s):
+            member = inst.membership(s)
+            if member:
+                best[0] = min(best[0], len(s))
+            return member
+
+        return replace(inst, membership=membership), best
+
+    @pytest.mark.parametrize("alpha, ks", [(1.0, 8), (1.5, 6)])
+    def test_brute_builds_no_covering_past_its_first_hit(self, alpha, ks, monkeypatch):
+        built = []
+
+        def build(n, t, k):
+            built.append(k)
+            return families.build_covering(n, t, k)
+
+        # the families layer binds with setdefault, so the wrapper stays
+        monkeypatch.setattr(engine, "build_covering", build)
+        rep = brute_force_search(vc_system(self.G), alpha)
+        assert built == list(range(rep.k_found + 1)) == list(range(ks))
+        assert rep.k_found < math.floor(12 / alpha)
+
+    @pytest.mark.parametrize("alpha, sizes", [(1.0, [2, 4, 6]), (1.5, [6, 9, 9])])
+    def test_deterministic_builds_no_family_larger_than_the_best(
+        self, alpha, sizes, monkeypatch
+    ):
+        inst, best = self._tracked()
+        built = []
+
+        def build(n, p, q, r, strong=False):
+            assert q <= best[0]
+            built.append(q)
+            return families.build_intersection_family(n, p, q, r, strong)
+
+        monkeypatch.setattr(engine, "build_intersection_family", build)
+        rep = run_deterministic(inst, replace(vc_exact_oracle(self.G), alpha=alpha))
+        # alpha 1 skips k = 10..12 (t = 8, 10, 12 > 7) and alpha 1.5 k = 8
+        # (t = 12 > 9)
+        assert built == sizes
+        assert rep.size == best[0] and inst.membership(frozenset(rep.solution))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_randomized_extends_no_x_larger_than_the_best(self, alpha):
+        inst, best = self._tracked()
+        oracle = replace(vc_exact_oracle(self.G), alpha=alpha)
+        seen = set()
+
+        def extend(x, k, rng):
+            assert len(x) <= best[0]
+            seen.add(len(x))
+            return oracle.extend(x, k, rng)
+
+        rep = run_randomized(inst, replace(oracle, extend=extend), RunConfig(seed=1))
+        ts = {select_t(12, k, alpha, 2.0).t for k in range(math.floor(12 / alpha) + 1)}
+        assert max(ts) > rep.size == best[0]  # some k was skipped
+        assert seen == {t for t in ts if t <= rep.size}
 
 
 class TestExhaustiveMinimum:
