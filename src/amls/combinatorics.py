@@ -203,6 +203,14 @@ def _decimal_ln(x: Fraction) -> Decimal:
     return Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
 
 
+@lru_cache(maxsize=None)
+def _tie_ln_c(c_exact: Fraction) -> Decimal:
+    """_decimal_ln(c) at _TIE_DIGITS digits, computed once per c."""
+    with localcontext() as ctx:
+        ctx.prec = _TIE_DIGITS
+        return _decimal_ln(c_exact)
+
+
 def _cost_less(
     c_exact: Fraction, a: Fraction, t1: int, f1: Fraction, t2: int, f2: Fraction
 ) -> bool:
@@ -216,7 +224,7 @@ def _cost_less(
     with localcontext() as ctx:
         ctx.prec = _TIE_DIGITS
         shift = Fraction(t1 - t2) / a
-        gap = Decimal(shift.numerator) / shift.denominator * _decimal_ln(c_exact)
+        gap = Decimal(shift.numerator) / shift.denominator * _tie_ln_c(c_exact)
         return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > _TIE_MARGIN
 
 

@@ -116,10 +116,10 @@ class ExtensionOracle:
     name: str = "oracle"
 
     def __post_init__(self) -> None:
-        if not float(self.alpha) >= 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if not float(self.c) >= 1.0:
-            raise ValueError(f"c must be >= 1, got {self.c}")
+        if not 1.0 <= float(self.alpha) < math.inf:
+            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
+        if not 1.0 <= float(self.c) < math.inf:
+            raise ValueError(f"c must be finite and >= 1, got {self.c}")
         if not 0.0 < self.success_prob <= 1.0:
             raise ValueError(f"success_prob must be in (0, 1], got {self.success_prob}")
 
@@ -147,10 +147,11 @@ class RunConfig:
     stop_at_first: bool = False
 
     def __post_init__(self) -> None:
-        if not self.boost >= 1.0:
-            raise ValueError(f"boost must be >= 1, got {self.boost}")
-        if self.max_repetitions is not None and self.max_repetitions < 1:
-            raise ValueError(f"max_repetitions must be >= 1, got {self.max_repetitions}")
+        if not 1.0 <= self.boost < math.inf:
+            raise ValueError(f"boost must be finite and >= 1, got {self.boost}")
+        cap = self.max_repetitions
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+            raise ValueError(f"max_repetitions must be an int >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)

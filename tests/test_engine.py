@@ -596,7 +596,16 @@ class TestExhaustiveMinimum:
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(boost=0.5), dict(max_repetitions=0), dict(boost=math.nan)],
+        [
+            dict(boost=0.5),
+            dict(max_repetitions=0),
+            dict(boost=math.nan),
+            # each passed construction and failed mid-run or ran oddly
+            dict(boost=math.inf),
+            dict(max_repetitions=2.5),
+            dict(max_repetitions=True),
+            dict(max_repetitions="2"),
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -617,3 +626,10 @@ class TestConfigValidation:
             ExtensionOracle(alpha=1, c=0.5, success_prob=1, extend=lambda x, k, r: None)
         with pytest.raises(ValueError):
             ExtensionOracle(alpha=1, c=2, success_prob=0, extend=lambda x, k, r: None)
+        for alpha, c in ((math.inf, 2), (1, math.inf), (math.nan, 2), (1, math.nan)):
+            with pytest.raises(ValueError):
+                ExtensionOracle(alpha=alpha, c=c, success_prob=1, extend=lambda x, k, r: None)
+
+    def test_valid_edges(self):
+        assert RunConfig(boost=1, max_repetitions=1).max_repetitions == 1
+        assert ExtensionOracle(1, 1, 1, lambda x, k, r: None).c == 1
