@@ -41,8 +41,10 @@ builds a family or covering, draws a sample or records a warning, each
 mode asks _Search.can_improve whether that k's X are small enough to
 matter: every Z contains its X, so a k whose X all have more elements than
 the best member cannot change the report, and it is skipped.  Only
-total_samples and warnings differ from visiting it; in brute force, where
-|X| = floor(alpha*k) grows with k, the first k that hits is the last.
+total_samples and warnings differ from visiting it (in deterministic mode,
+whose k's share one generator, for an oracle whose answers do not depend
+on it, as with every shipped oracle).  In brute force, where |X| =
+floor(alpha*k) grows with k, the first k that hits is the last.
 
 Reproducibility: the iteration for target size k draws from one generator
 seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
@@ -132,12 +134,14 @@ class RunConfig:
     for target size k from a generator seeded with "seed:k:0", and
     deterministic mode hands its oracle one seeded "seed:deterministic".
     deterministic makes solve run run_deterministic; run_randomized rejects
-    it.  boost multiplies the baseline ceil(1/p) repetition count, pushing
-    the per-k failure probability below exp(-boost * success_prob).
-    max_repetitions caps the repetitions of each k that needs more than one
-    sample; a capped k records a warning, as its success guarantee degrades.
-    stop_at_first returns at the first k whose iteration finds a set of
-    size <= alpha * k instead of finishing the loop.
+    it.  boost, finite and >= 1, multiplies the baseline ceil(1/p)
+    repetition count, pushing the per-k failure probability below
+    exp(-boost * success_prob).  max_repetitions, an int >= 1, caps the
+    repetitions of each k that runs and needs more than one sample; a
+    capped k records a warning, as its success guarantee degrades.  A k
+    skipped because its samples cannot beat the best member is never
+    capped.  stop_at_first returns at the first k whose iteration finds a
+    set of size <= alpha * k instead of finishing the loop.
     """
 
     seed: int = 0
@@ -159,11 +163,13 @@ class RunReport:
     """Outcome of one solving run.
 
     k_found is the loop index whose iteration produced the final solution,
-    or -1 if nothing smaller than the full universe was found.  warnings
-    names each k whose repetitions were capped and each k on which the
-    oracle broke the contract: it returned a Y with X u Y not a member or
-    larger than alpha * k.  Such samples count as misses.  elapsed is
-    wall-clock seconds and is excluded from the JSON form.
+    or -1 if nothing smaller than the full universe was found.
+    total_samples counts the X handled over all k; a k whose X all have
+    more elements than the best member found before it is skipped and adds
+    none.  warnings names each k whose repetitions were capped and each k
+    on which the oracle broke the contract: it returned a Y with X u Y not
+    a member or larger than alpha * k.  Such samples count as misses.
+    elapsed is wall-clock seconds and is excluded from the JSON form.
     """
 
     instance: str
@@ -203,11 +209,8 @@ class _Search:
         self.start = time.perf_counter()
 
     def can_improve(self, x_size: int) -> bool:
-        """Whether a k whose every X has x_size elements can change the best.
-
-        Every Z contains its X, so no Z of such a k is smaller than a best
-        member with fewer than x_size elements; such a k is skipped.
-        """
+        """Whether a k whose X all have x_size elements can change the best:
+        every Z contains its X, so none has fewer than x_size elements."""
         return x_size <= self.key[0]
 
     def run_k(self, k, alpha_k, xs, extend=None, stop_on_hit=False) -> bool:
@@ -268,7 +271,8 @@ def run_randomized(
     """Randomized approximate search (sampling mode).
 
     For each k in [0, floor(n/alpha)] picks the cost-minimizing sample size,
-    runs ceil(boost / p) sample-then-extend attempts, and finally returns
+    runs ceil(boost / p) sample-then-extend attempts (none when that size
+    exceeds the best member found so far), and finally returns
     the smallest member seen across all k (the full universe if none beat
     it).  With boost = 1 the returned size is <= alpha * OPT with
     probability >= 1 - exp(-success_prob); boost multiplies the exponent.
@@ -315,7 +319,8 @@ def run_deterministic(
     For each k, iterates the sample step over every member of a weak
     (n, k, t, ceil(t/alpha))-set-intersection family instead of sampling, so
     the alpha-approximation guarantee holds unconditionally.  A k with t = 0
-    iterates X = {} alone.  Every k's t is chosen first, and the run is
+    iterates X = {} alone, and a k whose t exceeds the best member found so
+    far builds no family.  Every k's t is chosen first, and the run is
     rejected before any oracle call if n exceeds families.LIMIT and some
     t >= 1 needs a family; at c == 1 every t is 0, so any n runs.
     """
@@ -358,8 +363,9 @@ def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
 
     For each k tests every member of an (n, floor(alpha*k), k)-covering for
     membership; by monotonicity some member contains an optimum once
-    k = OPT, so the result has size at most floor(alpha * OPT).  Y is always
-    empty, so a non-member is a plain miss, not a broken contract.
+    k = OPT, so the result has size at most floor(alpha * OPT).  The first
+    k that hits is the last: later members are larger than its hit.  Y is
+    always empty, so a non-member is a plain miss, not a broken contract.
     """
     a = exact_ratio(alpha)
     if a < 1:
