@@ -7,7 +7,6 @@ Subcommands:
             instance file
   brute     covering-driven approximate search (no extension oracle)
   families  build and print a set-intersection family or covering
-  verify    run the built-in invariant suites
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (bad input file,
 construction limit exceeded, failed verification).  stdout carries data;
@@ -36,12 +35,8 @@ _LAYERS = {
         "hs3_exact_oracle", "hs3_system", "parse_graph", "parse_hypergraph",
         "vc_exact_oracle", "vc_matching_oracle", "vc_system",
     ),
-    "verification": ("run_suites",),
 }
 _bind, __getattr__ = _lazy(globals(), _LAYERS)
-
-# sorted(verification.SUITES), kept here so that parsing loads no layer
-SUITE_NAMES = ("combinatorics", "engine", "exponents", "families", "problems")
 
 PRESETS = {
     "vc-1.1": ([1.1], [1.1652]),  # 1.1-approximate vertex cover extension base
@@ -115,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="covered subset size (covering)")
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     p.set_defaults(func=_cmd_families)
-
-    p = sub.add_parser("verify", help="run the built-in invariant suites")
-    p.add_argument("--suite", choices=[*SUITE_NAMES, "all"], default="all")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -245,19 +236,6 @@ def _cmd_families(args) -> int:
         return 2
     print(f"verified: {len(family.members)} members", file=sys.stderr)
     return 0
-
-
-def _cmd_verify(args) -> int:
-    _bind("verification")
-    failures = 0
-    for suite_name, checks in run_suites(args.suite):
-        for name, ok, detail in checks:
-            status = "ok" if ok else "FAIL"
-            suffix = f" ({detail})" if detail else ""
-            print(f"{status:4s} {suite_name}: {name}{suffix}")
-            failures += 0 if ok else 1
-    print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) FAILED'}")
-    return 0 if failures == 0 else 2
 
 
 def main(argv=None) -> int:

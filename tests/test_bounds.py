@@ -143,7 +143,9 @@ class TestAmlsBound:
         assert abs(amls_bound(alpha, 1e9) - brute_bound(alpha)) <= 1e-3
 
     def test_bit_identical_repeats(self):
-        for alpha, c in [(1.0, 2.0), (1.3, 1.7), (2.0, 1024.0)]:
+        pairs = [(1.0, 2.0), (1.3, 1.7), (2.0, 1024.0)]
+        pairs += [(alpha, c) for alpha in (1.0, 1.3, 2.0) for c in (1.5, 7.0)]
+        for alpha, c in pairs:
             assert amls_bound(alpha, c) == amls_bound(alpha, c)
 
     def test_invalid_queries(self):

@@ -497,17 +497,6 @@ class TestFamilies:
         assert rc == 2
 
 
-class TestVerify:
-    def test_single_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "exponents"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "all checks passed" in out
-
-    def test_unknown_suite_rejected(self):
-        assert main(["verify", "--suite", "nonsense"]) == 1
-
-
 class TestImport:
     def test_cli_import_does_not_load_numpy(self):
         proc = subprocess.run(
@@ -559,7 +548,7 @@ PACKAGE_EXPORTS = {
                 "hs3_system parse_graph parse_hypergraph vc_exact_oracle vc_matching_oracle "
                 "vc_system",
 }
-LAYERS = ("bounds", "combinatorics", "engine", "families", "problems", "verification")
+LAYERS = ("bounds", "combinatorics", "engine", "families", "problems")
 
 # runs one CLI call, then prints the loaded amls modules as the last stderr line
 _LIST_MODULES = (
@@ -626,7 +615,7 @@ class TestImportSet:
         rc, modules, err = _cli_modules("solve", "--problem", "vc", "--input", p3_file, *flags)
         assert rc == 0, err
         assert {"amls.engine", "amls.problems"} <= set(modules)
-        assert not {"amls.families", "amls.bounds", "amls.verification"} & set(modules)
+        assert not {"amls.families", "amls.bounds"} & set(modules)
 
     def test_families_loads_only_families(self):
         rc, modules, err = _cli_modules("families", "--kind", "covering", "--n", "4",
@@ -639,7 +628,7 @@ class TestImportSet:
                                         "--alpha", "2")
         assert rc == 0, err
         assert "amls.families" in modules
-        assert not {"amls.bounds", "amls.verification"} & set(modules)
+        assert "amls.bounds" not in modules
 
     @pytest.mark.parametrize(
         "argv",
@@ -676,12 +665,6 @@ class TestImportSet:
         for module in (amls, cli, engine):
             with pytest.raises(AttributeError):
                 module.no_such_name
-
-    def test_verify_suite_choices_match_the_suites(self):
-        import amls.cli as cli
-        from amls.verification import SUITES
-
-        assert list(cli.SUITE_NAMES) == sorted(SUITES)
 
 
 class TestLazyBinding:
@@ -825,7 +808,7 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         for args in (["--help"], ["bounds", "--help"], ["solve", "--help"],
-                     ["families", "--help"], ["verify", "--help"], ["brute", "--help"]):
+                     ["families", "--help"], ["brute", "--help"]):
             assert main(args) == 0
             assert "usage" in capsys.readouterr().out
 
@@ -833,9 +816,17 @@ class TestTopLevel:
         assert main(["frobnicate"]) == 1
 
     def test_bench_is_usage_error(self, capsys):
-        # success fractions are checked by `verify --suite engine`
+        # success fractions are checked by test_acceptance's criterion 4b
         assert main(["bench", "--preset", "small-vc"]) == 1
         assert capsys.readouterr().out == ""
+
+    def test_verify_is_usage_error(self, capsys):
+        # its checks are the tier-1 tests: test_acceptance and the module tests
+        for args in (["verify"], ["verify", "--suite", "all"]):
+            assert main(args) == 1
+            assert capsys.readouterr().out == ""
+        assert main(["--help"]) == 0
+        assert "verify" not in capsys.readouterr().out
 
     def test_limit_flags_are_usage_errors(self, p3_file, capsys):
         # the universe-size limit is the constant families.LIMIT

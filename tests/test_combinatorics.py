@@ -465,6 +465,23 @@ class TestRelaxedLogCost:
             assert e == pytest.approx(kl, abs=1e-9), (n, k, t, alpha, c)
             cases += 1
 
+    def test_forms_agree_on_a_grid(self):
+        # every third t and every fifth feasible k, from k's lower edge
+        cases = 0
+        for n in (20, 50, 90):
+            for alpha in (1.0, 1.5, 2.0):
+                a = exact_ratio(alpha)
+                for t in range(0, n - 1, 3):
+                    k_lo = math.ceil(Fraction(t) / a)
+                    k_hi = min(n, math.floor(n - t + Fraction(t) / a))
+                    for k in range(k_lo, k_hi + 1, 5):
+                        for c in (1.3, 4.0):
+                            e = relaxed_log_cost(n, k, t, alpha, c, "entropy")
+                            kl = relaxed_log_cost(n, k, t, alpha, c, "kl")
+                            assert e == pytest.approx(kl, abs=1e-9), (n, k, t, alpha, c)
+                            cases += 1
+        assert cases == 2484
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             relaxed_log_cost(10, 7, 8, 2, 2)  # density (7-4)/2 above 1

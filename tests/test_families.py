@@ -325,7 +325,7 @@ class TestSizeBound:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("n,t,k", [(4, 3, 2), (6, 4, 2), (5, 3, 1)])
+    @pytest.mark.parametrize("n,t,k", COVERING_PARAMS)
     def test_covering_round_trip_is_bit_exact(self, n, t, k):
         family = build_covering(n, t, k)
         text = family_to_text(family)
@@ -339,6 +339,13 @@ class TestSerialization:
         family = build_intersection_family(7, 3, 4, 2, strong=True)
         parsed = family_from_text(family_to_text(family))
         assert parsed == family  # verified flag is excluded from equality
+
+    @pytest.mark.parametrize("n,p,q,r,strong", INTERSECTION_PARAMS)
+    def test_every_intersection_family_round_trips(self, n, p, q, r, strong):
+        family = build_intersection_family(n, p, q, r, strong=strong)
+        text = family_to_text(family)
+        assert family_from_text(text) == family
+        assert family_to_text(family_from_text(text)) == text
 
     def test_header_format(self):
         family = build_covering(4, 3, 2)
