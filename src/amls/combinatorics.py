@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -141,8 +141,7 @@ def hyper_symmetry_check(n: int, k: int, t: int, x: int) -> bool:
     return hyper_tail(n, k, t, x) == hyper_tail(n, t, k, x)
 
 
-@dataclass(frozen=True)
-class IterationCost:
+class IterationCost(namedtuple("IterationCost", "t log_cost p repetitions")):
     """Cost profile of one sample size t for a given (n, k, alpha, c).
 
     log_cost = (k - t/alpha) * ln(c) - ln(p) where p is the exact success
@@ -150,10 +149,7 @@ class IterationCost:
     samples needed for constant success probability.
     """
 
-    t: int
-    log_cost: float
-    p: Fraction
-    repetitions: int
+    __slots__ = ()
 
 
 def _log_fraction(p: Fraction) -> float:

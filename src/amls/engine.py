@@ -63,7 +63,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -126,8 +127,9 @@ class ExtensionOracle:
             raise ValueError(f"success_prob must be in (0, 1], got {self.success_prob}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(
+    namedtuple("RunConfig", "seed boost max_repetitions deterministic stop_at_first")
+):
     """Knobs for a solving run.
 
     seed names the run's random streams: randomized mode draws the samples
@@ -141,25 +143,34 @@ class RunConfig:
     capped k records a warning, as its success guarantee degrades.  A k
     skipped because its samples cannot beat the best member is never
     capped.  stop_at_first returns at the first k whose iteration finds a
-    set of size <= alpha * k instead of finishing the loop.
+    set of size <= alpha * k instead of finishing the loop.  Immutable;
+    validated on construction.
     """
 
-    seed: int = 0
-    boost: float = 3.0
-    max_repetitions: Optional[int] = None
-    deterministic: bool = False
-    stop_at_first: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.boost < math.inf:
-            raise ValueError(f"boost must be finite and >= 1, got {self.boost}")
-        cap = self.max_repetitions
+    def __new__(
+        cls,
+        seed: int = 0,
+        boost: float = 3.0,
+        max_repetitions: Optional[int] = None,
+        deterministic: bool = False,
+        stop_at_first: bool = False,
+    ):
+        if not 1.0 <= boost < math.inf:
+            raise ValueError(f"boost must be finite and >= 1, got {boost}")
+        cap = max_repetitions
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise ValueError(f"max_repetitions must be an int >= 1, got {cap!r}")
+        return super().__new__(cls, seed, boost, cap, deterministic, stop_at_first)
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(
+    namedtuple(
+        "RunReport",
+        "instance n alpha c mode solution size k_found total_samples seed warnings elapsed",
+    )
+):
     """Outcome of one solving run.
 
     k_found is the loop index whose iteration produced the final solution,
@@ -172,21 +183,10 @@ class RunReport:
     elapsed is wall-clock seconds and is excluded from the JSON form.
     """
 
-    instance: str
-    n: int
-    alpha: float
-    c: Optional[float]
-    mode: str
-    solution: tuple[int, ...]
-    size: int
-    k_found: int
-    total_samples: int
-    seed: int
-    warnings: tuple[str, ...]
-    elapsed: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed"}
+        data = {name: getattr(self, name) for name in self._fields if name != "elapsed"}
         return dict(data, solution=list(self.solution), warnings=list(self.warnings))
 
     def to_json(self) -> str:
@@ -420,7 +420,7 @@ def success_rate(
     alpha = exact_ratio(ext.alpha)
     successes = 0
     for i in range(trials):
-        report = solve(inst, ext, replace(cfg, seed=cfg.seed + i))
+        report = solve(inst, ext, cfg._replace(seed=cfg.seed + i))
         if Fraction(report.size) <= alpha * opt_size:
             successes += 1
     return successes / trials

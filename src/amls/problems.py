@@ -35,7 +35,7 @@ ascending order) so identical inputs give identical outputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from typing import Optional
 
@@ -65,29 +65,25 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n edges")):
     """Simple undirected graph; edges normalized to u < v, deduplicated.
 
     Edge order (first occurrence) is preserved: the matching oracle scans it.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", _normalized(self.n, self.edges, (2,), "edge"))
+    def __new__(cls, n: int, edges):
+        return super().__new__(cls, n, _normalized(n, edges, (2,), "edge"))
 
 
-@dataclass(frozen=True)
-class Hypergraph3:
+class Hypergraph3(namedtuple("Hypergraph3", "n sets")):
     """Set system with member sets of size 1-3, deduplicated, sorted."""
 
-    n: int
-    sets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", _normalized(self.n, self.sets, (1, 2, 3), "set"))
+    def __new__(cls, n: int, sets):
+        return super().__new__(cls, n, _normalized(n, sets, (1, 2, 3), "set"))
 
 
 # ------------------------------------------------------- hitting-set core
