@@ -441,10 +441,21 @@ class TestRelaxedLogCost:
             )
 
     def test_forms_agree_on_given_points(self):
-        for n, k, t, alpha, c in [(100, 20, 10, 2, 4), (50, 10, 20, 2, 2)]:
+        points = [(100, 20, 10, 2, 4), (50, 10, 20, 2, 2)]
+        # and a grid: every third t, every fifth feasible k from k's lower edge
+        for n in (20, 50, 90):
+            for alpha in (1.0, 1.5, 2.0):
+                a = exact_ratio(alpha)
+                for t in range(0, n - 1, 3):
+                    k_lo = math.ceil(Fraction(t) / a)
+                    k_hi = min(n, math.floor(n - t + Fraction(t) / a))
+                    points += [(n, k, t, alpha, c)
+                               for k in range(k_lo, k_hi + 1, 5) for c in (1.3, 4.0)]
+        assert len(points) == 2 + 2484
+        for n, k, t, alpha, c in points:
             e = relaxed_log_cost(n, k, t, alpha, c, "entropy")
             kl = relaxed_log_cost(n, k, t, alpha, c, "kl")
-            assert e == pytest.approx(kl, abs=1e-9)
+            assert e == pytest.approx(kl, abs=1e-9), (n, k, t, alpha, c)
 
     def test_forms_agree_on_random_tuples(self):
         rng = random.Random(2024)
@@ -464,23 +475,6 @@ class TestRelaxedLogCost:
             kl = relaxed_log_cost(n, k, t, alpha, c, "kl")
             assert e == pytest.approx(kl, abs=1e-9), (n, k, t, alpha, c)
             cases += 1
-
-    def test_forms_agree_on_a_grid(self):
-        # every third t and every fifth feasible k, from k's lower edge
-        cases = 0
-        for n in (20, 50, 90):
-            for alpha in (1.0, 1.5, 2.0):
-                a = exact_ratio(alpha)
-                for t in range(0, n - 1, 3):
-                    k_lo = math.ceil(Fraction(t) / a)
-                    k_hi = min(n, math.floor(n - t + Fraction(t) / a))
-                    for k in range(k_lo, k_hi + 1, 5):
-                        for c in (1.3, 4.0):
-                            e = relaxed_log_cost(n, k, t, alpha, c, "entropy")
-                            kl = relaxed_log_cost(n, k, t, alpha, c, "kl")
-                            assert e == pytest.approx(kl, abs=1e-9), (n, k, t, alpha, c)
-                            cases += 1
-        assert cases == 2484
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

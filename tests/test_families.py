@@ -336,16 +336,12 @@ class TestSerialization:
         assert family_to_text(parsed) == text
 
     def test_intersection_round_trip(self):
-        family = build_intersection_family(7, 3, 4, 2, strong=True)
-        parsed = family_from_text(family_to_text(family))
-        assert parsed == family  # verified flag is excluded from equality
-
-    @pytest.mark.parametrize("n,p,q,r,strong", INTERSECTION_PARAMS)
-    def test_every_intersection_family_round_trips(self, n, p, q, r, strong):
-        family = build_intersection_family(n, p, q, r, strong=strong)
-        text = family_to_text(family)
-        assert family_from_text(text) == family
-        assert family_to_text(family_from_text(text)) == text
+        for n, p, q, r, strong in [(7, 3, 4, 2, True), *INTERSECTION_PARAMS]:
+            family = build_intersection_family(n, p, q, r, strong=strong)
+            text = family_to_text(family)
+            parsed = family_from_text(text)
+            assert parsed == family  # verified flag is excluded from equality
+            assert family_to_text(parsed) == text
 
     def test_header_format(self):
         family = build_covering(4, 3, 2)
