@@ -108,6 +108,8 @@ class BoundQuery(namedtuple("BoundQuery", "alpha c tol")):
 
     __slots__ = ()
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
+
     def __new__(cls, alpha: float, c: float, tol: float = 1e-12):
         _check(alpha, c, tol)
         return super().__new__(cls, alpha, c, tol)

@@ -210,16 +210,28 @@ def _tie_ln_c(c_exact: Fraction) -> Decimal:
 def _cost_less(
     c_exact: Fraction, a: Fraction, t1: int, f1: Fraction, t2: int, f2: Fraction
 ) -> bool:
-    """Whether f1 * c^(-t1/a) < f2 * c^(-t2/a), by a margin above rounding.
+    """Whether f1 * c^(-t1/a) < f2 * c^(-t2/a).
 
-    Used as a tie audit when two log costs agree to within float noise.  Both
-    sides are compared as logarithms at 60 significant digits, and f1's side
-    counts as less only when it is below by more than 1e-50, so an exact tie
-    is not less.  The cost is fixed whatever the size of a's numerator.
+    Used as a tie audit when two log costs agree to within float noise.
+    With a = A/B, c = p/q and d = t1 - t2, raising both sides to the power
+    A gives (num1*den2)^A * q^(dB) < (num2*den1)^A * p^(dB) (p and q swap
+    sides when d < 0), compared exactly while A < 256 and |d|*B <= 64.
+    Otherwise both sides are compared as logarithms at 60 significant
+    digits, and f1's side counts as less only when it is below by more than
+    1e-50, so an exact tie is not less; that cost is fixed whatever the
+    size of a's numerator.
     """
+    d = t1 - t2
+    num_a, e = a.numerator, abs(d) * a.denominator
+    if num_a < 256 and e <= 64:
+        p, q = c_exact.numerator, c_exact.denominator
+        if d < 0:
+            p, q = q, p
+        lhs = (f1.numerator * f2.denominator) ** num_a * q**e
+        return lhs < (f2.numerator * f1.denominator) ** num_a * p**e
     with localcontext() as ctx:
         ctx.prec = _TIE_DIGITS
-        shift = Fraction(t1 - t2) / a
+        shift = Fraction(d) / a
         gap = Decimal(shift.numerator) / shift.denominator * _tie_ln_c(c_exact)
         return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > _TIE_MARGIN
 
@@ -234,8 +246,8 @@ def argmin_t(
     factor, for t >= 1; factor(0) is 1 and is not called.  At c == 1 the
     answer is 0 and factor is not called at all.  Otherwise comparison
     happens in log space; candidates within 1e-12 of the incumbent are
-    re-compared with 60-digit logarithms of the exact Fractions.  Ties keep
-    the smaller t.
+    re-compared by _cost_less, exactly or with 60-digit logarithms of the
+    exact Fractions.  Ties keep the smaller t.
     """
     a, c = _validate_k(n, k, alpha, c)
     if c == 1.0:  # cost = factor(t) >= 1 = factor(0), and ties keep t = 0

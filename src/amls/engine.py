@@ -50,7 +50,10 @@ Reproducibility: the iteration for target size k draws from one generator
 seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
 to earlier releases) and stops at its first qualifying hit; the result is
 the (size, lexicographic) minimum over all k.  So identical (instance,
-oracle, RunConfig) produce bit-identical reports.
+oracle, RunConfig) produce bit-identical reports.  The engine draws each X
+itself, with the generator's getrandbits calls that
+random.sample(range(n), t) makes, so each X, and the generator's state
+after it, are those random.sample gives, without its per-draw overhead.
 
 The families layer is imported only when a search first needs a family or
 a covering, by the package's one lazy-loading rule (``amls._lazy``).
@@ -148,6 +151,8 @@ class RunConfig(
     """
 
     __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def __new__(
         cls,
@@ -265,6 +270,40 @@ class _Search:
         )
 
 
+def _samples(rng: random.Random, n: int, t: int, reps: int):
+    """reps uniform t-subsets of [n), drawn as frozenset(rng.sample(range(n), t)).
+
+    Each X and the generator's state after it are those of random.sample
+    (the same code on Python 3.10 to 3.13), whose getrandbits calls this
+    repeats one for one without its per-draw _randbelow call: its pool
+    method while n is at most its set-size threshold, its set method above.
+    """
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if t > 5:
+        setsize += 4 ** math.ceil(math.log(t * 3, 4))
+    if n <= setsize:  # each pick swaps out of the pool's live front
+        steps = [(m, m.bit_length()) for m in range(n, n - t, -1)]
+        for _ in range(reps):
+            pool = list(range(n))
+            for m, width in steps:
+                j = getrandbits(width)
+                while j >= m:
+                    j = getrandbits(width)
+                pool[j], pool[m - 1] = pool[m - 1], pool[j]
+            yield frozenset(pool[n - t :])
+    else:  # redraw out-of-range and repeated picks
+        width = n.bit_length()
+        for _ in range(reps):
+            x = set()
+            for _ in range(t):
+                j = getrandbits(width)
+                while j >= n or j in x:
+                    j = getrandbits(width)
+                x.add(j)
+            yield frozenset(x)
+
+
 def run_randomized(
     inst: MonotoneInstance, ext: ExtensionOracle, cfg: RunConfig = RunConfig()
 ) -> RunReport:
@@ -282,7 +321,6 @@ def run_randomized(
     run = _Search(inst)
     alpha = exact_ratio(ext.alpha)
     boost = exact_ratio(cfg.boost)
-    population = range(inst.n)
 
     for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
         cost = select_t(inst.n, k, ext.alpha, ext.c)
@@ -303,7 +341,7 @@ def run_randomized(
             reps = cfg.max_repetitions
         budget = k - math.ceil(Fraction(cost.t) / alpha)
         rng = random.Random(f"{cfg.seed}:{k}:0")
-        xs = (frozenset(rng.sample(population, cost.t)) for _ in range(reps))
+        xs = _samples(rng, inst.n, cost.t, reps)
         hit = run.run_k(k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), stop_on_hit=True)
         if cfg.stop_at_first and hit:
             break

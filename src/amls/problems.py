@@ -16,26 +16,32 @@ their parsers, labels and oracle bases.  All extension oracles are
 deterministic.  The exact oracle is one hitting-set core over both:
 it branches on the first set the chosen elements miss, trying its elements
 in ascending order (base 2 or 3 per unit of budget).  Sets and the chosen
-elements are int bitmasks, built once per oracle.  Along a branch the
-chosen set only grows, so each node resumes the scan for the first unhit
-set where its parent stopped.  Before branching with budget b, a node walks
-the rest of the list and greedily collects pairwise disjoint unhit sets;
-more than b of them need more than b elements, so the node returns None
-at once.  That cut removes only subtrees without a solution, so the search
-returns the same first solution as plain branching.  The matching oracle
-returns both endpoints of a greedy maximal matching, a polynomial
-2-approximate extension exercising the (alpha=2, c=1) corner.  One pass
-over the edge bitmasks, in input order, gives the whole matching of G - X;
-each oracle keeps the matching of the last X, so the repeated X = {} of a
-c = 1 run is scanned once.  More than k matched edges answer None.  All
-tie-breaking is lexicographic (first uncovered edge or set, elements in
-ascending order) so identical inputs give identical outputs.
+elements are int bitmasks; the masks, the apexes below and the search
+itself are built once per oracle.  Along a branch the chosen set only
+grows, so each node resumes the scan for the first unhit set where its
+parent stopped.  Before branching with budget b, a node walks the rest of
+the list and greedily packs unhit sets disjoint from each other: each
+needs an element of its own.  When a packed pair {u, v} has a free apex
+w, an element with {u, w} and {v, w} sets too, the node packs the whole
+triangle, whose three pairs need two elements.  A packing that needs more
+than b elements returns None at once.  The cut removes only subtrees
+without a solution, so the search returns the same first solution as
+plain branching.
+
+The matching oracle returns both endpoints of a greedy maximal matching,
+a polynomial 2-approximate extension exercising the (alpha=2, c=1)
+corner.  One pass over the edge bitmasks, in input order, gives the whole
+matching of G - X; each oracle keeps the matching of the last X, so the
+repeated X = {} of a c = 1 run is scanned once.  More than k matched edges
+answer None.  All tie-breaking is lexicographic (first uncovered edge or
+set, elements in ascending order) so identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import combinations
 from typing import Optional
 
@@ -73,6 +79,8 @@ class Graph(namedtuple("Graph", "n edges")):
 
     __slots__ = ()
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
+
     def __new__(cls, n: int, edges):
         return super().__new__(cls, n, _normalized(n, edges, (2,), "edge"))
 
@@ -81,6 +89,8 @@ class Hypergraph3(namedtuple("Hypergraph3", "n sets")):
     """Set system with member sets of size 1-3, deduplicated, sorted."""
 
     __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def __new__(cls, n: int, sets):
         return super().__new__(cls, n, _normalized(n, sets, (1, 2, 3), "set"))
@@ -123,28 +133,24 @@ def _hitting_sets(sets) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
 
 def _exact_oracle(sets, c: float, name: str) -> ExtensionOracle:
-    """The exact branching oracle over the sets, scanned in the given order."""
-    core = _hitting_sets(sets)
-    return ExtensionOracle(
-        alpha=1.0,
-        c=c,
-        success_prob=1.0,
-        extend=lambda x, k, rng: _extend_hitting(core, x, k),
-        name=name,
-    )
+    """The exact branching oracle over the sets, scanned in the given order.
 
-
-def _extend_hitting(sets, x: frozenset, k: int) -> Optional[frozenset]:
-    """At most k elements hitting every set x misses, else None.
-
-    Depth-k branching on the first unhit set in list order, its elements in
-    ascending order; the first solution found is returned.  The search
-    starts from x itself as chosen, which skips exactly the sets x hits.
+    Its extend returns at most k elements hitting every set x misses, else
+    None: depth-k branching on the first unhit set in list order, its
+    elements in ascending order; the first solution found is returned.  The
+    search starts from x itself as chosen, which skips exactly the sets x
+    hits.
     """
-    if k < 0:
-        return None
-    masks, elems = sets
+    masks, elems = _hitting_sets(sets)
     m = len(masks)
+    # each pair {u, v} with apexes -> the mask of the w with {u, w} and
+    # {v, w} sets too
+    partners = defaultdict(int)
+    pairs = [(mask, t) for mask, t in zip(masks, elems) if len(t) == 2]
+    for _, (u, v) in pairs:
+        partners[u] |= 1 << v
+        partners[v] |= 1 << u
+    apexes = {mask: a for mask, (u, v) in pairs if (a := partners[u] & partners[v])}
 
     def branch(chosen: int, i: int, budget: int) -> Optional[int]:
         while i < m and masks[i] & chosen:
@@ -153,14 +159,20 @@ def _extend_hitting(sets, x: frozenset, k: int) -> Optional[frozenset]:
             return chosen
         if budget == 0:
             return None
-        # each pairwise disjoint unhit set needs an element of its own
+        # each packed unhit set needs an element of its own; a pair packed
+        # with a free apex packs a triangle of pairs, which needs two
         blocked = chosen
-        disjoint = 0
+        need = 0
         for mask in masks[i:]:
             if not mask & blocked:
                 blocked |= mask
-                disjoint += 1
-                if disjoint > budget:
+                need += 1
+                if mask in apexes:
+                    free = apexes[mask] & ~blocked
+                    if free:
+                        blocked |= free & -free
+                        need += 1
+                if need > budget:
                     return None
         for v in elems[i]:
             result = branch(chosen | 1 << v, i + 1, budget - 1)
@@ -168,12 +180,17 @@ def _extend_hitting(sets, x: frozenset, k: int) -> Optional[frozenset]:
                 return result
         return None
 
-    x_mask = sum(map((1).__lshift__, x))
-    found = branch(x_mask, 0, k)
-    if found is None:
-        return None
-    found &= ~x_mask
-    return frozenset(v for v in range(found.bit_length()) if found >> v & 1)
+    def extend(x: frozenset, k: int, rng) -> Optional[frozenset]:
+        if k < 0:
+            return None
+        x_mask = sum(map((1).__lshift__, x))
+        found = branch(x_mask, 0, k)
+        if found is None:
+            return None
+        found &= ~x_mask
+        return frozenset(v for v in range(found.bit_length()) if found >> v & 1)
+
+    return ExtensionOracle(alpha=1.0, c=c, success_prob=1.0, extend=extend, name=name)
 
 
 # ---------------------------------------------------------------- vertex cover

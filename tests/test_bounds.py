@@ -375,7 +375,8 @@ class TestQueryAndReportTypes:
         ],
     )
     def test_invalid_arguments_keep_their_messages(self, args, message):
-        for build in (BoundQuery, amls_bound):
+        replaced = lambda *a: BoundQuery(2.0, 3.0)._replace(**dict(zip(BoundQuery._fields, a)))
+        for build in (BoundQuery, amls_bound, replaced):
             with pytest.raises(ValueError) as info:
                 build(*args)
             assert str(info.value) == message

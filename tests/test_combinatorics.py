@@ -207,7 +207,11 @@ class TestSelectT:
     @pytest.mark.parametrize(
         "n,k,alpha,c",
         [(12, 5, 1.0, 2.0), (20, 8, 1.0, 2.0), (18, 6, 1.5, 2.0),
-         (30, 10, 2.0, 4.0), (30, 15, 1.0, 3.0), (25, 12, 1.4, 1.1652)],
+         (30, 10, 2.0, 4.0), (30, 15, 1.0, 3.0), (25, 12, 1.4, 1.1652),
+         # exact ties for the audit to settle (at alpha = 1 and integer c,
+         # t = (ck - n)/(c - 1) ties t + 1)
+         (20, 12, 1.0, 2.0), (30, 16, 1.0, 3.0), (25, 10, 1.0, 4.0), (14, 13, 1.0, 1.5),
+         (28, 13, 1.5, 1.5), (18, 5, 2.0, 3.0), (26, 7, 2.0, 4.0), (26, 6, 3.0, 1.5)],
     )
     def test_is_argmin_exhaustively(self, n, k, alpha, c):
         chosen = select_t(n, k, alpha, c)
@@ -270,6 +274,17 @@ class TestTieAudit:
         # 81 * 9**(-3/(3/2)) == 1 * 9**0
         a = Fraction(3, 2)
         assert not _cost_less(Fraction(9), a, 3, Fraction(81), 0, Fraction(1))
+        # the same costs as c**300 and 300 * a go through the 60-digit logs,
+        # not the exact powers, and agree on these ties of select_t
+        for c, a, t1, f1, t2, f2 in [
+            (2, 1, 1, 2, 0, 1), (9, Fraction(3, 2), 3, 81, 0, 1),
+            (Fraction(3, 2), Fraction(3, 2), 3, Fraction(9, 4), 0, 1),
+            (3, 2, 10, 34, 8, Fraction(34, 3)), (4, 2, 14, Fraction(575, 3), 12, Fraction(575, 12)),
+        ]:
+            c, a, f1, f2 = Fraction(c), Fraction(a), Fraction(f1), Fraction(f2)
+            for args in ((c, a, t1, f1, t2, f2), (c, a, t2, f2, t1, f1)):
+                assert not _cost_less(*args)
+                assert not _cost_less(c**300, 300 * a, *args[2:])
 
     def test_tiny_margin_is_decided(self):
         near_one = 1 + Fraction(1, 10**30)

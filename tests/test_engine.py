@@ -377,6 +377,18 @@ class TestReproducibility:
         r2 = run_deterministic(inst, vc_exact_oracle(g))
         assert r1.to_json() == r2.to_json()
 
+    def test_samples_draw_as_random_sample(self):
+        # sample's pool method while n <= 21 + (4**ceil(log4(3t)) if t > 5),
+        # its set method above, as for t <= 5 over n >= 22 and for n = 1000
+        for n in [*range(61), 100, 200, 1000]:
+            for t in range(min(n, 40) + 1):
+                for seed in range(3):
+                    ours = random.Random(f"{seed}:{n}:{t}")
+                    ref = random.Random(f"{seed}:{n}:{t}")
+                    for x in engine._samples(ours, n, t, 3):
+                        assert x == frozenset(ref.sample(range(n), t))
+                        assert ours.getstate() == ref.getstate()
+
 
 class TestReports:
     def test_json_schema(self):
@@ -610,6 +622,9 @@ class TestConfigValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+        # _replace builds through the validating constructor too
+        with pytest.raises(ValueError):
+            RunConfig()._replace(**kwargs)
 
     def test_has_no_limit_field(self):
         # the universe-size limit is families.LIMIT, not a setting

@@ -33,6 +33,9 @@ class TestGraphType:
     def test_normalizes_and_deduplicates(self):
         g = Graph(4, ((2, 1), (1, 2), (0, 3)))
         assert g.edges == ((1, 2), (0, 3))
+        # _replace builds through the constructor too
+        assert g._replace(edges=((3, 0), (0, 3))).edges == ((0, 3),)
+        assert Hypergraph3(3, ((0, 1, 2),))._replace(sets=((2, 0), (0, 2))).sets == ((0, 2),)
 
     def test_rejects_loops_and_range(self):
         with pytest.raises(ValueError):
@@ -54,6 +57,12 @@ class TestGraphType:
              "set (1, -1) must have 1/2/3 distinct elements in [0, 4)"),
             (lambda: Hypergraph3(4, ((),)), "set () must have 1/2/3 distinct elements in [0, 4)"),
             (lambda: Graph(-1, ()), "universe size must be >= 0, got -1"),
+            (lambda: Graph(3, ((0, 1),))._replace(edges=((1, 0), (1, 0), (2, 7))),
+             "edge (2, 7) must have 2 distinct elements in [0, 3)"),
+            (lambda: Graph(3, ((0, 1),))._replace(n=1),
+             "edge (0, 1) must have 2 distinct elements in [0, 1)"),
+            (lambda: Hypergraph3(3, ((0, 1, 2),))._replace(sets=((2, 2),)),
+             "set (2, 2) must have 1/2/3 distinct elements in [0, 3)"),
         ],
     )
     def test_range_errors_keep_their_messages(self, build, message):
@@ -378,18 +387,21 @@ def reference_hs3_extend(h, x, k):
     return branch(set(), k)
 
 
-def _random_hypergraph(rng, n, m):
-    # sets in the order drawn, so the stored order is not sorted
-    return Hypergraph3(
-        n, tuple(tuple(rng.sample(range(n), rng.randint(1, min(3, n)))) for _ in range(m))
-    )
+def _random_hypergraph(rng, n, m, sizes=None):
+    # sets in the order drawn, so the stored order is not sorted; each size
+    # from 1 to 3, or drawn from sizes
+    def size():
+        return rng.randint(1, min(3, n)) if sizes is None else min(rng.choice(sizes), n)
+
+    return Hypergraph3(n, tuple(tuple(rng.sample(range(n), size())) for _ in range(m)))
 
 
 class TestBitmaskCoreEquivalence:
     def test_vc_matches_reference(self):
         rng = random.Random(11)
-        for i in range(200):
-            g = gen_gnp(rng.randint(2, 16), rng.uniform(0.1, 0.5), seed=i)
+        # the last 100 are dense enough for many triangles
+        for i in range(300):
+            g = gen_gnp(rng.randint(2, 16), rng.uniform(0.1, 0.5 if i < 200 else 0.7), seed=i)
             oracle = vc_exact_oracle(g)
             x = frozenset(rng.sample(range(g.n), rng.randint(0, g.n // 2)))
             k = rng.randint(-1, 8)
@@ -399,9 +411,13 @@ class TestBitmaskCoreEquivalence:
     def test_hs3_matches_reference(self):
         rng = random.Random(12)
         unsorted = 0
-        for _ in range(200):
+        # the last 100 are mostly pairs, so many form triangles
+        for i in range(300):
             n = rng.randint(2, 14)
-            h = _random_hypergraph(rng, n, rng.randint(1, 2 * n))
+            if i < 200:
+                h = _random_hypergraph(rng, n, rng.randint(1, 2 * n))
+            else:
+                h = _random_hypergraph(rng, n, rng.randint(1, 3 * n), (2, 2, 2, 3))
             unsorted += list(h.sets) != sorted(h.sets)
             oracle = hs3_exact_oracle(h)
             x = frozenset(rng.sample(range(n), rng.randint(0, n // 2)))
@@ -431,6 +447,13 @@ assert vc_exact_oracle(g).extend(frozenset(), 30, None) == frozenset(range(0, 60
 h = Hypergraph3(60, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(20)))
 assert hs3_exact_oracle(h).extend(frozenset(), 19, None) is None
 assert hs3_exact_oracle(h).extend(frozenset({0}), 18, None) is None
+# 20 disjoint triangles need 40 vertices: the disjoint-sets bound alone
+# counts one per triangle, and the search backtracks through far more nodes
+# than the time limit allows; the triangle cut counts two and answers at
+# the root
+t = Graph(60, tuple(e for i in range(0, 60, 3) for e in ((i, i + 1), (i, i + 2), (i + 1, i + 2))))
+assert vc_exact_oracle(t).extend(frozenset(), 39, None) is None
+assert vc_exact_oracle(t).extend(frozenset(), 40, None) == frozenset(v for v in range(60) if v % 3 < 2)
 print("done")
 """
 
