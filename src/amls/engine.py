@@ -27,8 +27,10 @@ member of the family:
                       that hits; unconditional alpha-approximation by
                       monotonicity, gated by families.LIMIT.
 
-Both search modes pick t with the same combinatorics.argmin_t; they differ
-only in the factor it weighs c^(k - t/alpha) by (1/p or kappa).
+One plan, _plan, decides each k's t and repetitions for all three modes;
+the runners only execute its rows.  Both search modes pick t with the same
+combinatorics.argmin_t; they differ only in the factor it weighs
+c^(k - t/alpha) by (1/p or kappa).
 
 All three keep one run state, _Search, that owns the running best, the
 sample count, the warnings and the clock.  Its run_k is the one place an X
@@ -119,7 +121,6 @@ class ExtensionOracle:
     c: float
     success_prob: float
     extend: Callable[[frozenset, int, random.Random], Optional[frozenset]]
-    name: str = "oracle"
 
     def __post_init__(self) -> None:
         if not 1.0 <= float(self.alpha) < math.inf:
@@ -304,6 +305,40 @@ def _samples(rng: random.Random, n: int, t: int, reps: int):
             yield frozenset(x)
 
 
+_Row = namedtuple("_Row", "k t r alpha_k reps")
+
+
+def _plan(n: int, alpha, mode: str, ext: Optional[ExtensionOracle] = None, boost=None):
+    """One _Row(k, t, r, alpha_k, reps) per target size k = 0 .. floor(n/alpha).
+
+    t is select_t's sample size (mode "randomized"), the argmin_t weighing
+    c^(k - t/alpha) by kappa ("deterministic") or alpha_k = floor(alpha*k)
+    ("brute"); r = ceil(t/alpha) leaves the oracle the budget k - r.  reps
+    is ceil(boost / p) in randomized mode, and 1 elsewhere or where one
+    sample decides k: where alpha_k >= n, the universe the run falls back
+    to already qualifies, so no sample count can change the guarantee;
+    where t = 0 and the oracle cannot fail, every sample is X = {} alike.
+    Rows are made one k at a time, so a run that stops early plans no further.
+    """
+    a = exact_ratio(alpha)
+    if boost is not None:
+        boost = exact_ratio(boost)
+    for k in range(math.floor(Fraction(n) / a) + 1):
+        alpha_k, reps = math.floor(a * k), 1
+        if mode == "brute":
+            t = alpha_k
+        elif mode == "deterministic":
+            t = argmin_t(
+                n, k, a, ext.c, lambda t: kappa(n, k, t, math.ceil(t / a)).as_integer_ratio()
+            )
+        else:
+            cost = select_t(n, k, alpha, ext.c)
+            t = cost.t
+            if alpha_k < n and not (t == 0 and ext.success_prob == 1):
+                reps = math.ceil(boost / cost.p)
+        yield _Row(k, t, math.ceil(t / a), alpha_k, reps)
+
+
 def run_randomized(
     inst: MonotoneInstance, ext: ExtensionOracle, cfg: RunConfig = RunConfig()
 ) -> RunReport:
@@ -319,33 +354,21 @@ def run_randomized(
     if cfg.deterministic:
         raise ValueError("cfg.deterministic is set; use run_deterministic")
     run = _Search(inst)
-    alpha = exact_ratio(ext.alpha)
-    boost = exact_ratio(cfg.boost)
-
-    for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
-        cost = select_t(inst.n, k, ext.alpha, ext.c)
-        if not run.can_improve(cost.t):
+    for k, t, r, alpha_k, reps in _plan(inst.n, ext.alpha, "randomized", ext, cfg.boost):
+        if not run.can_improve(t):
             continue
-        reps = math.ceil(boost / cost.p)
-        alpha_k = math.floor(alpha * k)
-        # one sample decides k, so no cap degrades it, when a failed sample
-        # stands for the universe (a hit here) or X is always {} and the
-        # oracle cannot miss
-        if alpha_k >= inst.n or (cost.t == 0 and ext.success_prob == 1):
-            reps = 1
-        elif cfg.max_repetitions is not None and reps > cfg.max_repetitions:
+        if cfg.max_repetitions is not None and reps > cfg.max_repetitions:
             run.warnings.append(
                 f"k={k}: repetitions capped at {cfg.max_repetitions} "
                 f"(needed {reps}); success guarantee degraded"
             )
             reps = cfg.max_repetitions
-        budget = k - math.ceil(Fraction(cost.t) / alpha)
+        budget = k - r
         rng = random.Random(f"{cfg.seed}:{k}:0")
-        xs = _samples(rng, inst.n, cost.t, reps)
+        xs = _samples(rng, inst.n, t, reps)
         hit = run.run_k(k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), stop_on_hit=True)
         if cfg.stop_at_first and hit:
             break
-
     return run.report("randomized", ext.alpha, float(ext.c), cfg.seed)
 
 
@@ -358,41 +381,29 @@ def run_deterministic(
     (n, k, t, ceil(t/alpha))-set-intersection family instead of sampling, so
     the alpha-approximation guarantee holds unconditionally.  A k with t = 0
     iterates X = {} alone, and a k whose t exceeds the best member found so
-    far builds no family.  Every k's t is chosen first, and the run is
+    far builds no family.  The whole plan is made first, and the run is
     rejected before any oracle call if n exceeds families.LIMIT and some
     t >= 1 needs a family; at c == 1 every t is 0, so any n runs.
     """
     if ext.success_prob != 1.0:
         raise ValueError("deterministic mode needs an oracle with success_prob == 1")
     run = _Search(inst)
-    alpha = exact_ratio(ext.alpha)
-    ts = []
-    for k in range(math.floor(Fraction(inst.n) / alpha) + 1):
-        t = argmin_t(
-            inst.n,
-            k,
-            alpha,
-            ext.c,
-            lambda t: kappa(inst.n, k, t, math.ceil(t / alpha)).as_integer_ratio(),
-        )
-        ts.append(t)
-    if any(ts):
+    rows = list(_plan(inst.n, ext.alpha, "deterministic", ext))
+    if any(row.t for row in rows):
         _bind("families")
         check_limit(inst.n, "deterministic mode")
     rng = random.Random(f"{cfg.seed}:deterministic")
 
-    for k, t in enumerate(ts):
+    for k, t, r, alpha_k, _ in rows:
         if not run.can_improve(t):
             continue
-        r = math.ceil(t / alpha)
         xs = (frozenset(),)
         if t:
             xs = map(frozenset, build_intersection_family(inst.n, k, t, r).members)
         budget = k - r
-        hit = run.run_k(k, math.floor(alpha * k), xs, lambda x: ext.extend(x, budget, rng))
+        hit = run.run_k(k, alpha_k, xs, lambda x: ext.extend(x, budget, rng))
         if cfg.stop_at_first and hit:
             break
-
     return run.report("deterministic", ext.alpha, float(ext.c), cfg.seed)
 
 
@@ -411,11 +422,10 @@ def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
     _bind("families")
     check_limit(inst.n, "brute-force search")
     run = _Search(inst)
-    for k in range(math.floor(Fraction(inst.n) / a) + 1):
-        alpha_k = math.floor(a * k)
-        if not run.can_improve(alpha_k):  # and no later k can: alpha_k grows
+    for k, t, _, alpha_k, _ in _plan(inst.n, a, "brute"):
+        if not run.can_improve(t):  # and no later k can: t = floor(alpha*k) grows
             break
-        run.run_k(k, alpha_k, map(frozenset, build_covering(inst.n, alpha_k, k).members))
+        run.run_k(k, alpha_k, map(frozenset, build_covering(inst.n, t, k).members))
     return run.report("brute", a, None, 0)
 
 

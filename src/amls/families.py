@@ -36,7 +36,7 @@ holds about 1.5 MB of columns.  Families are immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -70,20 +70,15 @@ def check_limit(n: int, what: str) -> None:
         raise LimitExceededError(f"{what} limited to n <= {LIMIT}, got n={n}")
 
 
-@dataclass
-class SetFamily:
+class SetFamily(namedtuple("SetFamily", "n member_size members kind params")):
     """An explicit family of fixed-size subsets of [n).
 
-    params is (p, q, r) for intersection families and (t, k) for coverings.
-    verified is set by verify_family only after an exhaustive check.
+    members is a tuple of member tuples.  params is (p, q, r) for
+    intersection families and (t, k) for coverings.  verify_family checks
+    the defining property exhaustively.
     """
 
-    n: int
-    member_size: int
-    members: Members
-    kind: str
-    params: tuple[int, ...]
-    verified: bool = field(default=False, compare=False)
+    __slots__ = ()
 
 
 def _containing(n: int, size: int) -> list[int]:
@@ -211,9 +206,9 @@ def build_covering(n: int, t: int, k: int) -> SetFamily:
 def verify_family(family: SetFamily) -> bool:
     """Exhaustively check the defining property over all target subsets.
 
-    Sets family.verified (and returns True) only if every target is served.
-    Also rejects families with malformed members.  Enumerates all p- or
-    k-subsets, hence the n <= LIMIT gate.
+    Returns True only if every target is served, and False for families
+    with malformed members.  Enumerates all p- or k-subsets, hence the
+    n <= LIMIT gate.
     """
     check_limit(family.n, "verification")
     q = family.member_size
@@ -237,7 +232,6 @@ def verify_family(family: SetFamily) -> bool:
         tmask = sum(1 << v for v in target)
         if not any(lo <= (mask & tmask).bit_count() <= hi for mask in masks):
             return False
-    family.verified = True
     return True
 
 
@@ -263,7 +257,7 @@ def family_to_text(family: SetFamily) -> str:
 
 
 def family_from_text(text: str) -> SetFamily:
-    """Parse the family_to_text format. The verified flag always starts False."""
+    """Parse the family_to_text format."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty family text")

@@ -132,7 +132,7 @@ def _hitting_sets(sets) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     return tuple(sum(map((1).__lshift__, t)) for t in elems), elems
 
 
-def _exact_oracle(sets, c: float, name: str) -> ExtensionOracle:
+def _exact_oracle(sets, c: float) -> ExtensionOracle:
     """The exact branching oracle over the sets, scanned in the given order.
 
     Its extend returns at most k elements hitting every set x misses, else
@@ -190,7 +190,7 @@ def _exact_oracle(sets, c: float, name: str) -> ExtensionOracle:
         found &= ~x_mask
         return frozenset(v for v in range(found.bit_length()) if found >> v & 1)
 
-    return ExtensionOracle(alpha=1.0, c=c, success_prob=1.0, extend=extend, name=name)
+    return ExtensionOracle(alpha=1.0, c=c, success_prob=1.0, extend=extend)
 
 
 # ---------------------------------------------------------------- vertex cover
@@ -206,7 +206,7 @@ def vc_exact_oracle(g: Graph) -> ExtensionOracle:
     size <= k by two-way branching on the lexicographically first uncovered
     edge, lower endpoint first.  The branching is complete, so None means no
     completion of size <= k exists."""
-    return _exact_oracle(sorted(g.edges), 2.0, "vc-exact")
+    return _exact_oracle(sorted(g.edges), 2.0)
 
 
 def vc_matching_oracle(g: Graph) -> ExtensionOracle:
@@ -234,13 +234,7 @@ def vc_matching_oracle(g: Graph) -> ExtensionOracle:
             matched = frozenset(v for v in range(blocked.bit_length()) if blocked >> v & 1)
         return None if size > k else matched
 
-    return ExtensionOracle(
-        alpha=2.0,
-        c=1.0,
-        success_prob=1.0,
-        extend=extend,
-        name="vc-matching",
-    )
+    return ExtensionOracle(alpha=2.0, c=1.0, success_prob=1.0, extend=extend)
 
 
 # --------------------------------------------------------------- 3-hitting set
@@ -256,7 +250,7 @@ def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:
     sets x misses, of size <= k, by <=3-way branching on the first unhit set
     in stored order, elements ascending.  The branching is complete, so None
     means no completion of size <= k exists."""
-    return _exact_oracle(h.sets, 3.0, "hs3-exact")
+    return _exact_oracle(h.sets, 3.0)
 
 
 # -------------------------------------------------------------------- parsing

@@ -606,6 +606,23 @@ class TestImportSet:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
 
+    def test_families_loads_no_dataclasses(self):
+        # modules a site hook loaded before amls do not count
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from amls.cli import main\n"
+            "rc = main(['families', '--kind', 'intersection', '--n', '5', '--p', '2',"
+            " '--q', '2', '--r', '1'])\n"
+            "ran = set(sys.modules) - before\n"
+            "print(json.dumps(sorted(ran & {'dataclasses', 'inspect'})))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     @pytest.mark.parametrize(
         "flags",
         [[], ["--oracle", "matching"], ["--oracle", "matching", "--deterministic"]],
@@ -776,6 +793,17 @@ class TestTracer:
         assert names.count("bounds.report") == 4
         assert names.count("bounds.amls_bound") == 4
         assert "bounds.table" in names
+
+    def test_randomized_solve_and_brute_call_the_wrapped_names(self, tmp_path):
+        # a refactor that stops looking these names up would blind the benchmark
+        vc10 = tmp_path / "vc10.col"
+        vc10.write_text(_graph_text(gen_gnp(10, 0.3, seed=10)))
+        names = set(self._span_names(tmp_path, "solve", "--problem", "vc", "--input", str(vc10)))
+        assert {"combinatorics.select_t", "problems.extend", "engine.solve"} <= names
+        names = set(self._span_names(
+            tmp_path, "brute", "--problem", "vc", "--input", str(vc10), "--alpha", "1.5"
+        ))
+        assert {"families.build", "problems.membership", "engine.solve"} <= names
 
 
 class TestNonFinite:

@@ -139,9 +139,7 @@ class TestStatistics:
                 return None
             return exact.extend(x, k, rng)
 
-        flaky = ExtensionOracle(
-            alpha=1.0, c=2.0, success_prob=0.5, extend=flaky_extend, name="flaky"
-        )
+        flaky = ExtensionOracle(alpha=1.0, c=2.0, success_prob=0.5, extend=flaky_extend)
         fraction = success_rate(
             inst, flaky, trials=150, cfg=RunConfig(seed=3000, boost=6.0)
         )

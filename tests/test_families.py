@@ -137,7 +137,6 @@ class TestIntersectionFamilies:
         assert checker(n, p, r, family.members)
         assert all(len(m) == q for m in family.members)
         assert verify_family(family)
-        assert family.verified
 
     @pytest.mark.parametrize("n,p,q,r,strong", INTERSECTION_PARAMS)
     def test_greedy_respects_size_bound(self, n, p, q, r, strong):
@@ -293,7 +292,6 @@ class TestVerifyFamily:
             params=(2, 2, 1),
         )
         assert not verify_family(bad)
-        assert not bad.verified
 
     def test_rejects_malformed_members(self):
         bad = SetFamily(
@@ -340,7 +338,7 @@ class TestSerialization:
             family = build_intersection_family(n, p, q, r, strong=strong)
             text = family_to_text(family)
             parsed = family_from_text(text)
-            assert parsed == family  # verified flag is excluded from equality
+            assert parsed == family
             assert family_to_text(parsed) == text
 
     def test_header_format(self):
