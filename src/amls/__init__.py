@@ -32,24 +32,22 @@ _EXPORTS = {
         "brute_bound", "emls_bound", "entropy", "kl_divergence", "naive_bound",
     ),
     "combinatorics": (
-        "IterationCost", "binomial", "continuous_t", "empirical_brute_exponent",
-        "exact_ratio", "hyper_symmetry_check", "hyper_tail", "iteration_cost", "kappa",
-        "relaxed_log_cost", "select_t",
+        "IterationCost", "binomial", "exact_ratio", "hyper_tail", "iteration_cost",
+        "kappa", "select_t",
     ),
     "engine": (
         "ExtensionOracle", "MonotoneInstance", "RunConfig", "RunReport",
-        "brute_force_search", "exhaustive_minimum", "run_deterministic",
-        "run_randomized", "solve", "success_rate",
+        "brute_force_search", "run_deterministic", "run_randomized", "solve",
     ),
     "families": (
         "LimitExceededError", "SetFamily", "build_covering",
-        "build_intersection_family", "family_from_text", "family_size_bound",
-        "family_to_text", "verify_family",
+        "build_intersection_family", "family_size_bound", "family_to_text",
+        "verify_family",
     ),
     "problems": (
-        "Graph", "Hypergraph3", "ParseError", "gen_gnp", "gen_planted_vc",
-        "hs3_exact_oracle", "hs3_system", "parse_graph", "parse_hypergraph",
-        "vc_exact_oracle", "vc_matching_oracle", "vc_system",
+        "Graph", "Hypergraph3", "ParseError", "gen_gnp", "hs3_exact_oracle",
+        "hs3_system", "parse_graph", "parse_hypergraph", "vc_exact_oracle",
+        "vc_matching_oracle", "vc_system",
     ),
 }
 

@@ -44,23 +44,19 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Callable
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 __all__ = [
     "exact_ratio",
     "binomial",
     "hyper_tail",
-    "hyper_symmetry_check",
     "IterationCost",
     "iteration_cost",
     "argmin_t",
     "select_t",
-    "continuous_t",
-    "relaxed_log_cost",
-    "empirical_brute_exponent",
     "kappa",
 ]
 
@@ -127,20 +123,6 @@ def hyper_tail(n: int, k: int, t: int, x: int) -> Fraction:
     return Fraction(_favourable(n, k, t, x), binomial(n, t))
 
 
-def hyper_symmetry_check(n: int, k: int, t: int, x: int) -> bool:
-    """Whether the tail is unchanged by swapping the roles of k and t.
-
-    Compares sum_{y>=x} C(k,y) C(n-k,t-y) / C(n,t) against
-    sum_{y>=x} C(t,y) C(n-t,k-y) / C(n,k) as exact rationals (the two ways
-    of conditioning the same bivariate event).
-    """
-    if not (0 <= k <= n and 0 <= t <= n):
-        raise ValueError(f"invalid parameters n={n}, k={k}, t={t}")
-    if x > min(k, t):
-        raise ValueError(f"x={x} exceeds min(k, t)={min(k, t)}")
-    return hyper_tail(n, k, t, x) == hyper_tail(n, t, k, x)
-
-
 class IterationCost(namedtuple("IterationCost", "t log_cost p repetitions")):
     """Cost profile of one sample size t for a given (n, k, alpha, c).
 
@@ -157,18 +139,13 @@ def _log_fraction(p: Fraction) -> float:
     return math.log(p.numerator) - math.log(p.denominator)
 
 
-def _validate_alpha_c(alpha, c) -> tuple[Fraction, float]:
+def _validate_k(n: int, k: int, alpha, c) -> tuple[Fraction, float]:
     a = exact_ratio(alpha)
     if a < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     c = float(c)
     if not c >= 1.0:
         raise ValueError(f"c must be >= 1, got {c}")
-    return a, c
-
-
-def _validate_k(n: int, k: int, alpha, c) -> tuple[Fraction, float]:
-    a, c = _validate_alpha_c(alpha, c)
     if not (0 <= k and Fraction(k) <= Fraction(n) / a):
         raise ValueError(f"k={k} outside [0, n/alpha] for n={n}, alpha={alpha}")
     return a, c
@@ -294,87 +271,6 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
 
     t = argmin_t(n, k, alpha, c, factor)
     return iteration_cost(n, k, t, alpha, c)
-
-
-def continuous_t(n: int, k: float, alpha, c) -> float:
-    """Analytic continuous minimizer (k - n*delta*) / (1/alpha - delta*).
-
-    delta* is the critical density (amls_bound(alpha, c) - 1)/(c - 1).  k may
-    be real (this is the continuous relaxation) and the result may be
-    negative; callers clamp to the feasible range.  Requires c > 1 (delta*
-    degenerates to 1/alpha at c == 1).
-    """
-    from .bounds import amls_bound
-
-    a, c = _validate_alpha_c(alpha, c)
-    if c <= 1.0:
-        raise ValueError(f"continuous_t requires c > 1, got {c}")
-    if not (0 <= k and exact_ratio(k) <= Fraction(n) / a):
-        raise ValueError(f"k={k} outside [0, n/alpha] for n={n}, alpha={alpha}")
-    delta = (amls_bound(float(alpha), c) - 1.0) / (c - 1.0)
-    return (k - n * delta) / (1.0 / float(a) - delta)
-
-
-def _xlogy(x: float, y: float) -> float:
-    return 0.0 if x == 0.0 else x * math.log(y)
-
-
-def relaxed_log_cost(n: int, k: int, t, alpha, c, form: str = "entropy") -> float:
-    """Continuous relaxation of the log iteration cost, in two algebraic forms.
-
-    With rho = (k - t/alpha)/(n - t) and H the entropy function:
-
-      entropy form: (k - t/alpha) ln(c) - t*H(1/alpha) - (n-t)*H(rho)
-      kl form:      (k - t/alpha) ln(c) + t*D(1/alpha || rho)
-                    + k*ln(rho) + (n-k)*ln(1-rho)
-
-    The two are algebraically identical; evaluating both is a numeric
-    cross-check.  Requires 0 <= t < n and 0 <= rho <= 1.  At rho == 0 and
-    rho == 1 the kl form's infinities cancel pairwise; the cancelled limit
-    is evaluated directly.
-    """
-    from .bounds import entropy, kl_divergence
-
-    a_frac, c = _validate_alpha_c(alpha, c)
-    if not 0 <= t < n:
-        raise ValueError(f"t={t} outside [0, n) for n={n}")
-    t_frac = exact_ratio(t)
-    rho_frac = (Fraction(k) - t_frac / a_frac) / (Fraction(n) - t_frac)
-    if not 0 <= rho_frac <= 1:
-        raise ValueError(f"(k - t/alpha)/(n - t) = {rho_frac} outside [0, 1]")
-    a = 1.0 / float(a_frac)
-    t = float(t_frac)
-    rho = float(rho_frac)
-    base = (k - t * a) * math.log(c)
-    if form == "entropy":
-        return base - t * entropy(a) - (n - t) * entropy(rho)
-    if form != "kl":
-        raise ValueError(f"form must be 'entropy' or 'kl', got {form!r}")
-    if rho_frac == 0:  # k == t/alpha: the k*ln(rho) and t*a*ln(1/rho) poles cancel
-        return base + _xlogy(k, a) + _xlogy(t * (1.0 - a), 1.0 - a)
-    if rho_frac == 1:  # k - t/alpha == n - t: (n-k)*ln(1-rho) pole cancels likewise
-        return base + _xlogy(t * a, a) + _xlogy(t * (1.0 - a), 1.0 - a)
-    kl_term = 0.0 if t == 0.0 else t * kl_divergence(a, rho)
-    return base + kl_term + _xlogy(k, rho) + _xlogy(n - k, 1.0 - rho)
-
-
-def empirical_brute_exponent(n: int, alpha) -> float:
-    """(1/n) * ln( max over k in [0, n/alpha) of C(n, k) / C(floor(alpha*k), k) ).
-
-    The maximum is taken over exact big-integer ratios; a single logarithm is
-    applied at the end.  As n grows this converges to ln(brute_bound(alpha)).
-    """
-    a, _ = _validate_alpha_c(alpha, 1.0)
-    if n < 2:
-        raise ValueError(f"empirical_brute_exponent requires n >= 2, got {n}")
-    best = Fraction(0)
-    k = 0
-    while Fraction(k) * a < n:
-        ratio = Fraction(binomial(n, k), binomial(math.floor(a * k), k))
-        if ratio > best:
-            best = ratio
-        k += 1
-    return _log_fraction(best) / n
 
 
 def kappa(n: int, p: int, q: int, r: int) -> Fraction:

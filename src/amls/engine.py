@@ -63,15 +63,14 @@ a covering, by the package's one lazy-loading rule (``amls._lazy``).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
 import time
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import _lazy
 from .combinatorics import argmin_t, exact_ratio, kappa, select_t
@@ -85,8 +84,6 @@ __all__ = [
     "run_deterministic",
     "brute_force_search",
     "solve",
-    "success_rate",
-    "exhaustive_minimum",
 ]
 
 _bind, __getattr__ = _lazy(
@@ -120,7 +117,7 @@ class ExtensionOracle:
     alpha: float
     c: float
     success_prob: float
-    extend: Callable[[frozenset, int, random.Random], Optional[frozenset]]
+    extend: Callable[[frozenset, int, random.Random], frozenset | None]
 
     def __post_init__(self) -> None:
         if not 1.0 <= float(self.alpha) < math.inf:
@@ -159,7 +156,7 @@ class RunConfig(
         cls,
         seed: int = 0,
         boost: float = 3.0,
-        max_repetitions: Optional[int] = None,
+        max_repetitions: int | None = None,
         deterministic: bool = False,
         stop_at_first: bool = False,
     ):
@@ -308,7 +305,7 @@ def _samples(rng: random.Random, n: int, t: int, reps: int):
 _Row = namedtuple("_Row", "k t r alpha_k reps")
 
 
-def _plan(n: int, alpha, mode: str, ext: Optional[ExtensionOracle] = None, boost=None):
+def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None = None, boost=None):
     """One _Row(k, t, r, alpha_k, reps) per target size k = 0 .. floor(n/alpha).
 
     t is select_t's sample size (mode "randomized"), the argmin_t weighing
@@ -436,39 +433,3 @@ def solve(
     if cfg.deterministic:
         return run_deterministic(inst, ext, cfg)
     return run_randomized(inst, ext, cfg)
-
-
-def exhaustive_minimum(inst: MonotoneInstance) -> int:
-    """Optimum size by enumerating subsets in increasing size (small n only)."""
-    for k in range(inst.n + 1):
-        for combo in itertools.combinations(range(inst.n), k):
-            if inst.membership(frozenset(combo)):
-                return k
-    raise ValueError("membership is false on the full universe; not monotone")
-
-
-def success_rate(
-    inst: MonotoneInstance,
-    ext: ExtensionOracle,
-    trials: int,
-    cfg: RunConfig = RunConfig(),
-    opt_size: Optional[int] = None,
-) -> float:
-    """Fraction of independently seeded runs returning size <= alpha * OPT.
-
-    OPT is computed exhaustively when not supplied (guarded to n <= 20).
-    Trial i runs with seed cfg.seed + i.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if opt_size is None:
-        if inst.n > 20:
-            raise ValueError("supply opt_size for instances with n > 20")
-        opt_size = exhaustive_minimum(inst)
-    alpha = exact_ratio(ext.alpha)
-    successes = 0
-    for i in range(trials):
-        report = solve(inst, ext, cfg._replace(seed=cfg.seed + i))
-        if Fraction(report.size) <= alpha * opt_size:
-            successes += 1
-    return successes / trials

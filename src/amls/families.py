@@ -52,10 +52,8 @@ __all__ = [
     "verify_family",
     "family_size_bound",
     "family_to_text",
-    "family_from_text",
 ]
 
-KINDS = ("intersection_weak", "intersection_strong", "covering")
 Members = tuple[tuple[int, ...], ...]
 LIMIT = 14
 
@@ -249,39 +247,10 @@ def family_size_bound(n: int, p: int, q: int, r: int) -> float:
 
 
 def family_to_text(family: SetFamily) -> str:
-    """Line-based serialization; bit-exact round-trip with family_from_text."""
+    """The family as text: the header line
+    ``family <kind> n=<n> q=<member size> params=<p,q,r or t,k>``, then each
+    member sorted, space-separated, one per line."""
     params = ",".join(str(v) for v in family.params)
     lines = [f"family {family.kind} n={family.n} q={family.member_size} params={params}"]
     lines.extend(" ".join(str(v) for v in sorted(m)) for m in family.members)
     return "\n".join(lines) + "\n"
-
-
-def family_from_text(text: str) -> SetFamily:
-    """Parse the family_to_text format."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty family text")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "family":
-        raise ValueError(f"malformed family header: {lines[0]!r}")
-    kind = head[1]
-    if kind not in KINDS:
-        raise ValueError(f"unknown family kind {kind!r}")
-    try:
-        n = int(_expect_prefix(head[2], "n="))
-        q = int(_expect_prefix(head[3], "q="))
-        params = tuple(int(v) for v in _expect_prefix(head[4], "params=").split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed family header: {lines[0]!r}") from exc
-    if n < 0 or len(params) != (2 if kind == "covering" else 3):
-        raise ValueError(f"malformed family header: {lines[0]!r}")
-    members = []
-    for line in lines[1:]:
-        members.append(tuple(int(v) for v in line.split()))
-    return SetFamily(n=n, member_size=q, members=tuple(members), kind=kind, params=params)
-
-
-def _expect_prefix(token: str, prefix: str) -> str:
-    if not token.startswith(prefix):
-        raise ValueError(f"expected {prefix!r}, got {token!r}")
-    return token[len(prefix):]

@@ -43,7 +43,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict, namedtuple
 from itertools import combinations
-from typing import Optional
 
 from .engine import ExtensionOracle, MonotoneInstance
 
@@ -59,7 +58,6 @@ __all__ = [
     "parse_graph",
     "parse_hypergraph",
     "gen_gnp",
-    "gen_planted_vc",
 ]
 
 
@@ -152,7 +150,7 @@ def _exact_oracle(sets, c: float) -> ExtensionOracle:
         partners[v] |= 1 << u
     apexes = {mask: a for mask, (u, v) in pairs if (a := partners[u] & partners[v])}
 
-    def branch(chosen: int, i: int, budget: int) -> Optional[int]:
+    def branch(chosen: int, i: int, budget: int) -> int | None:
         while i < m and masks[i] & chosen:
             i += 1
         if i == m:
@@ -180,7 +178,7 @@ def _exact_oracle(sets, c: float) -> ExtensionOracle:
                 return result
         return None
 
-    def extend(x: frozenset, k: int, rng) -> Optional[frozenset]:
+    def extend(x: frozenset, k: int, rng) -> frozenset | None:
         if k < 0:
             return None
         x_mask = sum(map((1).__lshift__, x))
@@ -196,7 +194,7 @@ def _exact_oracle(sets, c: float) -> ExtensionOracle:
 # ---------------------------------------------------------------- vertex cover
 
 
-def vc_system(g: Graph, label: Optional[str] = None) -> MonotoneInstance:
+def vc_system(g: Graph, label: str | None = None) -> MonotoneInstance:
     """Monotone system whose members are the vertex covers of g."""
     return _hitting_system(g.n, g.edges, label or f"vc(n={g.n},m={len(g.edges)})")
 
@@ -218,7 +216,7 @@ def vc_matching_oracle(g: Graph) -> ExtensionOracle:
     masks = _hitting_sets(g.edges)[0]
     last_x, size, matched = None, 0, frozenset()
 
-    def extend(x: frozenset, k: int, rng) -> Optional[frozenset]:
+    def extend(x: frozenset, k: int, rng) -> frozenset | None:
         nonlocal last_x, size, matched
         if k < 0:
             return None
@@ -240,7 +238,7 @@ def vc_matching_oracle(g: Graph) -> ExtensionOracle:
 # --------------------------------------------------------------- 3-hitting set
 
 
-def hs3_system(h: Hypergraph3, label: Optional[str] = None) -> MonotoneInstance:
+def hs3_system(h: Hypergraph3, label: str | None = None) -> MonotoneInstance:
     """Monotone system whose members intersect every set of h."""
     return _hitting_system(h.n, h.sets, label or f"hs3(n={h.n},m={len(h.sets)})")
 
@@ -347,26 +345,3 @@ def gen_gnp(n: int, p_edge: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = tuple((u, v) for u, v in combinations(range(n), 2) if rng.random() < p_edge)
     return Graph(n=n, edges=edges)
-
-
-def gen_planted_vc(
-    n: int, cover_size: int, extra_edges: int, seed: int
-) -> tuple[Graph, frozenset]:
-    """Random graph all of whose edges touch a planted vertex set.
-
-    The planted set is therefore a cover, so the optimum is at most
-    cover_size.  Returns (graph, planted).
-    """
-    if not 0 <= cover_size <= n:
-        raise ValueError(f"cover_size must be in [0, n], got {cover_size}")
-    rng = random.Random(seed)
-    planted = frozenset(rng.sample(range(n), cover_size))
-    candidates = [
-        (u, v) for u, v in combinations(range(n), 2) if u in planted or v in planted
-    ]
-    if extra_edges < 0 or extra_edges > len(candidates):
-        raise ValueError(
-            f"extra_edges must be in [0, {len(candidates)}], got {extra_edges}"
-        )
-    edges = tuple(rng.sample(candidates, extra_edges))
-    return Graph(n=n, edges=edges), planted

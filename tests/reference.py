@@ -1,0 +1,84 @@
+"""Reference forms the tests check production code against.
+
+Neither is run by an ``amls`` command.  relaxed_log_cost evaluates the
+continuous relaxation of the log iteration cost in two algebraic forms, a
+cross-check of bounds.entropy and bounds.kl_divergence;
+empirical_brute_exponent is the finite-n exponent that converges to
+ln(bounds.brute_bound(alpha)).  Only public package names are used.
+"""
+
+import math
+from fractions import Fraction
+
+from amls.bounds import entropy, kl_divergence
+from amls.combinatorics import binomial, exact_ratio
+
+
+def _alpha(alpha) -> Fraction:
+    a = exact_ratio(alpha)
+    if a < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    return a
+
+
+def _xlogy(x: float, y: float) -> float:
+    return 0.0 if x == 0.0 else x * math.log(y)
+
+
+def relaxed_log_cost(n: int, k: int, t, alpha, c, form: str = "entropy") -> float:
+    """Continuous relaxation of the log iteration cost, in two algebraic forms.
+
+    With rho = (k - t/alpha)/(n - t) and H the entropy function:
+
+      entropy form: (k - t/alpha) ln(c) - t*H(1/alpha) - (n-t)*H(rho)
+      kl form:      (k - t/alpha) ln(c) + t*D(1/alpha || rho)
+                    + k*ln(rho) + (n-k)*ln(1-rho)
+
+    The two are algebraically identical; evaluating both is a numeric
+    cross-check.  Requires c >= 1, 0 <= t < n and 0 <= rho <= 1.  At
+    rho == 0 and rho == 1 the kl form's infinities cancel pairwise; the
+    cancelled limit is evaluated directly.
+    """
+    a_frac = _alpha(alpha)
+    c = float(c)
+    if not c >= 1.0:
+        raise ValueError(f"c must be >= 1, got {c}")
+    if not 0 <= t < n:
+        raise ValueError(f"t={t} outside [0, n) for n={n}")
+    t_frac = exact_ratio(t)
+    rho_frac = (Fraction(k) - t_frac / a_frac) / (Fraction(n) - t_frac)
+    if not 0 <= rho_frac <= 1:
+        raise ValueError(f"(k - t/alpha)/(n - t) = {rho_frac} outside [0, 1]")
+    a = 1.0 / float(a_frac)
+    t = float(t_frac)
+    rho = float(rho_frac)
+    base = (k - t * a) * math.log(c)
+    if form == "entropy":
+        return base - t * entropy(a) - (n - t) * entropy(rho)
+    if form != "kl":
+        raise ValueError(f"form must be 'entropy' or 'kl', got {form!r}")
+    if rho_frac == 0:  # k == t/alpha: the k*ln(rho) and t*a*ln(1/rho) poles cancel
+        return base + _xlogy(k, a) + _xlogy(t * (1.0 - a), 1.0 - a)
+    if rho_frac == 1:  # k - t/alpha == n - t: (n-k)*ln(1-rho) pole cancels likewise
+        return base + _xlogy(t * a, a) + _xlogy(t * (1.0 - a), 1.0 - a)
+    kl_term = 0.0 if t == 0.0 else t * kl_divergence(a, rho)
+    return base + kl_term + _xlogy(k, rho) + _xlogy(n - k, 1.0 - rho)
+
+
+def empirical_brute_exponent(n: int, alpha) -> float:
+    """(1/n) * ln( max over k in [0, n/alpha) of C(n, k) / C(floor(alpha*k), k) ).
+
+    The maximum is taken over exact big-integer ratios; a single logarithm is
+    applied at the end.  As n grows this converges to ln(brute_bound(alpha)).
+    """
+    a = _alpha(alpha)
+    if n < 2:
+        raise ValueError(f"empirical_brute_exponent requires n >= 2, got {n}")
+    best = Fraction(0)
+    k = 0
+    while Fraction(k) * a < n:
+        ratio = Fraction(binomial(n, k), binomial(math.floor(a * k), k))
+        if ratio > best:
+            best = ratio
+        k += 1
+    return (math.log(best.numerator) - math.log(best.denominator)) / n

@@ -23,19 +23,13 @@ from amls.combinatorics import (
     _pascal_row,
     argmin_t,
     binomial,
-    continuous_t,
-    empirical_brute_exponent,
     exact_ratio,
-    hyper_symmetry_check,
     hyper_tail,
     iteration_cost,
     kappa,
-    relaxed_log_cost,
     select_t,
 )
-
-# frozen with 50-digit arithmetic: (amls_bound(2, 1024) - 1) / 1023
-DELTA_STAR_2_1024 = 0.0002442002587663816
+from reference import empirical_brute_exponent, relaxed_log_cost
 
 
 def pascal_triangle(n_max):
@@ -142,18 +136,20 @@ class TestHyperTail:
 
 
 class TestHyperSymmetry:
+    """The tail is unchanged by swapping the roles of k and t: the two ways
+    of conditioning the same bivariate event."""
+
     def test_examples(self):
-        assert hyper_symmetry_check(4, 2, 2, 1)
-        assert hyper_symmetry_check(6, 3, 3, 3)
+        assert hyper_tail(4, 2, 2, 1) == Fraction(5, 6)
         assert hyper_tail(6, 3, 3, 3) == Fraction(1, 20)
-        assert hyper_symmetry_check(10, 4, 6, 2)
+        assert hyper_tail(10, 4, 6, 2) == hyper_tail(10, 6, 4, 2)
 
     def test_all_small_parameters(self):
         for n in range(1, 13):
             for k in range(n + 1):
                 for t in range(n + 1):
                     for x in range(min(k, t) + 1):
-                        assert hyper_symmetry_check(n, k, t, x)
+                        assert hyper_tail(n, k, t, x) == hyper_tail(n, t, k, x)
 
 
 class TestIterationCost:
@@ -425,20 +421,6 @@ class TestPolynomialOracleShortCircuit:
             argmin_t(10, 11, 1, 1, lambda t: (1, 1))
         with pytest.raises(ValueError):
             argmin_t(10, 3, 0.5, 1, lambda t: (1, 1))
-
-
-class TestContinuousT:
-    def test_zero_at_balance_point(self):
-        # alpha=1, c=2: critical density is 1/2, so k = n/2 balances exactly
-        assert continuous_t(100, 50, 1, 2) == pytest.approx(0.0, abs=1e-9)
-
-    def test_closed_form_from_frozen_density(self):
-        expected = (2500 - 1e4 * DELTA_STAR_2_1024) / (0.5 - DELTA_STAR_2_1024)
-        assert continuous_t(10**4, 2500, 2, 1024) == pytest.approx(expected, rel=1e-9)
-
-    def test_requires_c_above_one(self):
-        with pytest.raises(ValueError):
-            continuous_t(10, 5, 1, 1)
 
 
 class TestRelaxedLogCost:

@@ -11,17 +11,15 @@ import pytest
 
 import amls.engine as engine
 from amls import families
-from amls.combinatorics import select_t
+from amls.combinatorics import exact_ratio, select_t
 from amls.engine import (
     ExtensionOracle,
     MonotoneInstance,
     RunConfig,
     brute_force_search,
-    exhaustive_minimum,
     run_deterministic,
     run_randomized,
     solve,
-    success_rate,
 )
 from amls.families import LimitExceededError
 from amls.problems import (
@@ -110,28 +108,29 @@ class TestRandomized:
         assert rep.k_found >= exhaustive_vc_opt(g) or rep.k_found == -1
 
 
+def _success_rate(g: Graph, ext: ExtensionOracle, trials: int, cfg: RunConfig) -> float:
+    """Fraction of solves of vertex cover on g, trial i seeded cfg.seed + i,
+    returning size <= alpha * OPT, OPT by enumeration."""
+    inst, bound = vc_system(g), exact_ratio(ext.alpha) * exhaustive_vc_opt(g)
+    sizes = [solve(inst, ext, cfg._replace(seed=cfg.seed + i)).size for i in range(trials)]
+    return sum(size <= bound for size in sizes) / trials
+
+
 class TestStatistics:
     def test_boost_three_success_rate(self):
         # dense graph so the optimum sits above n*delta* and sampling is real
         g = gen_gnp(12, 0.55, seed=21)
-        inst = vc_system(g)
-        fraction = success_rate(
-            inst, vc_exact_oracle(g), trials=150, cfg=RunConfig(seed=1000, boost=3.0)
-        )
+        fraction = _success_rate(g, vc_exact_oracle(g), 150, RunConfig(seed=1000, boost=3.0))
         assert fraction >= 0.9
 
     def test_boost_one_success_rate(self):
         g = gen_gnp(10, 0.5, seed=22)
-        inst = vc_system(g)
-        fraction = success_rate(
-            inst, vc_exact_oracle(g), trials=300, cfg=RunConfig(seed=2000, boost=1.0)
-        )
+        fraction = _success_rate(g, vc_exact_oracle(g), 300, RunConfig(seed=2000, boost=1.0))
         assert fraction >= 0.5  # theory: >= 1 - 1/e ~ 0.632
 
     def test_flaky_oracle_with_amplification(self):
         # oracle fails half the time; boost 6 gives >= 1 - e^{-3} per run
         g = gen_gnp(10, 0.5, seed=23)
-        inst = vc_system(g)
         exact = vc_exact_oracle(g)
 
         def flaky_extend(x, k, rng):
@@ -140,26 +139,13 @@ class TestStatistics:
             return exact.extend(x, k, rng)
 
         flaky = ExtensionOracle(alpha=1.0, c=2.0, success_prob=0.5, extend=flaky_extend)
-        fraction = success_rate(
-            inst, flaky, trials=150, cfg=RunConfig(seed=3000, boost=6.0)
-        )
+        fraction = _success_rate(g, flaky, 150, RunConfig(seed=3000, boost=6.0))
         assert fraction >= 0.85
 
     def test_deterministic_mode_always_succeeds(self):
         g = gen_gnp(9, 0.4, seed=24)
-        inst = vc_system(g)
-        fraction = success_rate(
-            inst,
-            vc_exact_oracle(g),
-            trials=5,
-            cfg=RunConfig(deterministic=True),
-        )
+        fraction = _success_rate(g, vc_exact_oracle(g), 5, RunConfig(deterministic=True))
         assert fraction == 1.0
-
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_rejects_non_positive_trials(self, trials):
-        with pytest.raises(ValueError, match="trials"):
-            success_rate(vc_system(P3), vc_exact_oracle(P3), trials=trials)
 
     def test_matching_oracle_randomized_always_within_twice(self):
         # c = 1 selects t = 0, so the deterministic matching extension makes
@@ -591,16 +577,13 @@ class TestSkippedK:
 
 
 class TestExhaustiveMinimum:
-    def test_known_instances(self):
-        assert exhaustive_minimum(vc_system(P3)) == 1
-        assert exhaustive_minimum(vc_system(K3)) == 2
-        assert exhaustive_minimum(vc_system(C5)) == 3
-        assert exhaustive_minimum(vc_system(EMPTY)) == 0
+    """The suite's enumerated optimum, on instances whose optimum is known."""
 
-    def test_rejects_non_monotone_top(self):
-        broken = MonotoneInstance(n=2, membership=lambda s: False)
-        with pytest.raises(ValueError):
-            exhaustive_minimum(broken)
+    def test_known_instances(self):
+        assert exhaustive_vc_opt(P3) == 1
+        assert exhaustive_vc_opt(K3) == 2
+        assert exhaustive_vc_opt(C5) == 3
+        assert exhaustive_vc_opt(EMPTY) == 0
 
 
 class TestConfigValidation:

@@ -14,7 +14,6 @@ from amls.families import (
     SetFamily,
     build_covering,
     build_intersection_family,
-    family_from_text,
     family_size_bound,
     family_to_text,
     verify_family,
@@ -322,47 +321,34 @@ class TestSizeBound:
         )
 
 
+def _read_back(text):
+    """(header, members) of family_to_text's output, each member line as ints."""
+    assert text.endswith("\n")
+    header, *rows = text[:-1].split("\n")
+    return header, tuple(tuple(int(v) for v in row.split(" ")) for row in rows)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("n,t,k", COVERING_PARAMS)
     def test_covering_round_trip_is_bit_exact(self, n, t, k):
         family = build_covering(n, t, k)
-        text = family_to_text(family)
-        parsed = family_from_text(text)
-        assert parsed.members == family.members
-        assert parsed.params == family.params
-        assert parsed.kind == family.kind
-        assert family_to_text(parsed) == text
+        header, members = _read_back(family_to_text(family))
+        assert header == f"family covering n={n} q={t} params={t},{k}"
+        assert members == family.members
 
     def test_intersection_round_trip(self):
         for n, p, q, r, strong in [(7, 3, 4, 2, True), *INTERSECTION_PARAMS]:
             family = build_intersection_family(n, p, q, r, strong=strong)
-            text = family_to_text(family)
-            parsed = family_from_text(text)
-            assert parsed == family
-            assert family_to_text(parsed) == text
+            header, members = _read_back(family_to_text(family))
+            assert header == f"family {family.kind} n={n} q={q} params={p},{q},{r}"
+            assert members == family.members
 
     def test_header_format(self):
         family = build_covering(4, 3, 2)
         first = family_to_text(family).splitlines()[0]
         assert first == "family covering n=4 q=3 params=3,2"
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            family_from_text("")
-        with pytest.raises(ValueError):
-            family_from_text("family covering n=x q=3 params=3,2\n")
-        with pytest.raises(ValueError):
-            family_from_text("not a family\n0 1\n")
-        with pytest.raises(ValueError):
-            family_from_text("family sideways n=4 q=3 params=3,2\n")
-
-    @pytest.mark.parametrize(
-        "header",
-        ["family covering n=-3 q=2 params=2,1",
-         "family covering n=4 q=2 params=2",
-         "family covering n=4 q=2 params=2,1,1",
-         "family intersection_weak n=4 q=2 params=2,1"],
-    )
-    def test_parse_rejects_unverifiable_headers(self, header):
-        with pytest.raises(ValueError, match="malformed family header"):
-            family_from_text(header + "\n")
+    def test_members_are_printed_sorted(self):
+        family = SetFamily(n=5, member_size=3, members=((4, 0, 2), (3, 1, 0)),
+                           kind="covering", params=(3, 2))
+        assert family_to_text(family) == "family covering n=5 q=3 params=3,2\n0 2 4\n0 1 3\n"

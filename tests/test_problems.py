@@ -14,7 +14,6 @@ from amls.problems import (
     Hypergraph3,
     ParseError,
     gen_gnp,
-    gen_planted_vc,
     hs3_exact_oracle,
     hs3_system,
     parse_graph,
@@ -23,7 +22,7 @@ from amls.problems import (
     vc_matching_oracle,
     vc_system,
 )
-from conftest import exhaustive_vc_exists, exhaustive_vc_opt, hits_all, is_cover
+from conftest import exhaustive_vc_exists, hits_all, is_cover
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -315,25 +314,11 @@ class TestGenerators:
         assert gen_gnp(9, 0.3, seed=4).edges == gen_gnp(9, 0.3, seed=4).edges
         assert gen_gnp(9, 0.3, seed=4).edges != gen_gnp(9, 0.3, seed=5).edges
 
-    def test_planted_cover_is_a_cover(self):
-        g, planted = gen_planted_vc(8, 3, 10, seed=11)
-        assert len(planted) == 3
-        assert vc_system(g).membership(planted)
-        assert exhaustive_vc_opt(g) <= 3
-        assert len(g.edges) == 10
-
-    def test_planted_parameter_validation(self):
-        with pytest.raises(ValueError):
-            gen_planted_vc(5, 6, 0, seed=1)
-        with pytest.raises(ValueError):
-            gen_planted_vc(5, 2, 100, seed=1)
+    def test_gnp_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_gnp(5, 1.5, seed=1)
-
-    def test_oracle_determinism_through_seeds(self):
-        g1, p1 = gen_planted_vc(9, 3, 12, seed=77)
-        g2, p2 = gen_planted_vc(9, 3, 12, seed=77)
-        assert g1.edges == g2.edges and p1 == p2
+        with pytest.raises(ValueError):
+            gen_gnp(-1, 0.5, seed=1)
 
 
 # The set-based branching oracles as they were before the bitmask core: the
