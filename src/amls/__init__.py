@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "engine": (
         "ExtensionOracle", "MonotoneInstance", "RunConfig", "RunReport",
-        "brute_force_search", "run_deterministic", "run_randomized", "solve",
+        "brute_force_search", "solve",
     ),
     "families": (
         "LimitExceededError", "SetFamily", "build_covering",

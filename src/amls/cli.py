@@ -144,22 +144,13 @@ def _read_input(path: str) -> str:
 
 
 def _load_instance(args):
+    """The parsed graph or hypergraph of args.input and its set system."""
     text = _read_input(args.input)
     if args.problem == "vc":
         graph = parse_graph(text)
-        inst = vc_system(graph)
-        oracle = (
-            vc_matching_oracle(graph)
-            if getattr(args, "oracle", "exact") == "matching"
-            else vc_exact_oracle(graph)
-        )
-    else:
-        hyper = parse_hypergraph(text)
-        inst = hs3_system(hyper)
-        if getattr(args, "oracle", "exact") == "matching":
-            raise ValueError("the matching oracle applies to vc only")
-        oracle = hs3_exact_oracle(hyper)
-    return inst, oracle
+        return graph, vc_system(graph)
+    hyper = parse_hypergraph(text)
+    return hyper, hs3_system(hyper)
 
 
 def _print_report(rep, json_path) -> None:
@@ -183,7 +174,13 @@ def _cmd_solve(args) -> int:
     from dataclasses import replace
 
     _bind("engine", "problems")
-    inst, oracle = _load_instance(args)
+    parsed, inst = _load_instance(args)
+    if args.problem == "vc":
+        oracle = (vc_matching_oracle if args.oracle == "matching" else vc_exact_oracle)(parsed)
+    elif args.oracle == "matching":
+        raise ValueError("the matching oracle applies to vc only")
+    else:
+        oracle = hs3_exact_oracle(parsed)
     if args.alpha is not None:
         if args.alpha < oracle.alpha:
             print(
@@ -206,8 +203,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_brute(args) -> int:
     _bind("engine", "problems")
-    inst, _ = _load_instance(args)
-    rep = brute_force_search(inst, args.alpha)
+    rep = brute_force_search(_load_instance(args)[1], args.alpha)
     _print_report(rep, args.json)
     return 0
 

@@ -7,46 +7,36 @@ extension oracle, given (X, budget), returns Y with X u Y a member and
 exists; it declares its ratio alpha, running-time base c, and success
 probability.
 
-Three solving modes, all returning a RunReport whose solution is always a
+Two entry points, both returning a RunReport whose solution is always a
 member of the family:
 
-  run_randomized      sample a uniform t-subset X, extend with the oracle,
-                      keep the best of ceil(boost / p) repetitions per
-                      target size k, for k = 0 .. floor(n/alpha); the sample
-                      size t per k minimizes c^(k-t/alpha) / p(n,k,t) where
-                      p is the exact hypergeometric success probability.
+  solve               randomized: for each target size k = 0 .. floor(n/alpha),
+                      extend ceil(boost / p) uniform t-subsets X with the
+                      oracle and keep the best; t minimizes c^(k-t/alpha) / p
+                      with p the exact hypergeometric success probability.
                       Returns a solution of size <= alpha * OPT with
-                      probability >= 1 - exp(-boost * success_prob).
-  run_deterministic   replace sampling with iteration over a weak
-                      (n, k, t, ceil(t/alpha))-set-intersection family, with
-                      t minimizing kappa(n,k,t,ceil(t/alpha)) * c^(k-t/alpha);
-                      unconditional alpha-approximation, gated by
-                      families.LIMIT when some k needs a family.
+                      probability >= 1 - exp(-boost * success_prob).  With
+                      RunConfig(deterministic=True), X ranges instead over a
+                      weak (n, k, t, ceil(t/alpha))-set-intersection family,
+                      t minimizing kappa * c^(k-t/alpha): an unconditional
+                      alpha-approximation, gated by families.LIMIT.
   brute_force_search  no oracle at all: for each k test every member of an
-                      (n, floor(alpha*k), k)-covering, up to the first k
-                      that hits; unconditional alpha-approximation by
-                      monotonicity, gated by families.LIMIT.
+                      (n, floor(alpha*k), k)-covering; unconditional
+                      alpha-approximation by monotonicity, gated by
+                      families.LIMIT.
 
-One plan, _plan, decides each k's t and repetitions for all three modes;
-the runners only execute its rows.  Both search modes pick t with the same
-combinatorics.argmin_t; they differ only in the factor it weighs
-c^(k - t/alpha) by (1/p or kappa).
-
-All three keep one run state, _Search, that owns the running best, the
-sample count, the warnings and the clock.  Its run_k is the one place an X
-is extended, checked (|X u Y| <= floor(alpha*k) and membership), offered
-to the best and counted.  The modes differ only in the X source (random
-t-subsets, family members, covering members), the extension (the oracle
-with budget k - ceil(t/alpha), or none in brute force) and stopping
-(randomized stops at its first hit; the others visit every X).  Before a k
-builds a family or covering, draws a sample or records a warning, each
-mode asks _Search.can_improve whether that k's X are small enough to
-matter: every Z contains its X, so a k whose X all have more elements than
-the best member cannot change the report, and it is skipped.  Only
-total_samples and warnings differ from visiting it (in deterministic mode,
-whose k's share one generator, for an oracle whose answers do not depend
-on it, as with every shipped oracle).  In brute force, where |X| =
-floor(alpha*k) grows with k, the first k that hits is the last.
+One plan, _plan, decides each k's t and repetitions for all three modes,
+and one loop, _run, executes its rows.  The modes differ only in the X
+source (random t-subsets, family members, covering members, or X = {}
+alone where t = 0 outside randomized mode), the extension (the oracle with
+budget k - ceil(t/alpha), or none in brute force) and stopping (randomized
+stops at a k's first hit; the others visit every X).  A k whose X all have
+more elements than the best member found before it is skipped: every Z
+contains its X, so it cannot change the report.  Only total_samples and
+warnings differ from visiting it (in deterministic mode, whose k's share
+one generator, for an oracle whose answers do not depend on it, as with
+every shipped oracle).  In brute force, where |X| = floor(alpha*k) grows
+with k, the first k that hits is the last.
 
 Reproducibility: the iteration for target size k draws from one generator
 seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
@@ -80,8 +70,6 @@ __all__ = [
     "ExtensionOracle",
     "RunConfig",
     "RunReport",
-    "run_randomized",
-    "run_deterministic",
     "brute_force_search",
     "solve",
 ]
@@ -136,14 +124,13 @@ class RunConfig(
     seed names the run's random streams: randomized mode draws the samples
     for target size k from a generator seeded with "seed:k:0", and
     deterministic mode hands its oracle one seeded "seed:deterministic".
-    deterministic makes solve run run_deterministic; run_randomized rejects
-    it.  boost, finite and >= 1, multiplies the baseline ceil(1/p)
-    repetition count, pushing the per-k failure probability below
-    exp(-boost * success_prob).  max_repetitions, an int >= 1, caps the
-    repetitions of each k that runs and needs more than one sample; a
-    capped k records a warning, as its success guarantee degrades.  A k
-    skipped because its samples cannot beat the best member is never
-    capped.  stop_at_first returns at the first k whose iteration finds a
+    deterministic makes solve search families instead of samples.  boost,
+    finite and >= 1, multiplies the baseline ceil(1/p) repetition count,
+    pushing the per-k failure probability below exp(-boost * success_prob).
+    max_repetitions, an int >= 1, caps the repetitions of each k that runs
+    and needs more than one sample; a capped k records a warning, as its
+    success guarantee degrades.  A k skipped because its samples cannot beat
+    the best member is never capped.  stop_at_first returns at the first k whose iteration finds a
     set of size <= alpha * k instead of finishing the loop.  Immutable;
     validated on construction.
     """
@@ -196,78 +183,6 @@ class RunReport(
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class _Search:
-    """One run's state: its best member and k_found, samples, warnings and clock.
-
-    The best is the minimum by (size, lexicographic order of the sorted
-    elements); it starts at the full universe [n) with k_found = -1.
-    """
-
-    def __init__(self, inst: MonotoneInstance) -> None:
-        self.inst = inst
-        self.key = (inst.n, tuple(range(inst.n)))
-        self.k_found = -1
-        self.samples = 0
-        self.warnings: list[str] = []
-        self.start = time.perf_counter()
-
-    def can_improve(self, x_size: int) -> bool:
-        """Whether a k whose X all have x_size elements can change the best:
-        every Z contains its X, so none has fewer than x_size elements."""
-        return x_size <= self.key[0]
-
-    def run_k(self, k, alpha_k, xs, extend=None, stop_on_hit=False) -> bool:
-        """Run every X in xs for target size k; return whether one hit.
-
-        The one place an X is handled: Z = X u extend(X) becomes the best
-        when |Z| <= alpha_k, Z is a member and Z is smaller.  extend returning
-        None is a miss; any other Z is a broken oracle contract, recorded as
-        one warning for k.  With no extend, Y = X and a non-member is a plain
-        miss.  With stop_on_hit, xs is read no further after the first hit.
-        """
-        membership = self.inst.membership
-        samples = broken = 0
-        hit = False
-        for x in xs:
-            samples += 1
-            y = x if extend is None else extend(x)
-            if y is None:
-                continue
-            z = x.union(y)
-            if len(z) <= alpha_k and membership(z):
-                key = (len(z), tuple(sorted(z)))
-                if key < self.key:
-                    self.key, self.k_found = key, k
-                hit = True
-                if stop_on_hit:
-                    break
-            else:
-                broken += 1
-        self.samples += samples
-        if broken and extend is not None:
-            self.warnings.append(
-                f"k={k}: oracle broke its contract on {broken} of {samples} samples"
-            )
-        return hit
-
-    def report(self, mode, alpha, c, seed) -> RunReport:
-        """The run's report, with the best member as its solution."""
-        return RunReport(
-            instance=self.inst.label,
-            n=self.inst.n,
-            alpha=float(alpha),
-            c=c,
-            mode=mode,
-            solution=self.key[1],
-            size=self.key[0],
-            k_found=self.k_found,
-            total_samples=self.samples,
-            seed=seed,
-            warnings=tuple(self.warnings),
-            elapsed=time.perf_counter() - self.start,
-        )
-
-
 def _samples(rng: random.Random, n: int, t: int, reps: int):
     """reps uniform t-subsets of [n), drawn as frozenset(rng.sample(range(n), t)).
 
@@ -305,7 +220,7 @@ def _samples(rng: random.Random, n: int, t: int, reps: int):
 _Row = namedtuple("_Row", "k t r alpha_k reps")
 
 
-def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None = None, boost=None):
+def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     """One _Row(k, t, r, alpha_k, reps) per target size k = 0 .. floor(n/alpha).
 
     t is select_t's sample size (mode "randomized"), the argmin_t weighing
@@ -317,9 +232,9 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None = None, boost=No
     where t = 0 and the oracle cannot fail, every sample is X = {} alike.
     Rows are made one k at a time, so a run that stops early plans no further.
     """
-    a = exact_ratio(alpha)
-    if boost is not None:
-        boost = exact_ratio(boost)
+    a, boost = exact_ratio(alpha), exact_ratio(boost)
+    if a < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
     for k in range(math.floor(Fraction(n) / a) + 1):
         alpha_k, reps = math.floor(a * k), 1
         if mode == "brute":
@@ -336,72 +251,110 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None = None, boost=No
         yield _Row(k, t, math.ceil(t / a), alpha_k, reps)
 
 
-def run_randomized(
-    inst: MonotoneInstance, ext: ExtensionOracle, cfg: RunConfig = RunConfig()
+def _run(
+    inst: MonotoneInstance,
+    alpha,
+    mode: str,
+    ext: ExtensionOracle | None = None,
+    cfg: RunConfig = RunConfig(),
 ) -> RunReport:
-    """Randomized approximate search (sampling mode).
+    """Execute _plan's rows for mode ("randomized", "deterministic" or
+    "brute", the one mode without ext); the one loop behind every search.
 
-    For each k in [0, floor(n/alpha)] picks the cost-minimizing sample size,
-    runs ceil(boost / p) sample-then-extend attempts (none when that size
-    exceeds the best member found so far), and finally returns
-    the smallest member seen across all k (the full universe if none beat
-    it).  With boost = 1 the returned size is <= alpha * OPT with
-    probability >= 1 - exp(-success_prob); boost multiplies the exponent.
+    Outside randomized mode the whole plan is made first, and the run is
+    rejected by families.LIMIT before any oracle call if some t >= 1.  Each
+    X of a k is extended (or, in brute force, taken as is) and Z = X u Y
+    becomes the best when |Z| <= alpha_k, Z is a member and Z is smaller.
+    The oracle returning None is a miss; any other Z is a broken contract,
+    recorded as one warning for k.  Without an oracle a non-member is a
+    plain miss.  Randomized mode reads no further X of a k after its first
+    hit.
     """
-    if cfg.deterministic:
-        raise ValueError("cfg.deterministic is set; use run_deterministic")
-    run = _Search(inst)
-    for k, t, r, alpha_k, reps in _plan(inst.n, ext.alpha, "randomized", ext, cfg.boost):
-        if not run.can_improve(t):
+    start = time.perf_counter()
+    n, membership = inst.n, inst.membership
+    extend = None if ext is None else ext.extend
+    rows = _plan(n, alpha, mode, ext, cfg.boost)
+    if mode != "randomized":
+        rows = list(rows)
+        if any(row.t for row in rows):
+            _bind("families")
+            check_limit(n, "brute-force search" if ext is None else "deterministic mode")
+        rng = random.Random(f"{cfg.seed}:deterministic")
+    best, k_found, samples, warnings = (n, tuple(range(n))), -1, 0, []
+    for k, t, r, alpha_k, reps in rows:
+        if t > best[0]:  # every Z contains its X, so none can beat the best
             continue
         if cfg.max_repetitions is not None and reps > cfg.max_repetitions:
-            run.warnings.append(
+            warnings.append(
                 f"k={k}: repetitions capped at {cfg.max_repetitions} "
                 f"(needed {reps}); success guarantee degraded"
             )
             reps = cfg.max_repetitions
-        budget = k - r
-        rng = random.Random(f"{cfg.seed}:{k}:0")
-        xs = _samples(rng, inst.n, t, reps)
-        hit = run.run_k(k, alpha_k, xs, lambda x: ext.extend(x, budget, rng), stop_on_hit=True)
+        if mode == "randomized":
+            rng = random.Random(f"{cfg.seed}:{k}:0")
+            xs = _samples(rng, n, t, reps)
+        elif t == 0:
+            xs = (frozenset(),)
+        elif mode == "deterministic":
+            xs = map(frozenset, build_intersection_family(n, k, t, r).members)
+        else:
+            xs = map(frozenset, build_covering(n, t, k).members)
+        budget, drawn, broken, hit = k - r, 0, 0, False
+        for x in xs:
+            drawn += 1
+            z = x
+            if extend is not None:
+                y = extend(x, budget, rng)
+                if y is None:
+                    continue
+                z = x.union(y)
+            if len(z) <= alpha_k and membership(z):
+                key = (len(z), tuple(sorted(z)))
+                if key < best:
+                    best, k_found = key, k
+                hit = True
+                if mode == "randomized":
+                    break
+            elif extend is not None:
+                broken += 1
+        samples += drawn
+        if broken:
+            warnings.append(f"k={k}: oracle broke its contract on {broken} of {drawn} samples")
         if cfg.stop_at_first and hit:
             break
-    return run.report("randomized", ext.alpha, float(ext.c), cfg.seed)
+    return RunReport(
+        instance=inst.label,
+        n=n,
+        alpha=float(alpha),
+        c=None if ext is None else float(ext.c),
+        mode=mode,
+        solution=best[1],
+        size=best[0],
+        k_found=k_found,
+        total_samples=samples,
+        seed=cfg.seed,
+        warnings=tuple(warnings),
+        elapsed=time.perf_counter() - start,
+    )
 
 
-def run_deterministic(
+def solve(
     inst: MonotoneInstance, ext: ExtensionOracle, cfg: RunConfig = RunConfig()
 ) -> RunReport:
-    """Family-driven derandomized search; requires a deterministic oracle.
+    """Approximate search with ext, randomized or, with cfg.deterministic, not.
 
-    For each k, iterates the sample step over every member of a weak
-    (n, k, t, ceil(t/alpha))-set-intersection family instead of sampling, so
-    the alpha-approximation guarantee holds unconditionally.  A k with t = 0
-    iterates X = {} alone, and a k whose t exceeds the best member found so
-    far builds no family.  The whole plan is made first, and the run is
-    rejected before any oracle call if n exceeds families.LIMIT and some
-    t >= 1 needs a family; at c == 1 every t is 0, so any n runs.
+    Randomized: for each k in [0, floor(n/alpha)], ceil(boost / p) uniform
+    t-subsets X of the cost-minimizing size t, each extended with budget
+    k - ceil(t/alpha), up to the k's first hit.  With boost = 1 the returned
+    size is <= alpha * OPT with probability >= 1 - exp(-success_prob); boost
+    multiplies the exponent.  Deterministic, which needs success_prob == 1:
+    every member of a weak (n, k, t, ceil(t/alpha))-set-intersection family
+    instead, so the alpha-approximation holds unconditionally; rejected
+    before any oracle call if n exceeds families.LIMIT and some t >= 1.
     """
-    if ext.success_prob != 1.0:
+    if cfg.deterministic and ext.success_prob != 1.0:
         raise ValueError("deterministic mode needs an oracle with success_prob == 1")
-    run = _Search(inst)
-    rows = list(_plan(inst.n, ext.alpha, "deterministic", ext))
-    if any(row.t for row in rows):
-        _bind("families")
-        check_limit(inst.n, "deterministic mode")
-    rng = random.Random(f"{cfg.seed}:deterministic")
-
-    for k, t, r, alpha_k, _ in rows:
-        if not run.can_improve(t):
-            continue
-        xs = (frozenset(),)
-        if t:
-            xs = map(frozenset, build_intersection_family(inst.n, k, t, r).members)
-        budget = k - r
-        hit = run.run_k(k, alpha_k, xs, lambda x: ext.extend(x, budget, rng))
-        if cfg.stop_at_first and hit:
-            break
-    return run.report("deterministic", ext.alpha, float(ext.c), cfg.seed)
+    return _run(inst, ext.alpha, "deterministic" if cfg.deterministic else "randomized", ext, cfg)
 
 
 def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
@@ -410,26 +363,6 @@ def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
     For each k tests every member of an (n, floor(alpha*k), k)-covering for
     membership; by monotonicity some member contains an optimum once
     k = OPT, so the result has size at most floor(alpha * OPT).  The first
-    k that hits is the last: later members are larger than its hit.  Y is
-    always empty, so a non-member is a plain miss, not a broken contract.
+    k that hits is the last: later members are larger than its hit.
     """
-    a = exact_ratio(alpha)
-    if a < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    _bind("families")
-    check_limit(inst.n, "brute-force search")
-    run = _Search(inst)
-    for k, t, _, alpha_k, _ in _plan(inst.n, a, "brute"):
-        if not run.can_improve(t):  # and no later k can: t = floor(alpha*k) grows
-            break
-        run.run_k(k, alpha_k, map(frozenset, build_covering(inst.n, t, k).members))
-    return run.report("brute", a, None, 0)
-
-
-def solve(
-    inst: MonotoneInstance, ext: ExtensionOracle, cfg: RunConfig = RunConfig()
-) -> RunReport:
-    """Dispatch to the mode selected by cfg.deterministic."""
-    if cfg.deterministic:
-        return run_deterministic(inst, ext, cfg)
-    return run_randomized(inst, ext, cfg)
+    return _run(inst, alpha, "brute")

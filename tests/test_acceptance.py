@@ -14,7 +14,7 @@ from itertools import combinations
 
 from amls.bounds import amls_bound, brute_bound, emls_bound, naive_bound
 from amls.combinatorics import binomial, exact_ratio, hyper_tail
-from amls.engine import RunConfig, brute_force_search, run_deterministic, run_randomized
+from amls.engine import RunConfig, brute_force_search, solve
 from amls.families import (
     build_covering,
     build_intersection_family,
@@ -148,12 +148,12 @@ def test_criterion_4a_deterministic_engine():
     for idx, g in enumerate(_acceptance_graphs()):
         inst = vc_system(g)
         opt = exhaustive_vc_opt(g)
-        exact = run_deterministic(inst, vc_exact_oracle(g))
+        exact = solve(inst, vc_exact_oracle(g), RunConfig(deterministic=True))
         if exact.size != opt:
             v.append(f"graph {idx}: exact mode size {exact.size} != OPT {opt}")
         if not inst.membership(frozenset(exact.solution)):
             v.append(f"graph {idx}: exact-mode output not a member")
-        twice = run_deterministic(inst, vc_matching_oracle(g))
+        twice = solve(inst, vc_matching_oracle(g), RunConfig(deterministic=True))
         if twice.size > 2 * opt:
             v.append(f"graph {idx}: matching mode size {twice.size} > 2*OPT {2 * opt}")
     _report("4a deterministic-engine", v)
@@ -171,7 +171,7 @@ def test_criterion_4b_randomized_success_rate():
         oracle = vc_exact_oracle(g)
         opt = exhaustive_vc_opt(g)
         for i in range(trials_per_graph):
-            rep = run_randomized(inst, oracle, RunConfig(seed=seed * 1000 + i, boost=3.0))
+            rep = solve(inst, oracle, RunConfig(seed=seed * 1000 + i, boost=3.0))
             total += 1
             if rep.size <= opt:
                 successes += 1
@@ -228,12 +228,12 @@ def test_criterion_6_reproducibility():
     g = gen_gnp(12, 0.45, seed=77)
     inst = vc_system(g)
     cfg = RunConfig(seed=5)
-    r1 = run_randomized(inst, vc_exact_oracle(g), cfg)
-    r2 = run_randomized(inst, vc_exact_oracle(g), cfg)
+    r1 = solve(inst, vc_exact_oracle(g), cfg)
+    r2 = solve(inst, vc_exact_oracle(g), cfg)
     if r1.to_json().encode() != r2.to_json().encode():
         v.append("randomized reports differ")
-    det1 = run_deterministic(inst, vc_exact_oracle(g))
-    det2 = run_deterministic(inst, vc_exact_oracle(g))
+    det1 = solve(inst, vc_exact_oracle(g), RunConfig(deterministic=True))
+    det2 = solve(inst, vc_exact_oracle(g), RunConfig(deterministic=True))
     if det1.to_json().encode() != det2.to_json().encode():
         v.append("deterministic reports differ")
     payload = json.loads(det1.to_json())

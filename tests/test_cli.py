@@ -178,13 +178,14 @@ class TestSolve:
         )
         assert rc == 1
 
-    def test_matching_oracle_rejected_for_hs3(self, tmp_path):
+    def test_matching_oracle_rejected_for_hs3(self, tmp_path, capsys):
         path = tmp_path / "sets.hs3"
         path.write_text("p hs3 3 1\ns 1 2 3\n")
         rc = main(
             ["solve", "--problem", "hs3", "--input", str(path), "--oracle", "matching"]
         )
         assert rc == 2
+        assert capsys.readouterr().err == "error: the matching oracle applies to vc only\n"
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.col"
@@ -456,6 +457,21 @@ class TestBrute:
         )
         assert rc == 2
 
+    def test_builds_no_oracle(self, k3_file, tmp_path, monkeypatch, capsys):
+        import amls.cli as cli
+
+        def refuse(parsed):
+            raise AssertionError("brute force needs no extension oracle")
+
+        monkeypatch.setattr(cli, "vc_exact_oracle", refuse)
+        monkeypatch.setattr(cli, "hs3_exact_oracle", refuse)
+        hs3 = tmp_path / "sets.hs3"
+        hs3.write_text("p hs3 4 2\ns 1 2 3\ns 2 3 4\n")
+        for problem, path, size in (("vc", k3_file, 2), ("hs3", str(hs3), 1)):
+            argv = ["brute", "--problem", problem, "--input", path, "--alpha", "1"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"size {size}"
+
 
 class TestFamilies:
     def test_covering_output(self, capsys):
@@ -541,7 +557,7 @@ PACKAGE_EXPORTS = {
     "combinatorics": "IterationCost binomial exact_ratio hyper_tail iteration_cost kappa "
                      "select_t",
     "engine": "ExtensionOracle MonotoneInstance RunConfig RunReport brute_force_search "
-              "run_deterministic run_randomized solve",
+              "solve",
     "families": "LimitExceededError SetFamily build_covering build_intersection_family "
                 "family_size_bound family_to_text verify_family",
     "problems": "Graph Hypergraph3 ParseError gen_gnp hs3_exact_oracle hs3_system "
@@ -563,13 +579,14 @@ _LIST_MODULES = (
 
 
 def _cli_modules(*argv):
-    """(exit code, loaded amls modules, stderr) of one CLI call in a fresh interpreter."""
+    """(exit code, loaded amls modules, stderr, stdout) of one CLI call in a fresh
+    interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _LIST_MODULES, *argv],
         capture_output=True, text=True, timeout=60, env=_child_env(),
     )
     *diagnostics, modules = proc.stderr.splitlines()
-    return proc.returncode, json.loads(modules), "\n".join(diagnostics)
+    return proc.returncode, json.loads(modules), "\n".join(diagnostics), proc.stdout
 
 
 class TestImportSet:
@@ -583,7 +600,7 @@ class TestImportSet:
         assert proc.stdout.split() == ["['amls']"]
 
     def test_bounds_loads_only_bounds(self):
-        rc, modules, err = _cli_modules("bounds", "--alpha", "1.5,2", "--c", "2,3")
+        rc, modules, err, _ = _cli_modules("bounds", "--alpha", "1.5,2", "--c", "2,3")
         assert rc == 0, err
         assert modules == ["amls", "amls.bounds", "amls.cli"]
 
@@ -650,24 +667,31 @@ class TestImportSet:
 
     @pytest.mark.parametrize(
         "flags",
-        [[], ["--oracle", "matching"], ["--oracle", "matching", "--deterministic"]],
+        [["solve"], ["solve", "--oracle", "matching"],
+         ["solve", "--oracle", "matching", "--deterministic"],
+         ["brute", "--alpha", "2"]],
     )
-    def test_solves_skip_unused_layers(self, flags, p3_file):
-        # a deterministic solve at c = 1 has t = 0 at every k and needs no family
-        rc, modules, err = _cli_modules("solve", "--problem", "vc", "--input", p3_file, *flags)
+    def test_solves_skip_unused_layers(self, flags, tmp_path):
+        # a deterministic solve at c = 1 has t = 0 at every k and needs no
+        # family; brute force at n = 0 runs k = 0 alone, on X = {}, and needs
+        # no covering
+        path = tmp_path / "in.col"
+        path.write_text("p edge 0 0\n" if flags[0] == "brute" else P3_TEXT)
+        rc, modules, err, out = _cli_modules(*flags, "--problem", "vc", "--input", str(path))
         assert rc == 0, err
+        assert flags[0] != "brute" or out.splitlines()[0] == "size 0"
         assert {"amls.engine", "amls.problems"} <= set(modules)
         assert not {"amls.families", "amls.bounds"} & set(modules)
 
     def test_families_loads_only_families(self):
-        rc, modules, err = _cli_modules("families", "--kind", "covering", "--n", "4",
-                                        "--t", "3", "--k", "2")
+        rc, modules, err, _ = _cli_modules("families", "--kind", "covering", "--n", "4",
+                                           "--t", "3", "--k", "2")
         assert rc == 0, err
         assert modules == ["amls", "amls.cli", "amls.combinatorics", "amls.families"]
 
     def test_brute_skips_bounds_and_verification(self, p3_file):
-        rc, modules, err = _cli_modules("brute", "--problem", "vc", "--input", p3_file,
-                                        "--alpha", "2")
+        rc, modules, err, _ = _cli_modules("brute", "--problem", "vc", "--input", p3_file,
+                                           "--alpha", "2")
         assert rc == 0, err
         assert "amls.families" in modules
         assert "amls.bounds" not in modules
@@ -680,7 +704,7 @@ class TestImportSet:
     def test_limit_exits_2_in_a_fresh_process(self, argv, tmp_path):
         path = tmp_path / "n15.col"
         path.write_text(_graph_text(gen_gnp(15, 0.3, seed=15)))
-        rc, modules, err = _cli_modules(*argv, "--input", str(path))
+        rc, modules, err, _ = _cli_modules(*argv, "--input", str(path))
         assert rc == 2
         assert "limited to n <= 14, got n=15" in err
         assert "Traceback" not in err
@@ -689,7 +713,7 @@ class TestImportSet:
         import importlib
 
         names = [name for group in PACKAGE_EXPORTS.values() for name in group.split()]
-        assert len(names) == 43
+        assert len(names) == 41
         assert sorted(amls.__all__) == sorted(names)
         for module, group in PACKAGE_EXPORTS.items():
             layer = importlib.import_module(f"amls.{module}")
@@ -724,7 +748,7 @@ class TestLazyBinding:
 
         self._unbind(monkeypatch, amls, amls._EXPORTS["engine"])
         monkeypatch.setitem(vars(amls), "solve", self.SENTINEL)
-        assert amls.run_randomized is engine.run_randomized  # binds the engine layer
+        assert amls.brute_force_search is engine.brute_force_search  # binds the engine layer
         assert amls.solve is self.SENTINEL
         assert amls.engine is engine
 

@@ -17,8 +17,6 @@ from amls.engine import (
     MonotoneInstance,
     RunConfig,
     brute_force_search,
-    run_deterministic,
-    run_randomized,
     solve,
 )
 from amls.families import LimitExceededError
@@ -42,25 +40,25 @@ EMPTY = Graph(4, ())
 
 class TestRandomized:
     def test_empty_instance(self):
-        rep = run_randomized(vc_system(EMPTY), vc_exact_oracle(EMPTY), RunConfig(seed=1))
+        rep = solve(vc_system(EMPTY), vc_exact_oracle(EMPTY), RunConfig(seed=1))
         assert rep.solution == ()
         assert rep.size == 0
         assert rep.k_found == 0
 
     def test_path_finds_the_center(self):
-        rep = run_randomized(vc_system(P3), vc_exact_oracle(P3), RunConfig(seed=7))
+        rep = solve(vc_system(P3), vc_exact_oracle(P3), RunConfig(seed=7))
         assert rep.size == 1
         assert rep.solution == (1,)
 
     def test_triangle_with_matching_oracle(self):
-        rep = run_randomized(vc_system(K3), vc_matching_oracle(K3), RunConfig(seed=3))
+        rep = solve(vc_system(K3), vc_matching_oracle(K3), RunConfig(seed=3))
         assert rep.size == 2
 
     def test_output_is_always_a_member(self):
         for seed in range(15):
             g = gen_gnp(9, 0.35, seed=100 + seed)
             inst = vc_system(g)
-            rep = run_randomized(inst, vc_exact_oracle(g), RunConfig(seed=seed))
+            rep = solve(inst, vc_exact_oracle(g), RunConfig(seed=seed))
             assert inst.membership(frozenset(rep.solution))
             assert rep.size == len(rep.solution) <= g.n
 
@@ -74,20 +72,14 @@ class TestRandomized:
             )
             h = Hypergraph3(n, sets)
             inst = hs3_system(h)
-            rep = run_randomized(inst, hs3_exact_oracle(h), RunConfig(seed=rng.randrange(10**6)))
+            rep = solve(inst, hs3_exact_oracle(h), RunConfig(seed=rng.randrange(10**6)))
             assert inst.membership(frozenset(rep.solution))
             assert rep.size >= exhaustive_hs_opt(h)
-
-    def test_rejects_deterministic_config(self):
-        with pytest.raises(ValueError):
-            run_randomized(vc_system(P3), vc_exact_oracle(P3), RunConfig(deterministic=True))
 
     def test_repetition_cap_records_warning(self):
         g = gen_gnp(12, 0.7, seed=5)
         inst = vc_system(g)
-        rep = run_randomized(
-            inst, vc_exact_oracle(g), RunConfig(seed=2, max_repetitions=1)
-        )
+        rep = solve(inst, vc_exact_oracle(g), RunConfig(seed=2, max_repetitions=1))
         assert rep.warnings
         assert inst.membership(frozenset(rep.solution))
         # the matching oracle is sure and picks t = 0 at every k, so one
@@ -156,11 +148,11 @@ class TestStatistics:
             g = gen_gnp(10, 0.45, seed=800 + seed)
             inst = vc_system(g)
             opt = exhaustive_vc_opt(g)
-            rep = run_randomized(inst, vc_matching_oracle(g), RunConfig(seed=seed))
+            rep = solve(inst, vc_matching_oracle(g), RunConfig(seed=seed))
             assert rep.size <= 2 * opt
 
     def test_sampler_uniformity_chi_square(self):
-        # the 3-subsets of a 6-universe that run_randomized draws at k = 3,
+        # the 3-subsets of a 6-universe that solve draws at k = 3,
         # where c = 4.5 picks t = 3 with p = 1/20, so boost 5000 asks for
         # exactly 10^5 of them; reject only below significance 0.001.  No
         # earlier k may hit, or k = 3 could not beat the best and would be
@@ -182,7 +174,7 @@ class TestStatistics:
             alpha=1.0, c=4.5, success_prob=1.0, extend=recording_extend
         )
         inst = MonotoneInstance(n=6, membership=lambda s: len(s) >= 3)
-        rep = run_randomized(inst, recorder, RunConfig(seed=12345, boost=5000.0))
+        rep = solve(inst, recorder, RunConfig(seed=12345, boost=5000.0))
         assert (rep.size, rep.k_found) == (4, 4)
         assert rep.total_samples == 1 + 1 + 15_000 + 100_000 + 1
         assert len(draws) == 100_000
@@ -199,22 +191,22 @@ class TestStatistics:
 
 class TestDeterministicMode:
     def test_path(self):
-        rep = run_deterministic(vc_system(P3), vc_exact_oracle(P3))
+        rep = solve(vc_system(P3), vc_exact_oracle(P3), RunConfig(deterministic=True))
         assert rep.size == 1
 
     def test_five_cycle(self):
-        rep = run_deterministic(vc_system(C5), vc_exact_oracle(C5))
+        rep = solve(vc_system(C5), vc_exact_oracle(C5), RunConfig(deterministic=True))
         assert rep.size == 3
 
     def test_triangle_matching_within_guarantee(self):
-        rep = run_deterministic(vc_system(K3), vc_matching_oracle(K3))
+        rep = solve(vc_system(K3), vc_matching_oracle(K3), RunConfig(deterministic=True))
         assert rep.size <= 3
 
     def test_exact_oracle_finds_optima(self):
         for seed in range(40):
             g = gen_gnp(9, 0.35, seed=500 + seed)
             inst = vc_system(g)
-            rep = run_deterministic(inst, vc_exact_oracle(g))
+            rep = solve(inst, vc_exact_oracle(g), RunConfig(deterministic=True))
             assert rep.size == exhaustive_vc_opt(g)
             assert inst.membership(frozenset(rep.solution))
 
@@ -222,7 +214,7 @@ class TestDeterministicMode:
         for seed in range(40):
             g = gen_gnp(9, 0.35, seed=600 + seed)
             inst = vc_system(g)
-            rep = run_deterministic(inst, vc_matching_oracle(g))
+            rep = solve(inst, vc_matching_oracle(g), RunConfig(deterministic=True))
             assert rep.size <= 2 * exhaustive_vc_opt(g)
 
     def test_fractional_ratio_guarantee(self):
@@ -235,7 +227,7 @@ class TestDeterministicMode:
             relaxed = ExtensionOracle(
                 alpha=1.5, c=2.0, success_prob=1.0, extend=base.extend
             )
-            rep = run_deterministic(inst, relaxed)
+            rep = solve(inst, relaxed, RunConfig(deterministic=True))
             assert rep.size <= math.floor(1.5 * exhaustive_vc_opt(g))
             assert inst.membership(frozenset(rep.solution))
 
@@ -249,7 +241,7 @@ class TestDeterministicMode:
             )
             h = Hypergraph3(n, sets)
             inst = hs3_system(h)
-            rep = run_deterministic(inst, hs3_exact_oracle(h))
+            rep = solve(inst, hs3_exact_oracle(h), RunConfig(deterministic=True))
             assert rep.size == exhaustive_hs_opt(h)
 
     def test_rejects_randomized_oracle(self):
@@ -257,12 +249,12 @@ class TestDeterministicMode:
             alpha=1.0, c=2.0, success_prob=0.5, extend=lambda x, k, rng: None
         )
         with pytest.raises(ValueError):
-            run_deterministic(vc_system(P3), flaky)
+            solve(vc_system(P3), flaky, RunConfig(deterministic=True))
 
     def test_rejects_large_instances(self):
         g = gen_gnp(15, 0.2, seed=1)
         with pytest.raises(LimitExceededError):
-            run_deterministic(vc_system(g), vc_exact_oracle(g))
+            solve(vc_system(g), vc_exact_oracle(g), RunConfig(deterministic=True))
 
     def test_limit_fires_before_any_oracle_call(self):
         g = gen_gnp(15, 0.2, seed=1)
@@ -275,14 +267,14 @@ class TestDeterministicMode:
 
         oracle = ExtensionOracle(alpha=1.0, c=2.0, success_prob=1.0, extend=extend)
         with pytest.raises(LimitExceededError, match="limited to n <= 14, got n=15"):
-            run_deterministic(vc_system(g), oracle)
+            solve(vc_system(g), oracle, RunConfig(deterministic=True))
         assert calls == []
 
     def test_matching_runs_above_the_limit(self):
         # at c = 1 every t is 0, so no k builds a family and n may exceed
         # families.LIMIT; each k extends X = {} once
         g = gen_gnp(200, 0.1, seed=7)
-        rep = run_deterministic(vc_system(g), vc_matching_oracle(g), RunConfig())
+        rep = solve(vc_system(g), vc_matching_oracle(g), RunConfig(deterministic=True))
         matched = set()
         for u, v in g.edges:
             if u not in matched and v not in matched:
@@ -324,6 +316,9 @@ class TestBruteForce:
         g = gen_gnp(16, 0.2, seed=2)
         with pytest.raises(LimitExceededError):
             brute_force_search(vc_system(g), 2)
+        # at alpha > n only k = 0 runs, on X = {} itself, and needs no covering
+        rep = brute_force_search(vc_system(g), 17)
+        assert (rep.size, rep.k_found, rep.total_samples) == (16, -1, 1)
 
 
 class TestBudgetSanity:
@@ -341,7 +336,7 @@ class TestBudgetSanity:
         oracle = ExtensionOracle(
             alpha=alpha, c=c, success_prob=1.0, extend=recording_extend
         )
-        run_randomized(inst, oracle, RunConfig(seed=1, boost=1.0))
+        solve(inst, oracle, RunConfig(seed=1, boost=1.0))
         assert budgets and min(budgets) >= 0
 
 
@@ -350,15 +345,15 @@ class TestReproducibility:
         g = gen_gnp(11, 0.4, seed=41)
         inst = vc_system(g)
         cfg = RunConfig(seed=99)
-        r1 = run_randomized(inst, vc_exact_oracle(g), cfg)
-        r2 = run_randomized(inst, vc_exact_oracle(g), cfg)
+        r1 = solve(inst, vc_exact_oracle(g), cfg)
+        r2 = solve(inst, vc_exact_oracle(g), cfg)
         assert r1.to_json() == r2.to_json()
 
     def test_deterministic_mode_reproducible(self):
         g = gen_gnp(9, 0.4, seed=43)
         inst = vc_system(g)
-        r1 = run_deterministic(inst, vc_exact_oracle(g))
-        r2 = run_deterministic(inst, vc_exact_oracle(g))
+        r1 = solve(inst, vc_exact_oracle(g), RunConfig(deterministic=True))
+        r2 = solve(inst, vc_exact_oracle(g), RunConfig(deterministic=True))
         assert r1.to_json() == r2.to_json()
 
     def test_samples_draw_as_random_sample(self):
@@ -376,7 +371,7 @@ class TestReproducibility:
 
 class TestReports:
     def test_json_schema(self):
-        rep = run_randomized(vc_system(P3), vc_exact_oracle(P3), RunConfig(seed=7))
+        rep = solve(vc_system(P3), vc_exact_oracle(P3), RunConfig(seed=7))
         payload = json.loads(rep.to_json())
         assert set(payload) == {
             "instance", "n", "alpha", "c", "mode", "size", "solution",
@@ -426,7 +421,7 @@ def _empty_liar(graph, non_covers):
 
 class TestContractViolations:
     def test_randomized_counts_oversized_answers(self):
-        rep = run_randomized(vc_system(C5), _oversized_liar(5), RunConfig(seed=4))
+        rep = solve(vc_system(C5), _oversized_liar(5), RunConfig(seed=4))
         lines = _contract_lines(rep)
         assert [k for k, _, _ in lines] == [0, 1, 2, 3, 4]
         assert all(broken == samples > 0 for _, broken, samples in lines)
@@ -436,14 +431,14 @@ class TestContractViolations:
     def test_randomized_counts_non_member_answers(self):
         non_covers = []
         g = gen_gnp(10, 0.4, seed=8)
-        rep = run_randomized(vc_system(g), _empty_liar(g, non_covers), RunConfig(seed=2))
+        rep = solve(vc_system(g), _empty_liar(g, non_covers), RunConfig(seed=2))
         lines = _contract_lines(rep)
         assert lines and all(0 < broken <= samples for _, broken, samples in lines)
         assert sum(broken for _, broken, _ in lines) == len(non_covers)
         assert vc_system(g).membership(frozenset(rep.solution))
 
     def test_deterministic_counts_oversized_answers(self):
-        rep = run_deterministic(vc_system(C5), _oversized_liar(5))
+        rep = solve(vc_system(C5), _oversized_liar(5), RunConfig(deterministic=True))
         lines = _contract_lines(rep)
         assert [k for k, _, _ in lines] == [0, 1, 2, 3, 4]
         assert all(broken == samples > 0 for _, broken, samples in lines)
@@ -452,7 +447,7 @@ class TestContractViolations:
     def test_deterministic_counts_non_member_answers(self):
         non_covers = []
         g = gen_gnp(10, 0.4, seed=9)
-        rep = run_deterministic(vc_system(g), _empty_liar(g, non_covers))
+        rep = solve(vc_system(g), _empty_liar(g, non_covers), RunConfig(deterministic=True))
         lines = _contract_lines(rep)
         assert lines and all(0 < broken <= samples for _, broken, samples in lines)
         assert sum(broken for _, broken, _ in lines) == len(non_covers)
@@ -485,11 +480,11 @@ class TestFailedSamples:
         # 41 and 12, not 51 and 17: a k with t = 0 draws one sample, as the
         # oracle is sure
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
-        rep = run_randomized(inst, self.NEVER, RunConfig(seed=1))
+        rep = solve(inst, self.NEVER, RunConfig(seed=1))
         assert rep.total_samples == 41
         assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
         cfg = RunConfig(seed=1, stop_at_first=True, max_repetitions=2)
-        assert run_randomized(inst, self.NEVER, cfg).total_samples == 12
+        assert solve(inst, self.NEVER, cfg).total_samples == 12
 
     def test_t0_sample_with_a_sure_oracle_runs_once(self):
         # c = 1 selects t = 0 at every k, so X is always {}: a sure oracle is
@@ -498,11 +493,11 @@ class TestFailedSamples:
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
         for success_prob, samples in ((1.0, 9), (0.5, 8 * 3 + 1)):
             oracle = ExtensionOracle(1.0, 1.0, success_prob, lambda x, k, rng: None)
-            assert run_randomized(inst, oracle, RunConfig(seed=1)).total_samples == samples
+            assert solve(inst, oracle, RunConfig(seed=1)).total_samples == samples
 
     def test_deterministic_visits_every_member(self):
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
-        rep = run_deterministic(inst, self.NEVER)
+        rep = solve(inst, self.NEVER, RunConfig(deterministic=True))
         assert rep.total_samples == 20
         assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
 
@@ -537,7 +532,8 @@ class TestSkippedK:
         # the families layer binds with setdefault, so the wrapper stays
         monkeypatch.setattr(engine, "build_covering", build)
         rep = brute_force_search(vc_system(self.G), alpha)
-        assert built == list(range(rep.k_found + 1)) == list(range(ks))
+        # k = 0 takes X = {} itself: an (n, 0, 0)-covering's one member
+        assert built == list(range(1, rep.k_found + 1)) == list(range(1, ks))
         assert rep.k_found < math.floor(12 / alpha)
 
     @pytest.mark.parametrize("alpha, sizes", [(1.0, [2, 4, 6]), (1.5, [6, 9, 9])])
@@ -553,7 +549,8 @@ class TestSkippedK:
             return families.build_intersection_family(n, p, q, r, strong)
 
         monkeypatch.setattr(engine, "build_intersection_family", build)
-        rep = run_deterministic(inst, replace(vc_exact_oracle(self.G), alpha=alpha))
+        oracle = replace(vc_exact_oracle(self.G), alpha=alpha)
+        rep = solve(inst, oracle, RunConfig(deterministic=True))
         # alpha 1 skips k = 10..12 (t = 8, 10, 12 > 7) and alpha 1.5 k = 8
         # (t = 12 > 9)
         assert built == sizes
@@ -570,7 +567,7 @@ class TestSkippedK:
             seen.add(len(x))
             return oracle.extend(x, k, rng)
 
-        rep = run_randomized(inst, replace(oracle, extend=extend), RunConfig(seed=1))
+        rep = solve(inst, replace(oracle, extend=extend), RunConfig(seed=1))
         ts = {select_t(12, k, alpha, 2.0).t for k in range(math.floor(12 / alpha) + 1)}
         assert max(ts) > rep.size == best[0]  # some k was skipped
         assert seen == {t for t in ts if t <= rep.size}

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from amls.combinatorics import hyper_tail, kappa
-from amls.engine import brute_force_search, run_deterministic
+from amls.engine import RunConfig, brute_force_search, solve
 from amls.families import (
     LIMIT,
     LimitExceededError,
@@ -267,7 +267,7 @@ class TestLimits:
                 SetFamily(n=15, member_size=15, members=(tuple(range(15)),),
                           kind="covering", params=(15, 1))
             ),
-            lambda: run_deterministic(vc_system(g), vc_exact_oracle(g)),
+            lambda: solve(vc_system(g), vc_exact_oracle(g), RunConfig(deterministic=True)),
             lambda: brute_force_search(vc_system(g), 2),
         ]
         for call in calls:
