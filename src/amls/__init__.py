@@ -26,6 +26,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# layer -> its public names: the layer's __all__ and this package's lazy table
 _EXPORTS = {
     "bounds": (
         "BoundQuery", "BoundReport", "amls_bound", "bound_report", "bound_table",

@@ -36,20 +36,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-__all__ = [
-    "BoundQuery",
-    "BoundReport",
-    "entropy",
-    "kl_divergence",
-    "amls_bound",
-    "brute_bound",
-    "naive_bound",
-    "emls_bound",
-    "bound_report",
-    "bound_table",
-    "CSV_HEADER",
-    "format_csv_rows",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["bounds"]
 
 
 def entropy(p: float) -> float:

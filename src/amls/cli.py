@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_float_list, help="comma-separated oracle bases, each >= 1")
     p.add_argument("--preset", choices=sorted(PRESETS), help="a known (alpha, c) pair")
     p.add_argument("--tol", type=float, default=1e-12, help="bisection tolerance")
-    p.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
+    p.add_argument("--csv", metavar="PATH", help="write CSV here, '-' for stdout (the default)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("solve", help="approximate search on an instance file")
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true", help="require overlap exactly r")
     p.add_argument("--t", type=int, help="member size (covering)")
     p.add_argument("--k", type=int, help="covered subset size (covering)")
-    p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
+    p.add_argument("--out", metavar="PATH", help="write here, '-' for stdout (the default)")
     p.set_defaults(func=_cmd_families)
 
     return parser
@@ -127,13 +127,17 @@ def _cmd_bounds(args) -> int:
             return 1
         alphas, cs = args.alpha, args.c
     reports = bound_table(alphas, cs, tol=args.tol)
-    lines = [CSV_HEADER] + format_csv_rows(reports)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
+    _write("\n".join([CSV_HEADER] + format_csv_rows(reports)) + "\n", args.csv or "-")
     return 0
+
+
+def _write(text: str, path: str) -> None:
+    """Write text to the file at path, or to stdout where path is '-'."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _read_input(path: str) -> str:
@@ -163,11 +167,8 @@ def _print_report(rep, json_path) -> None:
     )
     for w in rep.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if json_path == "-":
-        print(rep.to_json())
-    elif json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json() + "\n")
+    if json_path:
+        _write(rep.to_json() + "\n", json_path)
 
 
 def _cmd_solve(args) -> int:
@@ -221,12 +222,7 @@ def _cmd_families(args) -> int:
             print("error: coverings need --t and --k", file=sys.stderr)
             return 1
         family = build_covering(args.n, args.t, args.k)
-    text = family_to_text(family)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(family_to_text(family), args.out or "-")
     if not verify_family(family):
         print("verification FAILED", file=sys.stderr)
         return 2

@@ -49,16 +49,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = [
-    "exact_ratio",
-    "binomial",
-    "hyper_tail",
-    "IterationCost",
-    "iteration_cost",
-    "argmin_t",
-    "select_t",
-    "kappa",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["combinatorics"]
 
 
 def exact_ratio(x: float | int | Fraction) -> Fraction:

@@ -27,16 +27,18 @@ member of the family:
 
 One plan, _plan, decides each k's t and repetitions for all three modes,
 and one loop, _run, executes its rows.  The modes differ only in the X
-source (random t-subsets, family members, covering members, or X = {}
-alone where t = 0 outside randomized mode), the extension (the oracle with
-budget k - ceil(t/alpha), or none in brute force) and stopping (randomized
-stops at a k's first hit; the others visit every X).  A k whose X all have
-more elements than the best member found before it is skipped: every Z
-contains its X, so it cannot change the report.  Only total_samples and
-warnings differ from visiting it (in deterministic mode, whose k's share
-one generator, for an oracle whose answers do not depend on it, as with
-every shipped oracle).  In brute force, where |X| = floor(alpha*k) grows
-with k, the first k that hits is the last.
+source (random t-subsets; X = {} alone where t = 0 outside randomized
+mode; else a weak (n, k, t, ceil(t/alpha))-set-intersection family, which
+in brute force, where ceil(t/alpha) = k, is the (n, t, k)-covering), the
+extension (the oracle with budget k - ceil(t/alpha), or none in brute
+force) and stopping (randomized stops at a k's first hit; the others visit
+every X).  A k whose X all have more elements than the best member found
+before it is skipped: every Z contains its X, so it cannot change the
+report.  Only total_samples and warnings differ from visiting it (in
+deterministic mode, whose k's share one generator, for an oracle whose
+answers do not depend on it, as with every shipped oracle).  In brute
+force, where |X| = floor(alpha*k) grows with k, the first k that hits is
+the last.
 
 Reproducibility: the iteration for target size k draws from one generator
 seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
@@ -60,20 +62,13 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import _lazy
+from . import _EXPORTS, _lazy
 from .combinatorics import argmin_t, exact_ratio, kappa, select_t
 
-__all__ = [
-    "MonotoneInstance",
-    "ExtensionOracle",
-    "RunConfig",
-    "RunReport",
-    "brute_force_search",
-    "solve",
-]
+__all__ = _EXPORTS["engine"]
 
+# build_covering has no caller here; perfbench/spans.py wraps it by name
 _bind, __getattr__ = _lazy(
     globals(), {"families": ("build_covering", "build_intersection_family", "check_limit")}
 )
@@ -232,10 +227,10 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     where t = 0 and the oracle cannot fail, every sample is X = {} alike.
     Rows are made one k at a time, so a run that stops early plans no further.
     """
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     a, boost = exact_ratio(alpha), exact_ratio(boost)
-    if a < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    for k in range(math.floor(Fraction(n) / a) + 1):
+    for k in range(math.floor(n / a) + 1):
         alpha_k, reps = math.floor(a * k), 1
         if mode == "brute":
             t = alpha_k
@@ -295,10 +290,8 @@ def _run(
             xs = _samples(rng, n, t, reps)
         elif t == 0:
             xs = (frozenset(),)
-        elif mode == "deterministic":
+        else:  # brute's (n, t, k)-covering is this family, as there r = k
             xs = map(frozenset, build_intersection_family(n, k, t, r).members)
-        else:
-            xs = map(frozenset, build_covering(n, t, k).members)
         budget, drawn, broken, hit = k - r, 0, 0, False
         for x in xs:
             drawn += 1
@@ -360,7 +353,8 @@ def solve(
 def brute_force_search(inst: MonotoneInstance, alpha) -> RunReport:
     """Oracle-free approximate search through coverings.
 
-    For each k tests every member of an (n, floor(alpha*k), k)-covering for
+    For each k tests every member of an (n, floor(alpha*k), k)-covering,
+    the weak (n, k, floor(alpha*k), k)-set-intersection family, for
     membership; by monotonicity some member contains an optimum once
     k = OPT, so the result has size at most floor(alpha * OPT).  The first
     k that hits is the last: later members are larger than its hit.

@@ -7,13 +7,16 @@ Two kinds of combinatorial designs over the universe [n) = {0, ..., n-1}:
     (weak) or exactly r elements (strong).  Parameters must satisfy
     n >= p >= r >= 1 and n - p + r >= q >= r.
   * An (n, t, k)-covering is a collection of t-subsets such that every
-    k-subset is contained in some member.
+    k-subset is contained in some member.  A k-subset lies in a member iff
+    it meets it in k elements, so for k >= 1 this is exactly the weak
+    (n, k, t, k)-set-intersection family, and it is built as one.
 
-Both are produced by the classic greedy set-cover heuristic: the universe of
-the cover instance is the set of all target subsets, candidates are all
-subsets of the member size, and each round picks the candidate covering the
-most still-uncovered targets (ties broken toward the lexicographically
-smallest candidate, so outputs are reproducible).  Greedy pays a factor of
+Both come from one cached builder, ``_greedy``, the classic greedy
+set-cover heuristic: the universe of the cover instance is the set of all
+target subsets, candidates are all subsets of the member size, and each
+round picks the candidate covering the most still-uncovered targets (ties
+broken toward the lexicographically smallest candidate, so outputs are
+reproducible).  Greedy pays a factor of
 (1 + ln(#targets)) over the optimum; ``family_size_bound`` combines that
 ratio with the probabilistic existence bound kappa(n,p,q,r)*(p+1)*ln(n).
 
@@ -40,19 +43,10 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
+from . import _EXPORTS
 from .combinatorics import binomial, kappa
 
-__all__ = [
-    "LIMIT",
-    "LimitExceededError",
-    "check_limit",
-    "SetFamily",
-    "build_intersection_family",
-    "build_covering",
-    "verify_family",
-    "family_size_bound",
-    "family_to_text",
-]
+__all__ = _EXPORTS["families"]
 
 Members = tuple[tuple[int, ...], ...]
 LIMIT = 14
@@ -128,11 +122,13 @@ def _columns(n: int, target_size: int, member_size: int, lo: int, hi: int) -> li
     return cols
 
 
+@lru_cache(maxsize=None)
 def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Members:
     """Lazy greedy cover where candidate C serves target T iff lo <= |T & C| <= hi.
 
     buckets[s] holds the candidates last counted at s; the top bucket is
     recounted in index order, and the module docstring says why that works.
+    The one builder of every family and covering, cached per argument tuple.
     """
     cols = _columns(n, target_size, member_size, lo, hi)
     candidates = list(combinations(range(n), member_size))
@@ -158,25 +154,10 @@ def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Mem
     return tuple(picked)
 
 
-@lru_cache(maxsize=None)
-def _intersection_members(n: int, p: int, q: int, r: int, strong: bool) -> Members:
-    return _greedy(n, p, q, r, r if strong else q)
-
-
-@lru_cache(maxsize=None)
-def _covering_members(n: int, t: int, k: int) -> Members:
-    if t == k:
-        return tuple(combinations(range(n), k))
-    if t == n:
-        return (tuple(range(n)),)
-    return _greedy(n, k, t, k, k)
-
-
 def build_intersection_family(n: int, p: int, q: int, r: int, strong: bool = False) -> SetFamily:
     """Weak or strong (n, p, q, r)-set-intersection family via greedy cover.
 
     Requires n >= p >= r >= 1, n - p + r >= q >= r, and n <= LIMIT.
-    Construction results are cached per parameter tuple.
     """
     if not n >= p >= r >= 1:
         raise ValueError(f"need n >= p >= r >= 1, got n={n}, p={p}, r={r}")
@@ -184,20 +165,20 @@ def build_intersection_family(n: int, p: int, q: int, r: int, strong: bool = Fal
         raise ValueError(f"need n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}")
     check_limit(n, "intersection family")
     kind = "intersection_strong" if strong else "intersection_weak"
-    members = _intersection_members(n, p, q, r, strong)
+    members = _greedy(n, p, q, r, r if strong else q)
     return SetFamily(n=n, member_size=q, members=members, kind=kind, params=(p, q, r))
 
 
 def build_covering(n: int, t: int, k: int) -> SetFamily:
-    """(n, t, k)-covering via greedy cover.
+    """(n, t, k)-covering: the weak (n, k, t, k)-set-intersection family.
 
-    Requires 0 <= k <= t <= n and n <= LIMIT.  t == k degenerates to the
-    family of all k-subsets and t == n to the single full universe.
+    Requires 0 <= k <= t <= n and n <= LIMIT.  Shares the intersection
+    family's cache entry; t = 0 has the one member () and no greedy.
     """
     if not 0 <= k <= t <= n:
         raise ValueError(f"need 0 <= k <= t <= n, got n={n}, t={t}, k={k}")
     check_limit(n, "covering")
-    members = _covering_members(n, t, k)
+    members = _greedy(n, k, t, k, t) if t else ((),)
     return SetFamily(n=n, member_size=t, members=members, kind="covering", params=(t, k))
 
 

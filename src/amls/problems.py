@@ -44,21 +44,10 @@ import random
 from collections import defaultdict, namedtuple
 from itertools import combinations
 
+from . import _EXPORTS
 from .engine import ExtensionOracle, MonotoneInstance
 
-__all__ = [
-    "ParseError",
-    "Graph",
-    "Hypergraph3",
-    "vc_system",
-    "vc_exact_oracle",
-    "vc_matching_oracle",
-    "hs3_system",
-    "hs3_exact_oracle",
-    "parse_graph",
-    "parse_hypergraph",
-    "gen_gnp",
-]
+__all__ = _EXPORTS["problems"]
 
 
 class ParseError(ValueError):
@@ -194,9 +183,9 @@ def _exact_oracle(sets, c: float) -> ExtensionOracle:
 # ---------------------------------------------------------------- vertex cover
 
 
-def vc_system(g: Graph, label: str | None = None) -> MonotoneInstance:
+def vc_system(g: Graph) -> MonotoneInstance:
     """Monotone system whose members are the vertex covers of g."""
-    return _hitting_system(g.n, g.edges, label or f"vc(n={g.n},m={len(g.edges)})")
+    return _hitting_system(g.n, g.edges, f"vc(n={g.n},m={len(g.edges)})")
 
 
 def vc_exact_oracle(g: Graph) -> ExtensionOracle:
@@ -238,9 +227,9 @@ def vc_matching_oracle(g: Graph) -> ExtensionOracle:
 # --------------------------------------------------------------- 3-hitting set
 
 
-def hs3_system(h: Hypergraph3, label: str | None = None) -> MonotoneInstance:
+def hs3_system(h: Hypergraph3) -> MonotoneInstance:
     """Monotone system whose members intersect every set of h."""
-    return _hitting_system(h.n, h.sets, label or f"hs3(n={h.n},m={len(h.sets)})")
+    return _hitting_system(h.n, h.sets, f"hs3(n={h.n},m={len(h.sets)})")
 
 
 def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:

@@ -97,6 +97,15 @@ class TestBounds:
         assert lines[0] == "alpha,c,amls,brute,naive,emls,dominant"
         assert len(lines) == 2
 
+    def test_csv_dash_is_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["bounds", "--alpha", "2", "--c", "4"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--csv", "-"]) == 0
+        assert capsys.readouterr().out == plain
+        assert not (tmp_path / "-").exists()
+
     def test_usage_errors(self, capsys):
         assert main(["bounds"]) == 1
         assert main(["bounds", "--alpha", "nope", "--c", "2"]) == 1
@@ -448,6 +457,15 @@ class TestBrute:
         assert main(["brute", "--problem", "vc", "--input", k3_file, "--alpha", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "size 2"
 
+    def test_json_dash_is_stdout(self, k3_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["brute", "--problem", "vc", "--input", k3_file, "--alpha", "2"]
+        assert main([*argv, "--json", "-"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "size 2"
+        assert json.loads(out[-1])["size"] == 2
+        assert not (tmp_path / "-").exists()
+
     def test_limit_exceeded_exits_2(self, tmp_path):
         lines = ["p edge 16 0"]
         path = tmp_path / "big.col"
@@ -502,6 +520,15 @@ class TestFamilies:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert path.read_text().splitlines()[0] == "family covering n=5 q=3 params=3,1"
+
+    def test_out_dash_is_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["families", "--kind", "covering", "--n", "5", "--t", "3", "--k", "1"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == plain
+        assert not (tmp_path / "-").exists()
 
     def test_missing_params_usage_error(self):
         assert main(["families", "--kind", "intersection", "--n", "4"]) == 1
@@ -892,7 +919,8 @@ class TestNonFinite:
          ["bounds", "--alpha", "inf", "--c", "2"],
          ["bounds", "--alpha", "2", "--c", "inf"],
          ["bounds", "--alpha", "2", "--c", "2", "--tol", "inf"],
-         ["bounds", "--alpha", "2", "--c", "2", "--tol", "0.6"]],
+         ["bounds", "--alpha", "2", "--c", "2", "--tol", "0.6"],
+         ["brute", "--problem", "vc", "--alpha", "nan"]],
     )
     def test_rejected_without_traceback(self, argv, p3_file):
         if argv[0] != "bounds":
@@ -905,6 +933,8 @@ class TestNonFinite:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+        if argv[0] == "brute":  # the message solve and bounds give
+            assert proc.stderr == f"error: alpha must be finite and >= 1, got {argv[4]}\n"
 
 
 class TestTopLevel:
@@ -919,6 +949,11 @@ class TestTopLevel:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    def test_workers_is_usage_error(self, p3_file, capsys):
+        # sampling runs in one thread: the pure-Python oracles hold the GIL
+        assert main(["solve", "--problem", "vc", "--input", p3_file, "--workers", "2"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_bench_is_usage_error(self, capsys):
         # success fractions are checked by test_acceptance's criterion 4b

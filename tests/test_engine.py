@@ -312,6 +312,14 @@ class TestBruteForce:
             # covering members that are no cover are plain misses
             assert rep.warnings == ()
 
+    @pytest.mark.parametrize("alpha", [1, 1.01, 1.1, 4 / 3, 1.5, 2, 3])
+    def test_plan_rows_have_r_equal_k(self, alpha):
+        # floor(alpha*k)/alpha lies in (k - 1, k], so the weak
+        # (n, k, floor(alpha*k), k) family the run builds is the covering
+        for n in range(41):
+            rows = list(engine._plan(n, alpha, "brute", None, 1))
+            assert rows and all(row.r == row.k for row in rows), n
+
     def test_limit(self):
         g = gen_gnp(16, 0.2, seed=2)
         with pytest.raises(LimitExceededError):
@@ -525,12 +533,12 @@ class TestSkippedK:
     def test_brute_builds_no_covering_past_its_first_hit(self, alpha, ks, monkeypatch):
         built = []
 
-        def build(n, t, k):
-            built.append(k)
-            return families.build_covering(n, t, k)
+        def build(n, p, q, r, strong=False):
+            built.append(p)  # brute's (n, t, k)-covering is the weak (n, k, t, k) family
+            return families.build_intersection_family(n, p, q, r, strong)
 
         # the families layer binds with setdefault, so the wrapper stays
-        monkeypatch.setattr(engine, "build_covering", build)
+        monkeypatch.setattr(engine, "build_intersection_family", build)
         rep = brute_force_search(vc_system(self.G), alpha)
         # k = 0 takes X = {} itself: an (n, 0, 0)-covering's one member
         assert built == list(range(1, rep.k_found + 1)) == list(range(1, ks))

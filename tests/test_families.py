@@ -221,7 +221,7 @@ class TestGoldenGreedy:
                 build_intersection_family(n, p, q, r, strong=True).members == strong
             ), (p, q, r)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_covering_members_match_reference(self, n):
         for t in range(n + 1):
             for k in range(t + 1):
