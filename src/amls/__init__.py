@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 # layer -> its public names: the layer's __all__ and this package's lazy table
 _EXPORTS = {
     "bounds": (
-        "BoundQuery", "BoundReport", "amls_bound", "bound_report", "bound_table",
+        "BoundReport", "amls_bound", "bound_report", "bound_table",
         "brute_bound", "emls_bound", "entropy", "kl_divergence", "naive_bound",
     ),
     "combinatorics": (
@@ -82,6 +82,16 @@ def _lazy(namespace: dict, layers: dict):
         return namespace[name]
 
     return bind, __getattr__
+
+
+def _at_least_one(name: str, value) -> None:
+    """The package's one range rule for alpha, c and boost: 1 <= value < inf.
+
+    Raises ValueError naming the value otherwise, nan included.  Compares
+    with float("inf") so that this module imports nothing more.
+    """
+    if not 1 <= value < float("inf"):
+        raise ValueError(f"{name} must be finite and >= 1, got {value}")
 
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

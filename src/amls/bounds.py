@@ -1,7 +1,9 @@
 """Running-time exponent bases for approximate monotone local search.
 
 Everything here is a pure function of an approximation ratio ``alpha >= 1``
-and an extension-oracle base ``c >= 1``.  The four bases:
+and an extension-oracle base ``c >= 1``, both finite; every base rejects any
+other value by the package's one range rule, ``amls._at_least_one``.  The
+four bases:
 
   amls_bound(alpha, c)   unique gamma in (1, 1 + (c-1)/alpha) with
                          D(1/alpha || (gamma-1)/(c-1)) = ln(c)/alpha,
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import _EXPORTS
+from . import _EXPORTS, _at_least_one
 
 __all__ = _EXPORTS["bounds"]
 
@@ -72,38 +74,6 @@ def kl_divergence(a: float, b: float) -> float:
     return total
 
 
-def _check(alpha: float, c: float, tol: float) -> None:
-    """Raise ValueError unless (alpha, c, tol) is a valid bound query."""
-    if not 1.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
-    if not 1.0 <= c < math.inf:
-        raise ValueError(f"c must be finite and >= 1, got {c}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    width = (c - 1.0) / alpha
-    if c > 1.0 and tol >= width:
-        raise ValueError(
-            f"tol must be below the bracket width (c-1)/alpha = {width}, got {tol}"
-        )
-
-
-class BoundQuery(namedtuple("BoundQuery", "alpha c tol")):
-    """One (alpha, c) query with an absolute tolerance on the bisection root.
-
-    For c > 1 the tolerance must be below the first bracket's width
-    (c-1)/alpha; a wider one would skip the bisection and return the
-    bracket's midpoint.  Immutable; validated on construction.
-    """
-
-    __slots__ = ()
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
-
-    def __new__(cls, alpha: float, c: float, tol: float = 1e-12):
-        _check(alpha, c, tol)
-        return super().__new__(cls, alpha, c, tol)
-
-
 class BoundReport(
     namedtuple(
         "BoundReport", "alpha c gamma delta_star brute naive emls dominant_benchmark"
@@ -127,8 +97,7 @@ def brute_bound(alpha: float) -> float:
     equals 1 + exp(-alpha * entropy(1/alpha)).  brute_bound(1) == 2.  The
     entropy form serves only where the ratio overflows (alpha > 143.016).
     """
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _at_least_one("alpha", alpha)
     try:
         return 1.0 + (alpha - 1.0) ** (alpha - 1.0) / alpha**alpha
     except OverflowError:
@@ -137,17 +106,14 @@ def brute_bound(alpha: float) -> float:
 
 def naive_bound(alpha: float, c: float) -> float:
     """Base c^(1/alpha) of running the parameterized oracle for every k <= n/alpha."""
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if not c >= 1.0:
-        raise ValueError(f"c must be >= 1, got {c}")
+    _at_least_one("alpha", alpha)
+    _at_least_one("c", c)
     return c ** (1.0 / alpha)
 
 
 def emls_bound(c: float) -> float:
     """Base 2 - 1/c of exact monotone local search (the alpha = 1 collapse)."""
-    if not c >= 1.0:
-        raise ValueError(f"c must be >= 1, got {c}")
+    _at_least_one("c", c)
     return 2.0 - 1.0 / c
 
 
@@ -160,7 +126,9 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
     left end, 0 at the right end), so plain bisection converges; only
     interval midpoints are ever evaluated, which keeps the divergent
     endpoints out of the arithmetic.  The bracket is narrowed until its width
-    is at most ``tol``, giving a deterministic, bit-reproducible result.
+    is at most ``tol``, giving a deterministic, bit-reproducible result.  For
+    c > 1, ``tol`` must be below the first bracket's width (c-1)/alpha; a
+    wider one would skip the bisection and return the bracket's midpoint.
 
     c == 1 is the degenerate polynomial-oracle case and returns exactly 1.0.
 
@@ -187,7 +155,15 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
     passes, as when T <= M (for example c = 1 + 2^-52), low and high are the
     bracket's ends and every midpoint is evaluated.
     """
-    _check(alpha, c, tol)
+    _at_least_one("alpha", alpha)
+    _at_least_one("c", c)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    width = (c - 1.0) / alpha
+    if c > 1.0 and tol >= width:
+        raise ValueError(
+            f"tol must be below the bracket width (c-1)/alpha = {width}, got {tol}"
+        )
     if c == 1.0:
         return 1.0
     a = 1.0 / alpha
@@ -271,9 +247,9 @@ def _certified_interval(a, one_minus_a, c_minus_1, target, hi):
     return whole
 
 
-def bound_report(query: BoundQuery) -> BoundReport:
-    """Evaluate all four bases plus delta* for one query."""
-    alpha, c, tol = query
+def bound_report(alpha: float, c: float, tol: float = 1e-12) -> BoundReport:
+    """Evaluate all four bases plus delta* for one (alpha, c) pair; tol is
+    amls_bound's, and every argument is checked as amls_bound checks it."""
     gamma = amls_bound(alpha, c, tol)
     benchmarks = (brute_bound(alpha), naive_bound(alpha, c), emls_bound(c))
     # the first minimum wins, so ties go to brute, then naive
@@ -286,9 +262,7 @@ def bound_table(
     alphas: list[float], cs: list[float], tol: float = 1e-12
 ) -> list[BoundReport]:
     """One report per (alpha, c) pair of the cartesian product, alphas outer."""
-    return [
-        bound_report(BoundQuery(alpha, c, tol)) for alpha in alphas for c in cs
-    ]
+    return [bound_report(alpha, c, tol) for alpha in alphas for c in cs]
 
 
 CSV_HEADER = "alpha,c,amls,brute,naive,emls,dominant"

@@ -26,12 +26,13 @@ budgets use the integral threshold ceil(t/alpha) (a t-subset
 meets the target in >= t/alpha elements iff in >= ceil(t/alpha) of them);
 the exponent uses the real t/alpha.
 
-``argmin_t`` works on integers only: its factor(t) returns a pair
-(num, den) of positive ints whose ratio is the factor, not necessarily in
-lowest terms, and a Fraction is built only for a near-tie audit.  Both
-factors are reciprocal probabilities, so at least factor(0) = 1; at c == 1
-(a polynomial oracle) every t costs its factor alone, so ``argmin_t``
-returns t = 0 without calling factor.
+``argmin_t`` works on integers only: its factor(t, r) gets the threshold
+r = ceil(t/alpha) with t and returns a pair (num, den) of positive ints
+whose ratio is the factor, not necessarily in lowest terms, and a Fraction
+is built only for a near-tie audit.  Both factors are reciprocal
+probabilities, so at least factor(0, 0) = 1; at c == 1 (a polynomial
+oracle) every t costs its factor alone, so ``argmin_t`` returns t = 0
+without calling factor.
 ``select_t`` feeds it C(n, t) over the favourable count, both read from
 cached Pascal rows; one helper sums that count for ``hyper_tail`` too.
 Probabilities stay exact Fractions at the API boundary: ``hyper_tail``,
@@ -49,7 +50,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _EXPORTS
+from . import _EXPORTS, _at_least_one
 
 __all__ = _EXPORTS["combinatorics"]
 
@@ -133,12 +134,9 @@ def _log_fraction(p: Fraction) -> float:
 
 
 def _validate_k(n: int, k: int, alpha, c) -> tuple[Fraction, float]:
-    a = exact_ratio(alpha)
-    if a < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    c = float(c)
-    if not c >= 1.0:
-        raise ValueError(f"c must be >= 1, got {c}")
+    _at_least_one("alpha", alpha)
+    _at_least_one("c", c)
+    a, c = exact_ratio(alpha), float(c)
     if not (0 <= k and Fraction(k) <= Fraction(n) / a):
         raise ValueError(f"k={k} outside [0, n/alpha] for n={n}, alpha={alpha}")
     return a, c
@@ -207,27 +205,27 @@ def _cost_less(
 
 
 def argmin_t(
-    n: int, k: int, alpha, c, factor: Callable[[int], tuple[int, int]]
+    n: int, k: int, alpha, c, factor: Callable[[int, int], tuple[int, int]]
 ) -> int:
     """Sample size t in [0, min(floor(alpha*k), n)] minimizing
-    factor(t) * c^(k - t/alpha).
+    factor(t, ceil(t/alpha)) * c^(k - t/alpha).
 
-    factor(t) returns (num, den), two positive ints with num/den >= 1 the
-    factor, for t >= 1; factor(0) is 1 and is not called.  At c == 1 the
-    answer is 0 and factor is not called at all.  Otherwise comparison
-    happens in log space; candidates within 1e-12 of the incumbent are
-    re-compared by _cost_less, exactly or with 60-digit logarithms of the
-    exact Fractions.  Ties keep the smaller t.
+    factor(t, r) returns (num, den), two positive ints with num/den >= 1 the
+    factor, for t >= 1 and r = ceil(t/alpha) <= min(k, t); factor(0, 0) is 1
+    and is not called.  At c == 1 the answer is 0 and factor is not called
+    at all.  Otherwise comparison happens in log space; candidates within
+    1e-12 of the incumbent are re-compared by _cost_less, exactly or with
+    60-digit logarithms of the exact Fractions.  Ties keep the smaller t.
     """
     a, c = _validate_k(n, k, alpha, c)
-    if c == 1.0:  # cost = factor(t) >= 1 = factor(0), and ties keep t = 0
+    if c == 1.0:  # cost = factor(t, r) >= 1 = factor(0, 0), and ties keep t = 0
         return 0
     num_a, den_a = a.numerator, a.denominator
     log_c = math.log(c)
     c_exact = exact_ratio(c)
     best_t, best_pair, best_log = 0, (1, 1), k * log_c
     for t in range(1, min(k * num_a // den_a, n) + 1):
-        num, den = factor(t)
+        num, den = factor(t, -(-t * den_a // num_a))
         # k - t/alpha by correctly rounded int division, as float(Fraction)
         # gives it.  log(num) - log(den) of an unreduced pair can differ from
         # the reduced value in the last ulp; the 1e-12 window and the exact
@@ -255,15 +253,21 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
     the count being the _favourable sum hyper_tail divides; both read cached
     Pascal rows, and only when argmin_t scans.
     """
-    a = exact_ratio(alpha)
-    num_a, den_a = a.numerator, a.denominator
-
-    def factor(t: int) -> tuple[int, int]:
-        # argmin_t keeps t <= alpha*k, so ceil(t/alpha) <= min(k, t): count > 0
-        return _pascal_row(n)[t], _favourable(n, k, t, -(-t * den_a // num_a))
+    def factor(t: int, x: int) -> tuple[int, int]:
+        # x = ceil(t/alpha) <= min(k, t), so the count is positive
+        return _pascal_row(n)[t], _favourable(n, k, t, x)
 
     t = argmin_t(n, k, alpha, c, factor)
     return iteration_cost(n, k, t, alpha, c)
+
+
+def _check_npqr(n: int, p: int, q: int, r: int) -> None:
+    """The one rule for (n, p, q, r)-set-intersection parameters:
+    n >= p >= r >= 1 and n - p + r >= q >= r, else ValueError."""
+    if not n >= p >= r >= 1:
+        raise ValueError(f"need n >= p >= r >= 1, got n={n}, p={p}, r={r}")
+    if not n - p + r >= q >= r:
+        raise ValueError(f"need n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}")
 
 
 def kappa(n: int, p: int, q: int, r: int) -> Fraction:
@@ -273,10 +277,5 @@ def kappa(n: int, p: int, q: int, r: int) -> Fraction:
     p-subset in exactly r elements; it scales the size of set-intersection
     families.  Requires n >= p >= r >= 1 and n - p + r >= q >= r.
     """
-    if not n >= p >= r >= 1:
-        raise ValueError(f"kappa requires n >= p >= r >= 1, got n={n}, p={p}, r={r}")
-    if not n - p + r >= q >= r:
-        raise ValueError(
-            f"kappa requires n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}"
-        )
+    _check_npqr(n, p, q, r)
     return Fraction(binomial(n, q), binomial(p, r) * binomial(n - p, q - r))

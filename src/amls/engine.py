@@ -63,7 +63,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import _EXPORTS, _lazy
+from . import _EXPORTS, _at_least_one, _lazy
 from .combinatorics import argmin_t, exact_ratio, kappa, select_t
 
 __all__ = _EXPORTS["engine"]
@@ -103,10 +103,8 @@ class ExtensionOracle:
     extend: Callable[[frozenset, int, random.Random], frozenset | None]
 
     def __post_init__(self) -> None:
-        if not 1.0 <= float(self.alpha) < math.inf:
-            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
-        if not 1.0 <= float(self.c) < math.inf:
-            raise ValueError(f"c must be finite and >= 1, got {self.c}")
+        _at_least_one("alpha", self.alpha)
+        _at_least_one("c", self.c)
         if not 0.0 < self.success_prob <= 1.0:
             raise ValueError(f"success_prob must be in (0, 1], got {self.success_prob}")
 
@@ -142,8 +140,7 @@ class RunConfig(
         deterministic: bool = False,
         stop_at_first: bool = False,
     ):
-        if not 1.0 <= boost < math.inf:
-            raise ValueError(f"boost must be finite and >= 1, got {boost}")
+        _at_least_one("boost", boost)
         cap = max_repetitions
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise ValueError(f"max_repetitions must be an int >= 1, got {cap!r}")
@@ -227,17 +224,14 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     where t = 0 and the oracle cannot fail, every sample is X = {} alike.
     Rows are made one k at a time, so a run that stops early plans no further.
     """
-    if not 1 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
+    _at_least_one("alpha", alpha)
     a, boost = exact_ratio(alpha), exact_ratio(boost)
     for k in range(math.floor(n / a) + 1):
         alpha_k, reps = math.floor(a * k), 1
         if mode == "brute":
             t = alpha_k
         elif mode == "deterministic":
-            t = argmin_t(
-                n, k, a, ext.c, lambda t: kappa(n, k, t, math.ceil(t / a)).as_integer_ratio()
-            )
+            t = argmin_t(n, k, a, ext.c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())
         else:
             cost = select_t(n, k, alpha, ext.c)
             t = cost.t

@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import _EXPORTS
-from .combinatorics import binomial, kappa
+from .combinatorics import _check_npqr, binomial, kappa
 
 __all__ = _EXPORTS["families"]
 
@@ -159,10 +159,7 @@ def build_intersection_family(n: int, p: int, q: int, r: int, strong: bool = Fal
 
     Requires n >= p >= r >= 1, n - p + r >= q >= r, and n <= LIMIT.
     """
-    if not n >= p >= r >= 1:
-        raise ValueError(f"need n >= p >= r >= 1, got n={n}, p={p}, r={r}")
-    if not n - p + r >= q >= r:
-        raise ValueError(f"need n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}")
+    _check_npqr(n, p, q, r)
     check_limit(n, "intersection family")
     kind = "intersection_strong" if strong else "intersection_weak"
     members = _greedy(n, p, q, r, r if strong else q)

@@ -12,7 +12,6 @@ import pytest
 
 from amls.bounds import (
     CSV_HEADER,
-    BoundQuery,
     BoundReport,
     _certified_interval,
     amls_bound,
@@ -190,7 +189,7 @@ class TestAmlsBound:
             if 0.0 < tol and (c == 1.0 or tol < width):
                 triples.append((alpha, c, tol))
         for alpha, c, tol in triples:
-            report = bound_report(BoundQuery(alpha, c, tol))
+            report = bound_report(alpha, c, tol)
             assert 1.0 <= report.gamma <= 1.0 + (c - 1.0) / alpha, (alpha, c, tol)
             assert math.isfinite(report.brute), alpha
 
@@ -311,18 +310,18 @@ class TestBenchmarks:
 
 class TestBoundReport:
     def test_dfvs_style_pair(self):
-        report = bound_report(BoundQuery(2, 1024))
+        report = bound_report(2, 1024)
         assert report.gamma == pytest.approx(1.2498, abs=1e-3)
         assert report.brute == 1.25
         assert report.dominant_benchmark == "brute"
 
     def test_alpha_one_collapse(self):
-        report = bound_report(BoundQuery(1, 2))
+        report = bound_report(1, 2)
         assert report.gamma == pytest.approx(1.5, abs=1e-9)
         assert report.gamma == pytest.approx(report.emls, abs=1e-9)
 
     def test_vc_style_pair(self):
-        report = bound_report(BoundQuery(1.1, 1.1652))
+        report = bound_report(1.1, 1.1652)
         assert report.gamma == pytest.approx(1.114, abs=1e-3)
         assert report.naive == pytest.approx(1.149, abs=1e-3)
         assert report.brute == pytest.approx(1.716, abs=1e-3)
@@ -330,7 +329,7 @@ class TestBoundReport:
     def test_invariants_on_grid(self):
         for alpha in (1.0, 1.4, 2.2):
             for c in (1.0, 1.3, 8.0):
-                r = bound_report(BoundQuery(alpha, c))
+                r = bound_report(alpha, c)
                 assert 1.0 <= r.gamma <= 1.0 + (c - 1.0) / alpha
                 assert (r.gamma == 1.0) == (c == 1.0)
                 assert r.gamma <= min(r.brute, r.naive) + 1e-12
@@ -338,24 +337,19 @@ class TestBoundReport:
                 assert 0.0 <= r.delta_star <= 1.0 / alpha
 
     def test_delta_star_degenerate(self):
-        assert bound_report(BoundQuery(2, 1)).delta_star == 0.5
+        assert bound_report(2, 1).delta_star == 0.5
 
 
 class TestQueryAndReportTypes:
     def test_keyword_construction_and_value_equality(self):
-        query = BoundQuery(alpha=2, c=1024)
-        assert query == BoundQuery(2, 1024, 1e-12)
-        assert (query.alpha, query.c, query.tol) == (2, 1024, 1e-12)
-        assert query != BoundQuery(alpha=2, c=1024, tol=1e-9)
-        report = bound_report(query)
+        report = bound_report(alpha=2, c=1024)
+        assert report == bound_report(2, 1024, 1e-12)
+        assert (report.alpha, report.c) == (2, 1024)
         assert list(report._asdict()) == [
             "alpha", "c", "gamma", "delta_star", "brute", "naive", "emls", "dominant_benchmark"]
         assert BoundReport(**report._asdict()) == report
-        assert bound_report(BoundQuery(2, 1024)) == report
 
-    @pytest.mark.parametrize(
-        "value", [BoundQuery(2, 1024), bound_report(BoundQuery(2, 1024))]
-    )
+    @pytest.mark.parametrize("value", [bound_report(2, 1024)])
     def test_immutable(self, value):
         with pytest.raises(AttributeError):
             value.alpha = 3.0
@@ -375,8 +369,7 @@ class TestQueryAndReportTypes:
         ],
     )
     def test_invalid_arguments_keep_their_messages(self, args, message):
-        replaced = lambda *a: BoundQuery(2.0, 3.0)._replace(**dict(zip(BoundQuery._fields, a)))
-        for build in (BoundQuery, amls_bound, replaced):
+        for build in (amls_bound, bound_report):
             with pytest.raises(ValueError) as info:
                 build(*args)
             assert str(info.value) == message

@@ -579,8 +579,8 @@ class TestImport:
 
 # the names `from amls import X` serves, by the layer that defines them
 PACKAGE_EXPORTS = {
-    "bounds": "BoundQuery BoundReport amls_bound bound_report bound_table brute_bound "
-              "emls_bound entropy kl_divergence naive_bound",
+    "bounds": "BoundReport amls_bound bound_report bound_table brute_bound emls_bound "
+              "entropy kl_divergence naive_bound",
     "combinatorics": "IterationCost binomial exact_ratio hyper_tail iteration_cost kappa "
                      "select_t",
     "engine": "ExtensionOracle MonotoneInstance RunConfig RunReport brute_force_search "
@@ -623,6 +623,22 @@ class TestImportSet:
              "import sys, amls; print(sorted(m for m in sys.modules if m.startswith('amls')))"],
             capture_output=True, text=True, timeout=60, env=_child_env(),
         )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["['amls']"]
+
+    def test_package_import_loads_only_importlib(self):
+        # -S: no site hook loads modules first.  The package module's one
+        # import is importlib, so a helper there that imported math, say,
+        # would load it into every run
+        script = (
+            "import sys\n"
+            "import importlib\n"
+            "before = set(sys.modules)\n"
+            "import amls\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, timeout=60, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["['amls']"]
 
@@ -740,7 +756,7 @@ class TestImportSet:
         import importlib
 
         names = [name for group in PACKAGE_EXPORTS.values() for name in group.split()]
-        assert len(names) == 41
+        assert len(names) == 40
         assert sorted(amls.__all__) == sorted(names)
         for module, group in PACKAGE_EXPORTS.items():
             layer = importlib.import_module(f"amls.{module}")

@@ -233,14 +233,11 @@ class TestSelectT:
 # t = 0 and t = 1 are c and 4 * c**(1 - 1/alpha), so c = 4**(4/3) makes them
 # tie to float precision and sends both argmins into the audit.
 FLOAT_ALPHA_AUDITS = """
-import math
 from fractions import Fraction
 from amls.combinatorics import _cost_less, argmin_t, exact_ratio, kappa, select_t
 
 def family_t(n, k, a, c):
-    return argmin_t(
-        n, k, a, c, lambda t: kappa(n, k, t, math.ceil(t / a)).as_integer_ratio()
-    )
+    return argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())
 
 a = exact_ratio(4 / 3)
 # 4/a exceeds 3 by about 7.5e-17, so 8 * 2**(-4/a) is just below 1
@@ -373,11 +370,7 @@ class TestArgminFold:
             for n in FOLD_NS:
                 for k in range(math.floor(n / a) + 1):
                     t = argmin_t(
-                        n,
-                        k,
-                        a,
-                        c,
-                        lambda t: kappa(n, k, t, math.ceil(t / a)).as_integer_ratio(),
+                        n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
                     )
                     want = reference_select_t_deterministic(n, k, a, c)
                     assert (t, math.ceil(t / a)) == want, (n, k, c)
@@ -396,8 +389,8 @@ class TestPolynomialOracleShortCircuit:
 
     @pytest.mark.parametrize("alpha", SHORT_CIRCUIT_ALPHAS)
     def test_argmin_t_does_not_call_factor(self, alpha):
-        def factor(t):
-            raise AssertionError(f"factor({t}) called at c = 1")
+        def factor(t, r):
+            raise AssertionError(f"factor({t}, {r}) called at c = 1")
 
         a = exact_ratio(alpha)
         for n in SHORT_CIRCUIT_NS:
@@ -418,9 +411,9 @@ class TestPolynomialOracleShortCircuit:
 
     def test_validation_still_applies(self):
         with pytest.raises(ValueError):
-            argmin_t(10, 11, 1, 1, lambda t: (1, 1))
+            argmin_t(10, 11, 1, 1, lambda t, r: (1, 1))
         with pytest.raises(ValueError):
-            argmin_t(10, 3, 0.5, 1, lambda t: (1, 1))
+            argmin_t(10, 3, 0.5, 1, lambda t, r: (1, 1))
 
 
 class TestRelaxedLogCost:
