@@ -349,7 +349,7 @@ class TestQueryAndReportTypes:
             "alpha", "c", "gamma", "delta_star", "brute", "naive", "emls", "dominant_benchmark"]
         assert BoundReport(**report._asdict()) == report
 
-    @pytest.mark.parametrize("value", [bound_report(2, 1024)])
+    @pytest.mark.parametrize("value", [bound_table([2], [1024])[0], bound_report(2, 1024)])
     def test_immutable(self, value):
         with pytest.raises(AttributeError):
             value.alpha = 3.0
