@@ -42,8 +42,7 @@ _EXPORTS = {
     ),
     "families": (
         "LimitExceededError", "SetFamily", "build_covering",
-        "build_intersection_family", "family_size_bound", "family_to_text",
-        "verify_family",
+        "build_intersection_family", "family_to_text", "verify_family",
     ),
     "problems": (
         "Graph", "Hypergraph3", "ParseError", "gen_gnp", "hs3_exact_oracle",

@@ -42,6 +42,8 @@ from . import _EXPORTS, _at_least_one
 
 __all__ = _EXPORTS["bounds"]
 
+TOL = 1e-12  # amls_bound's bisection stops at a bracket this wide
+
 
 def entropy(p: float) -> float:
     """Natural-log entropy -p*ln(p) - (1-p)*ln(1-p), with 0*ln(0) = 0.
@@ -117,7 +119,7 @@ def emls_bound(c: float) -> float:
     return 2.0 - 1.0 / c
 
 
-def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
+def amls_bound(alpha: float, c: float) -> float:
     """Base of approximate monotone local search, by bisection.
 
     Returns the unique gamma in (1, 1 + (c-1)/alpha) at which
@@ -126,9 +128,9 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
     left end, 0 at the right end), so plain bisection converges; only
     interval midpoints are ever evaluated, which keeps the divergent
     endpoints out of the arithmetic.  The bracket is narrowed until its width
-    is at most ``tol``, giving a deterministic, bit-reproducible result.  For
-    c > 1, ``tol`` must be below the first bracket's width (c-1)/alpha; a
-    wider one would skip the bisection and return the bracket's midpoint.
+    is at most TOL, giving a deterministic, bit-reproducible result within
+    TOL of the root; a first bracket (1, 1 + (c-1)/alpha) already that narrow
+    returns its midpoint.
 
     c == 1 is the degenerate polynomial-oracle case and returns exactly 1.0.
 
@@ -157,13 +159,6 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
     """
     _at_least_one("alpha", alpha)
     _at_least_one("c", c)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    width = (c - 1.0) / alpha
-    if c > 1.0 and tol >= width:
-        raise ValueError(
-            f"tol must be below the bracket width (c-1)/alpha = {width}, got {tol}"
-        )
     if c == 1.0:
         return 1.0
     a = 1.0 / alpha
@@ -173,7 +168,7 @@ def amls_bound(alpha: float, c: float, tol: float = 1e-12) -> float:
     lo = 1.0
     hi = 1.0 + c_minus_1 / alpha
     low, high = _certified_interval(a, one_minus_a, c_minus_1, target, hi)
-    while hi - lo > tol:
+    while hi - lo > TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket narrower than one ulp
             break
@@ -247,10 +242,10 @@ def _certified_interval(a, one_minus_a, c_minus_1, target, hi):
     return whole
 
 
-def bound_report(alpha: float, c: float, tol: float = 1e-12) -> BoundReport:
-    """Evaluate all four bases plus delta* for one (alpha, c) pair; tol is
-    amls_bound's, and every argument is checked as amls_bound checks it."""
-    gamma = amls_bound(alpha, c, tol)
+def bound_report(alpha: float, c: float) -> BoundReport:
+    """Evaluate all four bases plus delta* for one (alpha, c) pair; both
+    arguments are checked as amls_bound checks them."""
+    gamma = amls_bound(alpha, c)
     benchmarks = (brute_bound(alpha), naive_bound(alpha, c), emls_bound(c))
     # the first minimum wins, so ties go to brute, then naive
     dominant = ("brute", "naive", "emls")[benchmarks.index(min(benchmarks))]
@@ -258,11 +253,9 @@ def bound_report(alpha: float, c: float, tol: float = 1e-12) -> BoundReport:
     return BoundReport(alpha, c, gamma, delta_star, *benchmarks, dominant)
 
 
-def bound_table(
-    alphas: list[float], cs: list[float], tol: float = 1e-12
-) -> list[BoundReport]:
+def bound_table(alphas: list[float], cs: list[float]) -> list[BoundReport]:
     """One report per (alpha, c) pair of the cartesian product, alphas outer."""
-    return [bound_report(alpha, c, tol) for alpha in alphas for c in cs]
+    return [bound_report(alpha, c) for alpha in alphas for c in cs]
 
 
 CSV_HEADER = "alpha,c,amls,brute,naive,emls,dominant"

@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_float_list, help="comma-separated ratios, each >= 1")
     p.add_argument("--c", type=_float_list, help="comma-separated oracle bases, each >= 1")
     p.add_argument("--preset", choices=sorted(PRESETS), help="a known (alpha, c) pair")
-    p.add_argument("--tol", type=float, default=1e-12, help="bisection tolerance")
     p.add_argument("--csv", metavar="PATH", help="write CSV here, '-' for stdout (the default)")
     p.set_defaults(func=_cmd_bounds)
 
@@ -126,7 +125,7 @@ def _cmd_bounds(args) -> int:
             print("error: need --alpha and --c (or --preset)", file=sys.stderr)
             return 1
         alphas, cs = args.alpha, args.c
-    reports = bound_table(alphas, cs, tol=args.tol)
+    reports = bound_table(alphas, cs)
     _write("\n".join([CSV_HEADER] + format_csv_rows(reports)) + "\n", args.csv or "-")
     return 0
 
@@ -182,14 +181,10 @@ def _cmd_solve(args) -> int:
         raise ValueError("the matching oracle applies to vc only")
     else:
         oracle = hs3_exact_oracle(parsed)
-    if args.alpha is not None:
-        if args.alpha < oracle.alpha:
-            print(
-                f"error: --alpha {args.alpha} is below the oracle's ratio {oracle.alpha}",
-                file=sys.stderr,
-            )
-            return 1
-        oracle = replace(oracle, alpha=args.alpha)
+    if args.alpha is not None:  # the range rule first, then the oracle's own ratio
+        ratio, oracle = oracle.alpha, replace(oracle, alpha=args.alpha)
+        if args.alpha < ratio:
+            raise ValueError(f"--alpha {args.alpha} is below the oracle's ratio {ratio}")
     cfg = RunConfig(
         seed=args.seed,
         boost=args.boost,

@@ -16,9 +16,9 @@ set-cover heuristic: the universe of the cover instance is the set of all
 target subsets, candidates are all subsets of the member size, and each
 round picks the candidate covering the most still-uncovered targets (ties
 broken toward the lexicographically smallest candidate, so outputs are
-reproducible).  Greedy pays a factor of
-(1 + ln(#targets)) over the optimum; ``family_size_bound`` combines that
-ratio with the probabilistic existence bound kappa(n,p,q,r)*(p+1)*ln(n).
+reproducible).  Greedy pays a factor of at most H(M), the M-th harmonic
+number, over the optimum, where M is the number of targets one candidate
+serves.
 
 The builder is pure Python over int bitsets.  Targets and candidates are
 indexed in combinations order, and a candidate's column is the bitset of
@@ -38,13 +38,12 @@ holds about 1.5 MB of columns.  Families are immutable once built.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
 from . import _EXPORTS
-from .combinatorics import _check_npqr, binomial, kappa
+from .combinatorics import _check_npqr, binomial
 
 __all__ = _EXPORTS["families"]
 
@@ -209,19 +208,6 @@ def verify_family(family: SetFamily) -> bool:
         if not any(lo <= (mask & tmask).bit_count() <= hi for mask in masks):
             return False
     return True
-
-
-def family_size_bound(n: int, p: int, q: int, r: int) -> float:
-    """Guaranteed size bound for the greedy weak intersection family.
-
-    kappa(n,p,q,r) * (p+1) * ln(n) bounds the optimum (a random family of
-    that size works); greedy multiplies by at most (1 + ln C(n, p)).
-    Requires n >= 2 and valid (n, p, q, r).
-    """
-    if n < 2:
-        raise ValueError(f"family_size_bound requires n >= 2, got {n}")
-    existence = float(kappa(n, p, q, r)) * (p + 1) * math.log(n)
-    return existence * (1.0 + math.log(binomial(n, p)))
 
 
 def family_to_text(family: SetFamily) -> str:

@@ -1,10 +1,11 @@
 """Reference forms the tests check production code against.
 
-Neither is run by an ``amls`` command.  relaxed_log_cost evaluates the
+None is run by an ``amls`` command.  relaxed_log_cost evaluates the
 continuous relaxation of the log iteration cost in two algebraic forms, a
 cross-check of bounds.entropy and bounds.kl_divergence;
 empirical_brute_exponent is the finite-n exponent that converges to
-ln(bounds.brute_bound(alpha)).  Only public package names are used.
+ln(bounds.brute_bound(alpha)); family_size_range is the exact range a greedy
+set-intersection family's size lies in.  Only public package names are used.
 """
 
 import math
@@ -82,3 +83,23 @@ def empirical_brute_exponent(n: int, alpha) -> float:
             best = ratio
         k += 1
     return (math.log(best.numerator) - math.log(best.denominator)) / n
+
+
+def family_size_range(n: int, p: int, q: int, r: int, strong: bool) -> tuple:
+    """(ceil(C(n,p)/M), H(M)*C(n,p)/M) as Fractions, around a greedy family's size.
+
+    M = sum of C(q,y)*C(n-q,p-y) over y >= r (weak) or y = r alone (strong)
+    is the number of p-subsets one q-subset serves, so C(n,p)/M is the
+    fractional set-cover optimum by symmetry and no family is smaller than
+    its ceiling.  Greedy set cover stays within H(M), the M-th harmonic
+    number, of that optimum.
+    """
+    ys = [r] if strong else range(r, min(p, q) + 1)
+    m = sum(binomial(q, y) * binomial(n - q, p - y) for y in ys)
+    lp = Fraction(binomial(n, p), m)
+    while len(_HARMONIC) <= m:
+        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
+    return Fraction(math.ceil(lp)), _HARMONIC[m] * lp
+
+
+_HARMONIC = [Fraction(0)]  # _HARMONIC[m] is H(m), extended as family_size_range asks

@@ -13,17 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from amls.bounds import amls_bound, brute_bound, emls_bound, naive_bound
-from amls.combinatorics import binomial, exact_ratio, hyper_tail
+from amls.combinatorics import binomial, exact_ratio, hyper_tail, select_t
 from amls.engine import RunConfig, brute_force_search, solve
-from amls.families import (
-    build_covering,
-    build_intersection_family,
-    family_size_bound,
-    verify_family,
-)
+from amls.families import build_covering, build_intersection_family, verify_family
 from amls.problems import gen_gnp, vc_exact_oracle, vc_matching_oracle, vc_system
 from conftest import exhaustive_vc_opt
-from reference import empirical_brute_exponent, relaxed_log_cost
+from reference import empirical_brute_exponent, family_size_range, relaxed_log_cost
 
 ALPHA_GRID = [1 + i / 10 for i in range(21)]
 C_GRID = [1.01, 1.1, 2.0, 10.0, 1024.0]
@@ -56,6 +51,22 @@ def test_criterion_1_exponent_reproduction():
     if abs(emls_bound(1024) - 1.9990) > 2e-4:
         v.append("emls(1024) vs 1.9990")
     _report("1 exponent-reproduction", v)
+
+
+def test_criterion_1b_randomized_exponent_tends_to_gamma():
+    # exp(max_k log_cost / n) over select_t's rows k <= n/alpha approaches
+    # amls_bound(alpha, c) as n grows (from below at alpha = 1)
+    v = []
+    for alpha, c in [(1.5, 2.0), (2.0, 3.0), (1.0, 2.0)]:
+        gamma = amls_bound(alpha, c)
+        gaps = []
+        for n in (20, 100, 400):
+            rows = range(math.floor(n / alpha) + 1)
+            worst = max(select_t(n, k, alpha, c).log_cost for k in rows)
+            gaps.append(abs(math.exp(worst / n) - gamma))
+        if not gaps[0] > gaps[1] > gaps[2]:
+            v.append(f"({alpha},{c}): gaps to gamma {gaps} at n = 20, 100, 400 do not shrink")
+    _report("1b randomized-exponent", v)
 
 
 def test_criterion_2_bound_properties_on_grid():
@@ -211,8 +222,18 @@ def test_criterion_5_families():
         family = build_intersection_family(n, p, q, r, strong=strong)
         if not verify_family(family):
             v.append(f"intersection ({n},{p},{q},{r},strong={strong}) fails verification")
-        if len(family.members) > family_size_bound(n, p, q, r):
-            v.append(f"intersection ({n},{p},{q},{r}) exceeds the size bound")
+    # every weak and strong family with n <= 12 lies between its LP value's
+    # ceiling and greedy's H(M) times the LP value, in exact arithmetic
+    for n in range(1, 13):
+        for p in range(1, n + 1):
+            for r in range(1, p + 1):
+                for q in range(r, n - p + r + 1):
+                    for strong in (False, True):
+                        low, high = family_size_range(n, p, q, r, strong)
+                        size = len(build_intersection_family(n, p, q, r, strong).members)
+                        if not low <= size <= high:
+                            v.append(f"intersection ({n},{p},{q},{r},strong={strong}) has "
+                                     f"{size} members, outside [{low}, {float(high):.4g}]")
     for n, t, k in [(4, 3, 2), (5, 3, 1), (6, 4, 2), (8, 5, 3), (10, 6, 2), (12, 7, 3)]:
         if not verify_family(build_covering(n, t, k)):
             v.append(f"covering ({n},{t},{k}) fails verification")

@@ -13,7 +13,9 @@ import pytest
 from amls.bounds import (
     CSV_HEADER,
     BoundReport,
+    TOL,
     _certified_interval,
+    _divergence,
     amls_bound,
     bound_report,
     bound_table,
@@ -152,45 +154,48 @@ class TestAmlsBound:
             amls_bound(0.9, 2.0)
         with pytest.raises(ValueError):
             amls_bound(1.5, 0.5)
-        with pytest.raises(ValueError):
-            amls_bound(1.5, 2.0, tol=0.0)
-        # any tol at or above the bracket width (c-1)/alpha skips the bisection
-        for tol in (math.inf, math.nan, 0.5, 0.6):
-            with pytest.raises(ValueError):
-                amls_bound(2.0, 2.0, tol=tol)
-        assert amls_bound(2.0, 2.0, tol=0.49) < 1.25
+        # a first bracket no wider than TOL is valid and returns its midpoint
+        for alpha, c in [(1e13, 2.0), (2.0, 1.000000000001), (1e300, 1.0 + 2.0**-52)]:
+            hi = 1.0 + (c - 1.0) / alpha
+            assert hi - 1.0 <= TOL
+            assert amls_bound(alpha, c) == 0.5 * (1.0 + hi)
 
     def test_extreme_parameters_stay_bracketed(self):
-        # tol is an absolute tolerance on the root itself: a finer bisection
-        # must land within tol of the default answer
+        # TOL is an absolute tolerance on the root itself: a finer bisection
+        # must land within TOL of the answer
+        assert TOL == 1e-12
         for alpha, c in [(50.0, 2.0), (1.0001, 1.0000001), (3.0, 1e12)]:
             gamma = amls_bound(alpha, c)
             assert 1.0 < gamma < 1.0 + (c - 1.0) / alpha
-            refined = amls_bound(alpha, c, tol=1e-15)
-            assert abs(gamma - refined) <= 1e-12 + 1e-15
+            assert abs(gamma - self._reference_bisection(alpha, c, 1e-15)) <= 1e-12
+
+    def test_divergence_is_inf_where_b_underflows(self):
+        # the guard for a midpoint whose b = (gamma-1)/(c-1) rounds to 0
+        a = 1.0 / 1e16
+        assert (2.0**-52 / 1.7e308) == 0.0
+        assert _divergence(1.0 + 2.0**-52, a, 1.0 - a, 1.7e308) == math.inf
+        assert math.isfinite(_divergence(1.0 + 2.0**-52, a, 1.0 - a, 1e300))
 
     def test_float_range_edges_stay_bracketed(self):
-        # valid (alpha, c, tol) at the edges of the float range, where a
-        # midpoint's b = (gamma-1)/(c-1) can underflow to 0 and alpha**alpha
-        # overflows; each query must return a bracketed base and a finite brute
+        # valid (alpha, c) at the edges of the float range, where the bracket
+        # (1, 1 + (c-1)/alpha) can be narrower than TOL or one ulp and
+        # alpha**alpha overflows; each query must return a bracketed base and
+        # a finite brute
         rng = random.Random("float range edges")
         alphas = [1.0, 1.0 + 2.0**-52, 143.0, 144.0, 1e3, 1e16, 1e300, math.exp(20.0)]
         cs = [1.0, 1.0 + 2.0**-52, 2.0, 1e100, 1e300, 1.7e308, math.exp(709.0)]
-        triples = [(1e16, 1.7e308, 1e-300), (144.0, 2.0, 1e-12)]
-        while len(triples) < 3000:
+        pairs = [(1e16, 1.7e308), (144.0, 2.0), (1e12, 2.0), (2.0, 1.000000000001)]
+        while len(pairs) < 3000:
             alpha = rng.choice(
                 [rng.choice(alphas), 10.0 ** rng.uniform(0.0, 300.0),
                  1.0 + 10.0 ** rng.uniform(-16.0, 0.0)])
             c = rng.choice(
                 [rng.choice(cs), math.exp(rng.uniform(0.0, 709.7)),
                  1.0 + rng.randint(1, 64) * 2.0**-52])
-            width = (c - 1.0) / alpha
-            tol = rng.choice([10.0 ** rng.uniform(-300.0, -3.0), width * rng.uniform(1e-6, 1.0)])
-            if 0.0 < tol and (c == 1.0 or tol < width):
-                triples.append((alpha, c, tol))
-        for alpha, c, tol in triples:
-            report = bound_report(alpha, c, tol)
-            assert 1.0 <= report.gamma <= 1.0 + (c - 1.0) / alpha, (alpha, c, tol)
+            pairs.append((alpha, c))
+        for alpha, c in pairs:
+            report = bound_report(alpha, c)
+            assert 1.0 <= report.gamma <= 1.0 + (c - 1.0) / alpha, (alpha, c)
             assert math.isfinite(report.brute), alpha
 
     @staticmethod
@@ -209,46 +214,39 @@ class TestAmlsBound:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
-    def test_inlined_divergence_is_bit_identical(self, tol):
-        # a seeded 60 x 60 grid drawn like the benchmark's bounds ops (alpha
-        # in [1, 4] to 4 decimals, c in [1.01, 1024] to 5 digits), plus
-        # random pairs that include alpha == 1 and very large c
-        rng = random.Random(f"bisection:{tol}")
+    @pytest.mark.parametrize("seed", ["1e-12", "1e-06"])
+    def test_inlined_divergence_is_bit_identical(self, seed):
+        # two seeded draws of a 60 x 60 grid drawn like the benchmark's
+        # bounds ops (alpha in [1, 4] to 4 decimals, c in [1.01, 1024] to 5
+        # digits), plus random pairs that include alpha == 1 and very large c
+        rng = random.Random(f"bisection:{seed}")
         alphas = [float(f"{rng.uniform(1.0, 4.0):.4f}") for _ in range(60)]
         cs = [float(f"{rng.uniform(1.01, 1024.0):.5g}") for _ in range(60)]
         pairs = [(alpha, c) for alpha in alphas for c in cs]
         for _ in range(1000):
             alpha = rng.choice([1.0, rng.uniform(1.0, 4.0), math.exp(rng.uniform(0.0, 20.0))])
             c = rng.choice([rng.uniform(1.01, 1024.0), math.exp(rng.uniform(0.1, 700.0))])
-            if tol < (c - 1.0) / alpha:
-                pairs.append((alpha, c))
+            pairs.append((alpha, c))
         for alpha, c in pairs:
-            assert amls_bound(alpha, c, tol) == self._reference_bisection(alpha, c, tol), (
-                alpha, c, tol)
+            assert amls_bound(alpha, c) == self._reference_bisection(alpha, c, 1e-12), (
+                alpha, c)
 
     def test_certificate_corners_are_bit_identical(self):
         # the corners of the certified interval: c = 1 + j*2^-52, where it
-        # must fall back to the whole bracket; alpha at and just above 1;
-        # c up to 1e300; tol from 1e-15 to 1e-3, plus an eighth of the
-        # bracket width so that every pair is bisected
+        # must fall back to the whole bracket (or the bracket is below TOL);
+        # alpha at and just above 1, and up to e^20; c near 1 and up to 1e300
         rng = random.Random("certificate corners")
         alphas = [1.0, 1.0 + 2.0**-52] + [1.0 + 10.0**-u for u in range(1, 16)]
-        alphas += [float(f"{rng.uniform(1.0, 4.0):.4f}") for _ in range(40)]
-        alphas += [math.exp(rng.uniform(0.0, 20.0)) for _ in range(6)]
-        cs = [1.0 + j * 2.0**-52 for j in range(1, 5)]
+        alphas += [float(f"{rng.uniform(1.0, 4.0):.4f}") for _ in range(120)]
+        alphas += [math.exp(rng.uniform(0.0, 20.0)) for _ in range(20)]
+        cs = [1.0 + j * 2.0**-52 for j in range(1, 9)]
         cs += [1.0 + 10.0**-u for u in (3, 6, 9, 12)] + [1e10, 1e30, 1e100, 1e200, 1e300]
-        cs += [float(f"{rng.uniform(1.01, 1024.0):.5g}") for _ in range(50)]
-        checked = 0
-        for alpha in alphas:
-            for c in cs:
-                width = (c - 1.0) / alpha
-                for tol in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, width / 8):
-                    if tol < width:
-                        assert amls_bound(alpha, c, tol) == self._reference_bisection(
-                            alpha, c, tol), (alpha, c, tol)
-                        checked += 1
-        assert checked >= 20_000
+        cs += [float(f"{rng.uniform(1.01, 1024.0):.5g}") for _ in range(120)]
+        pairs = [(alpha, c) for alpha in alphas for c in cs]
+        assert len(pairs) >= 20_000
+        for alpha, c in pairs:
+            assert amls_bound(alpha, c) == self._reference_bisection(alpha, c, 1e-12), (
+                alpha, c)
 
     @staticmethod
     def _interval(alpha, c):
@@ -264,7 +262,7 @@ class TestAmlsBound:
             alpha = float(f"{rng.uniform(1.0, 4.0):.4f}")
             c = float(f"{rng.uniform(1.01, 1024.0):.5g}")
             (low, high), hi = self._interval(alpha, c)
-            assert 1.0 < low < amls_bound(alpha, c, 1e-15) < high < hi
+            assert 1.0 < low < self._reference_bisection(alpha, c, 1e-15) < high < hi
             assert high - low < 1e-9
         for alpha in (1.0, 1.0 + 2.0**-52, 1.5, 3.0):
             for j in range(1, 5):
@@ -343,7 +341,7 @@ class TestBoundReport:
 class TestQueryAndReportTypes:
     def test_keyword_construction_and_value_equality(self):
         report = bound_report(alpha=2, c=1024)
-        assert report == bound_report(2, 1024, 1e-12)
+        assert report == bound_report(2, 1024)
         assert (report.alpha, report.c) == (2, 1024)
         assert list(report._asdict()) == [
             "alpha", "c", "gamma", "delta_star", "brute", "naive", "emls", "dominant_benchmark"]
@@ -363,9 +361,6 @@ class TestQueryAndReportTypes:
             ((math.inf, 2.0), "alpha must be finite and >= 1, got inf"),
             ((1.5, 0.5), "c must be finite and >= 1, got 0.5"),
             ((1.5, math.nan), "c must be finite and >= 1, got nan"),
-            ((1.5, 2.0, 0.0), "tol must be finite and > 0, got 0.0"),
-            ((1.5, 2.0, math.inf), "tol must be finite and > 0, got inf"),
-            ((2.0, 2.0, 0.5), "tol must be below the bracket width (c-1)/alpha = 0.5, got 0.5"),
         ],
     )
     def test_invalid_arguments_keep_their_messages(self, args, message):

@@ -121,8 +121,10 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--alpha", "1e16", "--c", "1.7e308", "--tol", "1e-300"],  # b underflows to 0
-         ["--alpha", "144", "--c", "2"]],  # alpha**alpha overflows
+        [["--alpha", "1e16", "--c", "1.7e308"],  # c near the largest float
+         ["--alpha", "144", "--c", "2"],  # alpha**alpha overflows
+         ["--alpha", "1e12", "--c", "2"],  # bracket (c-1)/alpha about TOL wide
+         ["--alpha", "2", "--c", "1.000000000001"]],  # bracket narrower than TOL
     )
     def test_float_range_edges_run(self, argv):
         proc = subprocess.run(
@@ -180,12 +182,19 @@ class TestSolve:
         assert main(["solve", "--problem", "hs3", "--input", str(path), "--seed", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "size 1"
 
-    def test_alpha_below_oracle_is_usage_error(self, k3_file):
-        rc = main(
-            ["solve", "--problem", "vc", "--input", k3_file,
-             "--oracle", "matching", "--alpha", "1.5"]
-        )
-        assert rc == 1
+    def test_rejected_alpha_exits_2(self, k3_file, capsys):
+        # the range rule first, then the oracle's own ratio: one exit code
+        cases = [
+            (["solve", "--alpha", "0.5"], "alpha must be finite and >= 1, got 0.5"),
+            (["solve", "--alpha", "nan"], "alpha must be finite and >= 1, got nan"),
+            (["solve", "--alpha", "inf"], "alpha must be finite and >= 1, got inf"),
+            (["solve", "--oracle", "matching", "--alpha", "1.5"],
+             "--alpha 1.5 is below the oracle's ratio 2.0"),
+            (["brute", "--alpha", "0.5"], "alpha must be finite and >= 1, got 0.5"),
+        ]
+        for argv, message in cases:
+            assert main([*argv, "--problem", "vc", "--input", k3_file]) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
     def test_matching_oracle_rejected_for_hs3(self, tmp_path, capsys):
         path = tmp_path / "sets.hs3"
@@ -586,7 +595,7 @@ PACKAGE_EXPORTS = {
     "engine": "ExtensionOracle MonotoneInstance RunConfig RunReport brute_force_search "
               "solve",
     "families": "LimitExceededError SetFamily build_covering build_intersection_family "
-                "family_size_bound family_to_text verify_family",
+                "family_to_text verify_family",
     "problems": "Graph Hypergraph3 ParseError gen_gnp hs3_exact_oracle hs3_system "
                 "parse_graph parse_hypergraph vc_exact_oracle vc_matching_oracle vc_system",
 }
@@ -756,7 +765,7 @@ class TestImportSet:
         import importlib
 
         names = [name for group in PACKAGE_EXPORTS.values() for name in group.split()]
-        assert len(names) == 40
+        assert len(names) == 39
         assert sorted(amls.__all__) == sorted(names)
         for module, group in PACKAGE_EXPORTS.items():
             layer = importlib.import_module(f"amls.{module}")
@@ -823,8 +832,6 @@ class TestLazyBinding:
 UNUSED_EXPORTS = {
     "kl_divergence": "the checked divergence; bounds._divergence repeats its float "
                      "operations unchecked, and the tests compare the two",
-    "family_size_bound": "the greedy family's size guarantee, which a printed solve "
-                         "plan is to show next to each family's size",
 }
 
 
@@ -934,8 +941,8 @@ class TestNonFinite:
          ["brute", "--problem", "vc", "--alpha", "inf"],
          ["bounds", "--alpha", "inf", "--c", "2"],
          ["bounds", "--alpha", "2", "--c", "inf"],
-         ["bounds", "--alpha", "2", "--c", "2", "--tol", "inf"],
-         ["bounds", "--alpha", "2", "--c", "2", "--tol", "0.6"],
+         ["bounds", "--alpha", "nan", "--c", "2"],
+         ["bounds", "--alpha", "2", "--c", "nan"],
          ["brute", "--problem", "vc", "--alpha", "nan"]],
     )
     def test_rejected_without_traceback(self, argv, p3_file):
@@ -969,6 +976,11 @@ class TestTopLevel:
     def test_workers_is_usage_error(self, p3_file, capsys):
         # sampling runs in one thread: the pure-Python oracles hold the GIL
         assert main(["solve", "--problem", "vc", "--input", p3_file, "--workers", "2"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_tol_is_usage_error(self, capsys):
+        # the bisection tolerance is the constant bounds.TOL
+        assert main(["bounds", "--alpha", "2", "--c", "2", "--tol", "1e-9"]) == 1
         assert capsys.readouterr().out == ""
 
     def test_bench_is_usage_error(self, capsys):

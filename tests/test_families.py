@@ -14,11 +14,11 @@ from amls.families import (
     SetFamily,
     build_covering,
     build_intersection_family,
-    family_size_bound,
     family_to_text,
     verify_family,
 )
 from amls.problems import gen_gnp, vc_exact_oracle, vc_system
+from reference import family_size_range
 
 
 def weak_ok(n, p, r, members) -> bool:
@@ -140,7 +140,8 @@ class TestIntersectionFamilies:
     @pytest.mark.parametrize("n,p,q,r,strong", INTERSECTION_PARAMS)
     def test_greedy_respects_size_bound(self, n, p, q, r, strong):
         family = build_intersection_family(n, p, q, r, strong=strong)
-        assert len(family.members) <= family_size_bound(n, p, q, r)
+        low, high = family_size_range(n, p, q, r, strong)
+        assert low <= len(family.members) <= high
 
     def test_strong_families_are_weak(self):
         for n, p, q, r in [(6, 3, 3, 2), (8, 4, 4, 2), (7, 3, 4, 2)]:
@@ -308,11 +309,14 @@ class TestVerifyFamily:
 
 class TestSizeBound:
     def test_reference_value(self):
-        # kappa = 3/2, bound = 1.5 * 3 * ln(4) * (1 + ln 6)
-        import math
-
-        expected = 1.5 * 3 * math.log(4) * (1 + math.log(6))
-        assert family_size_bound(4, 2, 2, 1) == pytest.approx(expected, rel=1e-12)
+        # a pair of [4) meets M = 5 of the C(4, 2) = 6 pairs, and 4 of them in
+        # exactly one element: LP values 6/5 = 1/hyper_tail and 3/2 = kappa
+        assert hyper_tail(4, 2, 2, 1) == Fraction(5, 6)
+        assert kappa(4, 2, 2, 1) == Fraction(3, 2)
+        assert family_size_range(4, 2, 2, 1, False) == (2, Fraction(137, 60) * Fraction(6, 5))
+        assert family_size_range(4, 2, 2, 1, True) == (2, Fraction(25, 12) * Fraction(3, 2))
+        assert len(build_intersection_family(4, 2, 2, 1).members) == 2
+        assert len(build_intersection_family(4, 2, 2, 1, strong=True).members) == 2
 
     def test_kappa_reciprocal_identity(self):
         assert kappa(5, 2, 2, 2) == 1 / hyper_tail(5, 2, 2, 2)

@@ -12,7 +12,7 @@ import pytest
 from amls.bounds import amls_bound, bound_report, brute_bound, emls_bound, naive_bound
 from amls.combinatorics import argmin_t, iteration_cost, kappa, select_t
 from amls.engine import ExtensionOracle, MonotoneInstance, RunConfig, brute_force_search
-from amls.families import build_intersection_family, family_size_bound
+from amls.families import build_intersection_family
 
 
 def _no_extension(x, k, rng):
@@ -58,8 +58,7 @@ def test_alpha_c_and_boost_share_one_message(case, value):
 
 
 @pytest.mark.parametrize(
-    "build", [kappa, build_intersection_family, family_size_bound],
-    ids=["kappa", "build_intersection_family", "family_size_bound"],
+    "build", [kappa, build_intersection_family], ids=["kappa", "build_intersection_family"],
 )
 @pytest.mark.parametrize(
     "npqr,message",
