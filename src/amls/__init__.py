@@ -93,5 +93,35 @@ def _at_least_one(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and >= 1, got {value}")
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(num, den) in lowest terms, den >= 1: the rational x's shortest decimal
+    form denotes, read from repr(x) for a float (1.7 -> (17, 10), where
+    1.7.as_integer_ratio() is the binary expansion); an int or a Fraction
+    gives its own ratio.  Raises ValueError for inf and nan.  The package's
+    one rule for exact alpha and boost thresholds, with no imports.
+    """
+    if not isinstance(x, float):
+        return x.numerator, x.denominator
+    if x - x != 0:
+        raise ValueError(f"expected a finite number, got {x}")
+    mantissa, _, exp = float.__repr__(x).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp or 0) - len(frac)
+    num, den = int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+    a, b = num, den
+    while b:  # Euclid: a ends as gcd(num, den) > 0
+        a, b = b, a % b
+    return num // a, den // a
+
+
+def _check_npqr(n: int, p: int, q: int, r: int) -> None:
+    """The one rule for (n, p, q, r)-set-intersection parameters:
+    n >= p >= r >= 1 and n - p + r >= q >= r, else ValueError."""
+    if not n >= p >= r >= 1:
+        raise ValueError(f"need n >= p >= r >= 1, got n={n}, p={p}, r={r}")
+    if not n - p + r >= q >= r:
+        raise ValueError(f"need n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}")
+
+
 __all__ = [name for names in _EXPORTS.values() for name in names]
 __getattr__ = _lazy(globals(), _EXPORTS)[1]

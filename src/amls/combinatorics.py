@@ -50,7 +50,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _EXPORTS, _at_least_one
+from . import _EXPORTS, _at_least_one, _check_npqr, _ratio
 
 __all__ = _EXPORTS["combinatorics"]
 
@@ -60,15 +60,10 @@ def exact_ratio(x: float | int | Fraction) -> Fraction:
 
     exact_ratio(1.7) == Fraction(17, 10), whereas Fraction(1.7) would be the
     binary expansion 7656119366529843/4503599627370496.  Integers and
-    Fractions pass through unchanged.
+    Fractions pass through unchanged; inf and nan raise ValueError.  The
+    Fraction of the package's one rule, ``amls._ratio``.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {x}")
-    return Fraction(Decimal(str(x)))
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 def binomial(n: int, k: int) -> int:
@@ -259,15 +254,6 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
 
     t = argmin_t(n, k, alpha, c, factor)
     return iteration_cost(n, k, t, alpha, c)
-
-
-def _check_npqr(n: int, p: int, q: int, r: int) -> None:
-    """The one rule for (n, p, q, r)-set-intersection parameters:
-    n >= p >= r >= 1 and n - p + r >= q >= r, else ValueError."""
-    if not n >= p >= r >= 1:
-        raise ValueError(f"need n >= p >= r >= 1, got n={n}, p={p}, r={r}")
-    if not n - p + r >= q >= r:
-        raise ValueError(f"need n - p + r >= q >= r, got n={n}, p={p}, q={q}, r={r}")
 
 
 def kappa(n: int, p: int, q: int, r: int) -> Fraction:

@@ -50,7 +50,8 @@ random.sample(range(n), t) makes, so each X, and the generator's state
 after it, are those random.sample gives, without its per-draw overhead.
 
 The families layer is imported only when a search first needs a family or
-a covering, by the package's one lazy-loading rule (``amls._lazy``).
+a covering, and the combinatorics layer (the cost model) only outside brute
+force, by the package's one lazy-loading rule (``amls._lazy``).
 """
 
 from __future__ import annotations
@@ -63,14 +64,17 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import _EXPORTS, _at_least_one, _lazy
-from .combinatorics import argmin_t, exact_ratio, kappa, select_t
+from . import _EXPORTS, _at_least_one, _lazy, _ratio
 
 __all__ = _EXPORTS["engine"]
 
 # build_covering has no caller here; perfbench/spans.py wraps it by name
 _bind, __getattr__ = _lazy(
-    globals(), {"families": ("build_covering", "build_intersection_family", "check_limit")}
+    globals(),
+    {
+        "combinatorics": ("argmin_t", "kappa", "select_t"),
+        "families": ("build_covering", "build_intersection_family", "check_limit"),
+    },
 )
 
 
@@ -223,21 +227,27 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     to already qualifies, so no sample count can change the guarantee;
     where t = 0 and the oracle cannot fail, every sample is X = {} alike.
     Rows are made one k at a time, so a run that stops early plans no further.
+    Floors and ceilings are exact, on the int pairs alpha = num/den and
+    boost = b_num/b_den of amls._ratio; only modes other than "brute" bind
+    the combinatorics layer.
     """
     _at_least_one("alpha", alpha)
-    a, boost = exact_ratio(alpha), exact_ratio(boost)
-    for k in range(math.floor(n / a) + 1):
-        alpha_k, reps = math.floor(a * k), 1
+    (num, den), (b_num, b_den) = _ratio(alpha), _ratio(boost)
+    if mode != "brute":
+        _bind("combinatorics")
+    for k in range(n * den // num + 1):
+        alpha_k, reps = k * num // den, 1
         if mode == "brute":
             t = alpha_k
         elif mode == "deterministic":
-            t = argmin_t(n, k, a, ext.c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())
+            t = argmin_t(n, k, alpha, ext.c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())
         else:
             cost = select_t(n, k, alpha, ext.c)
             t = cost.t
             if alpha_k < n and not (t == 0 and ext.success_prob == 1):
-                reps = math.ceil(boost / cost.p)
-        yield _Row(k, t, math.ceil(t / a), alpha_k, reps)
+                p = cost.p  # ceil(boost / p), exactly
+                reps = -(-b_num * p.denominator // (b_den * p.numerator))
+        yield _Row(k, t, -(-t * den // num), alpha_k, reps)
 
 
 def _run(

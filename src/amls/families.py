@@ -41,9 +41,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
-from . import _EXPORTS
-from .combinatorics import _check_npqr, binomial
+from . import _EXPORTS, _check_npqr
 
 __all__ = _EXPORTS["families"]
 
@@ -81,7 +81,7 @@ def _containing(n: int, size: int) -> list[int]:
     rows = [[0] * n for _ in range(size + 1)]
     for a in range(n - 1, -1, -1):
         for p in range(min(size, n - a), 0, -1):
-            shift = binomial(n - a - 1, p - 1)
+            shift = comb(n - a - 1, p - 1)
             rows[p] = [w | o << shift for w, o in zip(rows[p - 1], rows[p])]
             rows[p][a] = (1 << shift) - 1
     return rows[size]
@@ -100,7 +100,7 @@ def _columns(n: int, target_size: int, member_size: int, lo: int, hi: int) -> li
     cap = hi + 1 if bounded else lo
     cols: list[int] = []
     # per depth, in place: reads hit the parent's window, ge[0] or unwritten 0s
-    gs = [[(1 << binomial(n, target_size)) - 1] + [0] * cap for _ in range(member_size)]
+    gs = [[(1 << comb(n, target_size)) - 1] + [0] * cap for _ in range(member_size)]
 
     def walk(start: int, depth: int) -> None:
         ge, left = gs[depth], member_size - depth
@@ -127,15 +127,17 @@ def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Mem
 
     buckets[s] holds the candidates last counted at s; the top bucket is
     recounted in index order, and the module docstring says why that works.
-    The one builder of every family and covering, cached per argument tuple.
+    Picks are kept as candidate indices, and their members read off in one
+    pass over the candidates at the end, so no list of all C(n, q) member
+    tuples is held.  The one builder of every family and covering, cached
+    per argument tuple.
     """
     cols = _columns(n, target_size, member_size, lo, hi)
-    candidates = list(combinations(range(n), member_size))
-    uncovered = (1 << binomial(n, target_size)) - 1
+    uncovered = (1 << comb(n, target_size)) - 1
     buckets: list[list[int]] = [[] for _ in range(uncovered.bit_length() + 1)]
     for j, col in enumerate(cols):
         buckets[col.bit_count()].append(j)
-    picked: list[tuple[int, ...]] = []
+    picked: list[int] = []
     top = len(buckets) - 1
     while uncovered:
         while top and not buckets[top]:
@@ -146,11 +148,13 @@ def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Mem
         for j in level:
             score = (cols[j] & uncovered).bit_count()
             if score == top:
-                picked.append(candidates[j])
+                picked.append(j)
                 uncovered &= ~cols[j]
             else:
                 buckets[score].append(j)
-    return tuple(picked)
+    wanted = set(picked)
+    found = {j: m for j, m in enumerate(combinations(range(n), member_size)) if j in wanted}
+    return tuple(found[j] for j in picked)
 
 
 def build_intersection_family(n: int, p: int, q: int, r: int, strong: bool = False) -> SetFamily:

@@ -5,14 +5,22 @@ continuous relaxation of the log iteration cost in two algebraic forms, a
 cross-check of bounds.entropy and bounds.kl_divergence;
 empirical_brute_exponent is the finite-n exponent that converges to
 ln(bounds.brute_bound(alpha)); family_size_range is the exact range a greedy
-set-intersection family's size lies in.  Only public package names are used.
+set-intersection family's size lies in; decimal_ratio is the decimal-module
+reading of a float that amls._ratio replaces.  Only public package names are
+used.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from amls.bounds import entropy, kl_divergence
 from amls.combinatorics import binomial, exact_ratio
+
+
+def decimal_ratio(x: float) -> Fraction:
+    """The rational x's shortest decimal form denotes, by way of Decimal."""
+    return Fraction(Decimal(repr(x)))
 
 
 def _alpha(alpha) -> Fraction:

@@ -739,14 +739,38 @@ class TestImportSet:
         rc, modules, err, _ = _cli_modules("families", "--kind", "covering", "--n", "4",
                                            "--t", "3", "--k", "2")
         assert rc == 0, err
-        assert modules == ["amls", "amls.cli", "amls.combinatorics", "amls.families"]
+        assert modules == ["amls", "amls.cli", "amls.families"]
 
     def test_brute_skips_bounds_and_verification(self, p3_file):
+        # nor the cost model: a brute plan row is t = floor(alpha*k)
         rc, modules, err, _ = _cli_modules("brute", "--problem", "vc", "--input", p3_file,
                                            "--alpha", "2")
         assert rc == 0, err
-        assert "amls.families" in modules
-        assert "amls.bounds" not in modules
+        assert modules == ["amls", "amls.cli", "amls.engine", "amls.families", "amls.problems"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["brute", "--problem", "vc", "--alpha", "1.5", "--input"],
+         ["families", "--kind", "intersection", "--n", "6", "--p", "3", "--q", "3",
+          "--r", "2"]],
+    )
+    def test_brute_and_families_load_no_rational_modules(self, argv, p3_file):
+        # -S: a site hook may load these first
+        if argv[-1] == "--input":
+            argv = [*argv, p3_file]
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from amls.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "ran = set(sys.modules) - before\n"
+            "print(json.dumps(sorted(ran & {'fractions', 'decimal', 'numbers'})))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                              capture_output=True, text=True, timeout=60, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     @pytest.mark.parametrize(
         "argv",

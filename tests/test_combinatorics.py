@@ -29,7 +29,7 @@ from amls.combinatorics import (
     kappa,
     select_t,
 )
-from reference import empirical_brute_exponent, relaxed_log_cost
+from reference import decimal_ratio, empirical_brute_exponent, relaxed_log_cost
 
 
 def pascal_triangle(n_max):
@@ -65,6 +65,45 @@ class TestExactRatio:
         assert math.floor(exact_ratio(1.7) * 10) == 17
         assert math.floor(exact_ratio(1.1) * 20) == 22
         assert math.ceil(Fraction(49) / exact_ratio(1.4)) == 35
+
+
+def _ratio_corpus() -> list:
+    """Seeded floats: the benchmark's alpha and boost values, bounds-grid-like
+    alphas, 1e-300 to 1e300 of either sign, subnormals and whole floats."""
+    rng = random.Random(27)
+    xs = [1.0, 1.5, 2.0, 3.0, 9.0, 1.1, 1.1652, 1.7, 4 / 3, 0.0, -0.0]
+    xs += [float(f"{rng.uniform(1.0, 4.0):.4f}") for _ in range(300)]
+    xs += [rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 299) for _ in range(1000)]
+    xs += [-rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 299) for _ in range(200)]
+    xs += [rng.randint(1, 2**52) * 5e-324 for _ in range(300)]  # subnormals
+    xs += [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    xs += [float(rng.randint(1, 2**70)) for _ in range(300)]  # whole floats
+    xs += [1e15, 1e16, 1e22, 1e23, 123.0, 2.0**53, 2.0**53 + 2]
+    return xs
+
+
+class TestRatio:
+    """amls._ratio, the one decimal reading behind exact_ratio and the
+    engine's plan, against the Decimal definition it replaced."""
+
+    def test_matches_the_decimal_reading(self):
+        for x in _ratio_corpus():
+            ref = decimal_ratio(x)
+            assert amls._ratio(x) == (ref.numerator, ref.denominator), x
+            assert exact_ratio(x) == ref, x
+
+    def test_ints_and_fractions_give_their_own_ratio(self):
+        assert amls._ratio(7) == (7, 1)
+        assert amls._ratio(0) == (0, 1)
+        assert amls._ratio(Fraction(6, 4)) == (3, 2)
+        assert amls._ratio(Fraction(-5, 3)) == (-5, 3)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            amls._ratio(x)
+        with pytest.raises(ValueError, match="finite"):
+            exact_ratio(x)
 
 
 class TestBinomial:

@@ -1,6 +1,7 @@
 """Family constructions against independent enumeration checks."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,8 @@ from amls.families import (
     LIMIT,
     LimitExceededError,
     SetFamily,
+    _columns,
+    _greedy,
     build_covering,
     build_intersection_family,
     family_to_text,
@@ -254,6 +257,19 @@ class TestLimits:
         family = build_intersection_family(14, 7, 7, 3, strong=True)
         assert verify_family(family)
         assert verify_family(build_covering(14, 8, 7))
+
+    def test_builder_holds_little_beyond_its_columns(self):
+        # the greedy keeps picked indices, not all C(14, 7) member tuples:
+        # its traced peak stays within 1.5x the columns it must hold (a list
+        # of every candidate tuple beside them reads about 1.7x)
+        columns = sum(col.__sizeof__() for col in _columns(14, 5, 7, 5, 7))
+        tracemalloc.start()
+        try:
+            _greedy.__wrapped__(14, 5, 7, 5, 7)  # uncached
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * columns, (peak, columns)
 
     def test_default_limit_still_gates(self):
         with pytest.raises(LimitExceededError):
