@@ -33,8 +33,7 @@ _EXPORTS = {
         "brute_bound", "emls_bound", "entropy", "kl_divergence", "naive_bound",
     ),
     "combinatorics": (
-        "IterationCost", "binomial", "exact_ratio", "hyper_tail", "iteration_cost",
-        "kappa", "select_t",
+        "IterationCost", "hyper_tail", "iteration_cost", "kappa", "select_t",
     ),
     "engine": (
         "ExtensionOracle", "MonotoneInstance", "RunConfig", "RunReport",

@@ -8,9 +8,11 @@ Conventions used throughout this module:
     comparison, so astronomically small tails never underflow.
   * alpha (the approximation ratio) enters integral expressions like
     floor(alpha*k) and ceil(t/alpha).  Floats such as 1.7 do not represent
-    their decimal exactly, so these thresholds are computed through
-    ``exact_ratio``, which maps a float to the rational its shortest decimal
-    form denotes (1.7 -> 17/10).  Cost exponents stay in ordinary floats.
+    their decimal exactly, so these thresholds are computed on the int pair
+    (num, den) of ``amls._ratio``, the rational alpha's shortest decimal
+    form denotes (1.7 -> (17, 10)): k*num//den and -(-t*den//num), as the
+    engine's plan computes them.  The exponent k - t/alpha is the correctly
+    rounded float (k*num - t*den)/num.
 
 The central quantity is ``hyper_tail(n, k, t, x)``: the probability that a
 uniformly random t-subset of an n-universe meets a fixed k-subset in at
@@ -55,26 +57,6 @@ from . import _EXPORTS, _at_least_one, _check_npqr, _ratio
 __all__ = _EXPORTS["combinatorics"]
 
 
-def exact_ratio(x: float | int | Fraction) -> Fraction:
-    """Exact rational denoted by x's shortest decimal form.
-
-    exact_ratio(1.7) == Fraction(17, 10), whereas Fraction(1.7) would be the
-    binary expansion 7656119366529843/4503599627370496.  Integers and
-    Fractions pass through unchanged; inf and nan raise ValueError.  The
-    Fraction of the package's one rule, ``amls._ratio``.
-    """
-    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; 0 whenever k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def _pascal_row(m: int) -> tuple[int, ...]:
     """(C(m, 0), ..., C(m, m)), by the exact multiplicative recurrence."""
@@ -109,7 +91,7 @@ def hyper_tail(n: int, k: int, t: int, x: int) -> Fraction:
         raise ValueError(f"hyper_tail requires x >= 0, got {x}")
     if x <= max(0, t - (n - k)):  # every y in the support; reads no Pascal row
         return Fraction(1)
-    return Fraction(_favourable(n, k, t, x), binomial(n, t))
+    return Fraction(_favourable(n, k, t, x), math.comb(n, t))
 
 
 class IterationCost(namedtuple("IterationCost", "t log_cost p repetitions")):
@@ -128,13 +110,14 @@ def _log_fraction(p: Fraction) -> float:
     return math.log(p.numerator) - math.log(p.denominator)
 
 
-def _validate_k(n: int, k: int, alpha, c) -> tuple[Fraction, float]:
+def _validate_k(n: int, k: int, alpha, c) -> tuple[int, int, float]:
+    """(num, den) of amls._ratio(alpha) and float(c), once k is in [0, n/alpha]."""
     _at_least_one("alpha", alpha)
     _at_least_one("c", c)
-    a, c = exact_ratio(alpha), float(c)
-    if not (0 <= k and Fraction(k) <= Fraction(n) / a):
+    num, den = _ratio(alpha)
+    if not 0 <= k * num <= n * den:
         raise ValueError(f"k={k} outside [0, n/alpha] for n={n}, alpha={alpha}")
-    return a, c
+    return num, den, float(c)
 
 
 def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
@@ -144,13 +127,12 @@ def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
     Under these bounds ceil(t/alpha) <= min(k, t), so the success
     probability is strictly positive.
     """
-    a, c = _validate_k(n, k, alpha, c)
-    t_max = min(math.floor(a * k), n)
+    num, den, c = _validate_k(n, k, alpha, c)
+    t_max = min(k * num // den, n)
     if not 0 <= t <= t_max:
         raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)]={t_max}")
-    x = math.ceil(Fraction(t) / a)
-    p = hyper_tail(n, k, t, x)
-    log_cost = float(k - Fraction(t) / a) * math.log(c) - _log_fraction(p)
+    p = hyper_tail(n, k, t, -(-t * den // num))
+    log_cost = ((k * num - t * den) / num) * math.log(c) - _log_fraction(p)
     return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
 
 
@@ -212,12 +194,10 @@ def argmin_t(
     1e-12 of the incumbent are re-compared by _cost_less, exactly or with
     60-digit logarithms of the exact Fractions.  Ties keep the smaller t.
     """
-    a, c = _validate_k(n, k, alpha, c)
+    num_a, den_a, c = _validate_k(n, k, alpha, c)
     if c == 1.0:  # cost = factor(t, r) >= 1 = factor(0, 0), and ties keep t = 0
         return 0
-    num_a, den_a = a.numerator, a.denominator
     log_c = math.log(c)
-    c_exact = exact_ratio(c)
     best_t, best_pair, best_log = 0, (1, 1), k * log_c
     for t in range(1, min(k * num_a // den_a, n) + 1):
         num, den = factor(t, -(-t * den_a // num_a))
@@ -232,7 +212,8 @@ def argmin_t(
         if diff < -1e-12 or (
             diff <= 1e-12
             and _cost_less(
-                c_exact, a, t, Fraction(num, den), best_t, Fraction(*best_pair)
+                Fraction(*_ratio(c)), Fraction(num_a, den_a),
+                t, Fraction(num, den), best_t, Fraction(*best_pair),
             )
         ):
             best_t, best_pair, best_log = t, (num, den), log_cost
@@ -264,4 +245,4 @@ def kappa(n: int, p: int, q: int, r: int) -> Fraction:
     families.  Requires n >= p >= r >= 1 and n - p + r >= q >= r.
     """
     _check_npqr(n, p, q, r)
-    return Fraction(binomial(n, q), binomial(p, r) * binomial(n - p, q - r))
+    return Fraction(math.comb(n, q), math.comb(p, r) * math.comb(n - p, q - r))

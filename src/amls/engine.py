@@ -226,7 +226,10 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     sample decides k: where alpha_k >= n, the universe the run falls back
     to already qualifies, so no sample count can change the guarantee;
     where t = 0 and the oracle cannot fail, every sample is X = {} alike.
-    Rows are made one k at a time, so a run that stops early plans no further.
+    Rows are made one k at a time: in randomized mode in ascending k, so a
+    run that stops early plans no further; in the others from the largest
+    k down, where a row with t >= 1 comes first, and each such row checks
+    families.LIMIT, so a run over the limit plans no further either.
     Floors and ceilings are exact, on the int pairs alpha = num/den and
     boost = b_num/b_den of amls._ratio; only modes other than "brute" bind
     the combinatorics layer.
@@ -235,7 +238,8 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     (num, den), (b_num, b_den) = _ratio(alpha), _ratio(boost)
     if mode != "brute":
         _bind("combinatorics")
-    for k in range(n * den // num + 1):
+    ks = range(n * den // num + 1)
+    for k in ks if mode == "randomized" else reversed(ks):
         alpha_k, reps = k * num // den, 1
         if mode == "brute":
             t = alpha_k
@@ -247,6 +251,9 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
             if alpha_k < n and not (t == 0 and ext.success_prob == 1):
                 p = cost.p  # ceil(boost / p), exactly
                 reps = -(-b_num * p.denominator // (b_den * p.numerator))
+        if t and mode != "randomized":
+            _bind("families")
+            check_limit(n, "brute-force search" if mode == "brute" else "deterministic mode")
         yield _Row(k, t, -(-t * den // num), alpha_k, reps)
 
 
@@ -260,24 +267,21 @@ def _run(
     """Execute _plan's rows for mode ("randomized", "deterministic" or
     "brute", the one mode without ext); the one loop behind every search.
 
-    Outside randomized mode the whole plan is made first, and the run is
-    rejected by families.LIMIT before any oracle call if some t >= 1.  Each
-    X of a k is extended (or, in brute force, taken as is) and Z = X u Y
-    becomes the best when |Z| <= alpha_k, Z is a member and Z is smaller.
-    The oracle returning None is a miss; any other Z is a broken contract,
-    recorded as one warning for k.  Without an oracle a non-member is a
-    plain miss.  Randomized mode reads no further X of a k after its first
-    hit.
+    Outside randomized mode the whole plan is made first, so families.LIMIT
+    rejects the run before any oracle call, and its rows run in ascending k.
+    Each X of a k is extended (or, in brute force, taken as is) and
+    Z = X u Y becomes the best when |Z| <= alpha_k, Z is a member and Z is
+    smaller.  The oracle returning None is a miss; any other Z is a broken
+    contract, recorded as one warning for k.  Without an oracle a non-member
+    is a plain miss.  Randomized mode reads no further X of a k after its
+    first hit.
     """
     start = time.perf_counter()
     n, membership = inst.n, inst.membership
     extend = None if ext is None else ext.extend
     rows = _plan(n, alpha, mode, ext, cfg.boost)
     if mode != "randomized":
-        rows = list(rows)
-        if any(row.t for row in rows):
-            _bind("families")
-            check_limit(n, "brute-force search" if ext is None else "deterministic mode")
+        rows = reversed(list(rows))
         rng = random.Random(f"{cfg.seed}:deterministic")
     best, k_found, samples, warnings = (n, tuple(range(n))), -1, 0, []
     for k, t, r, alpha_k, reps in rows:

@@ -6,8 +6,8 @@ cross-check of bounds.entropy and bounds.kl_divergence;
 empirical_brute_exponent is the finite-n exponent that converges to
 ln(bounds.brute_bound(alpha)); family_size_range is the exact range a greedy
 set-intersection family's size lies in; decimal_ratio is the decimal-module
-reading of a float that amls._ratio replaces.  Only public package names are
-used.
+reading of a float that amls._ratio replaces, and the tests' exact alpha.
+Only public package names are used.
 """
 
 import math
@@ -15,16 +15,16 @@ from decimal import Decimal
 from fractions import Fraction
 
 from amls.bounds import entropy, kl_divergence
-from amls.combinatorics import binomial, exact_ratio
 
 
-def decimal_ratio(x: float) -> Fraction:
-    """The rational x's shortest decimal form denotes, by way of Decimal."""
-    return Fraction(Decimal(repr(x)))
+def decimal_ratio(x) -> Fraction:
+    """The rational a float's shortest decimal form denotes, by way of
+    Decimal; an int or a Fraction is its own."""
+    return Fraction(Decimal(repr(x))) if isinstance(x, float) else Fraction(x)
 
 
 def _alpha(alpha) -> Fraction:
-    a = exact_ratio(alpha)
+    a = decimal_ratio(alpha)
     if a < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     return a
@@ -54,7 +54,7 @@ def relaxed_log_cost(n: int, k: int, t, alpha, c, form: str = "entropy") -> floa
         raise ValueError(f"c must be >= 1, got {c}")
     if not 0 <= t < n:
         raise ValueError(f"t={t} outside [0, n) for n={n}")
-    t_frac = exact_ratio(t)
+    t_frac = decimal_ratio(t)
     rho_frac = (Fraction(k) - t_frac / a_frac) / (Fraction(n) - t_frac)
     if not 0 <= rho_frac <= 1:
         raise ValueError(f"(k - t/alpha)/(n - t) = {rho_frac} outside [0, 1]")
@@ -86,7 +86,7 @@ def empirical_brute_exponent(n: int, alpha) -> float:
     best = Fraction(0)
     k = 0
     while Fraction(k) * a < n:
-        ratio = Fraction(binomial(n, k), binomial(math.floor(a * k), k))
+        ratio = Fraction(math.comb(n, k), math.comb(math.floor(a * k), k))
         if ratio > best:
             best = ratio
         k += 1
@@ -103,8 +103,8 @@ def family_size_range(n: int, p: int, q: int, r: int, strong: bool) -> tuple:
     number, of that optimum.
     """
     ys = [r] if strong else range(r, min(p, q) + 1)
-    m = sum(binomial(q, y) * binomial(n - q, p - y) for y in ys)
-    lp = Fraction(binomial(n, p), m)
+    m = sum(math.comb(q, y) * math.comb(n - q, p - y) for y in ys)
+    lp = Fraction(math.comb(n, p), m)
     while len(_HARMONIC) <= m:
         _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
     return Fraction(math.ceil(lp)), _HARMONIC[m] * lp

@@ -550,48 +550,11 @@ class TestFamilies:
         assert rc == 2
 
 
-class TestImport:
-    def test_cli_import_does_not_load_numpy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, amls, amls.cli; "
-             "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"],
-            capture_output=True, text=True, timeout=60, env=_child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
-
-    def test_commands_run_without_numpy(self, tmp_path):
-        # brute force, deterministic search and the families command build
-        # coverings and families; none of them may need numpy
-        vc10 = tmp_path / "vc10.col"
-        vc10.write_text(_graph_text(gen_gnp(10, 0.3, seed=10)))
-        commands = [
-            ["brute", "--problem", "vc", "--input", str(vc10), "--alpha", "1.5"],
-            ["solve", "--problem", "vc", "--input", str(vc10), "--deterministic"],
-            ["families", "--kind", "intersection", "--n", "9", "--p", "4", "--q", "5",
-             "--r", "2", "--strong"],
-            ["families", "--kind", "covering", "--n", "9", "--t", "5", "--k", "3"],
-        ]
-        main_call = "from amls.cli import main; sys.exit(main(sys.argv[1:]))"
-        for argv in commands:
-            runs = [
-                subprocess.run(
-                    [sys.executable, "-c", f"import sys; {block}{main_call}", *argv],
-                    capture_output=True, text=True, timeout=60, env=_child_env(),
-                )
-                for block in ("", "sys.modules['numpy'] = None; ")
-            ]
-            assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
-            assert runs[1].stdout == runs[0].stdout
-
-
 # the names `from amls import X` serves, by the layer that defines them
 PACKAGE_EXPORTS = {
     "bounds": "BoundReport amls_bound bound_report bound_table brute_bound emls_bound "
               "entropy kl_divergence naive_bound",
-    "combinatorics": "IterationCost binomial exact_ratio hyper_tail iteration_cost kappa "
-                     "select_t",
+    "combinatorics": "IterationCost hyper_tail iteration_cost kappa select_t",
     "engine": "ExtensionOracle MonotoneInstance RunConfig RunReport brute_force_search "
               "solve",
     "families": "LimitExceededError SetFamily build_covering build_intersection_family "
@@ -600,6 +563,55 @@ PACKAGE_EXPORTS = {
                 "parse_graph parse_hypergraph vc_exact_oracle vc_matching_oracle vc_system",
 }
 LAYERS = ("bounds", "combinatorics", "engine", "families", "problems")
+
+# One row per command: its argv ("" imports amls alone; {p3} is a 3-vertex
+# path, {empty} the 0-vertex graph), the amls modules it loads, exactly, and
+# the stdlib modules it must not load (None: no module beyond its amls ones).
+# Brute force at n = 0 runs k = 0 alone, on X = {}, and needs no covering; a
+# deterministic solve at c = 1 (matching) has t = 0 at every k and needs no
+# family.
+_NEVER = ("numpy", "concurrent.futures", "typing")
+_NO_DATACLASSES = ("dataclasses", "inspect")
+_NO_RATIONALS = ("fractions", "decimal", "numbers")
+_SOLVE = "amls amls.cli amls.combinatorics amls.engine amls.problems"
+IMPORT_TABLE = {
+    "": ("amls", None),
+    "bounds --alpha 1.5,2 --c 2,3": ("amls amls.bounds amls.cli", _NEVER + _NO_DATACLASSES),
+    "families --kind covering --n 4 --t 3 --k 2": (
+        "amls amls.cli amls.families", _NEVER + _NO_DATACLASSES + _NO_RATIONALS,
+    ),
+    "families --kind intersection --n 6 --p 3 --q 3 --r 2 --strong": (
+        "amls amls.cli amls.families", _NEVER + _NO_DATACLASSES + _NO_RATIONALS,
+    ),
+    "solve --problem vc --input {p3}": (_SOLVE, _NEVER),
+    "solve --problem vc --deterministic --input {p3}": (f"{_SOLVE} amls.families", _NEVER),
+    "solve --problem vc --oracle matching --input {p3}": (_SOLVE, _NEVER),
+    "solve --problem vc --oracle matching --deterministic --input {p3}": (_SOLVE, _NEVER),
+    "brute --problem vc --alpha 1.5 --input {p3}": (
+        "amls amls.cli amls.engine amls.families amls.problems", _NEVER + _NO_RATIONALS,
+    ),
+    "brute --problem vc --alpha 2 --input {empty}": (
+        "amls amls.cli amls.engine amls.problems", _NEVER + _NO_RATIONALS,
+    ),
+}
+
+# -S: no site hook loads modules first.  amls's own import is importlib, and
+# dataclasses comes first where a row allows it, as on some Pythons its
+# inspect import loads typing by itself.  Prints the modules the call loaded.
+_IMPORT_CHILD = (
+    "import sys\n"
+    "import importlib{preload}\n"
+    "before = set(sys.modules)\n"
+    "if sys.argv[1:]:\n"
+    "    from amls.cli import main\n"
+    "    rc = main(sys.argv[1:])\n"
+    "else:\n"
+    "    import amls\n"
+    "    rc = 0\n"
+    "print(*sorted(set(sys.modules) - before))\n"
+    "sys.exit(rc)\n"
+)
+
 
 # runs one CLI call, then prints the loaded amls modules as the last stderr line
 _LIST_MODULES = (
@@ -626,151 +638,27 @@ def _cli_modules(*argv):
 
 
 class TestImportSet:
-    def test_package_import_loads_no_layer(self):
+    @pytest.mark.parametrize("argv", IMPORT_TABLE, ids=lambda argv: argv or "import amls")
+    def test_import_table(self, argv, tmp_path):
+        amls_modules, absent = IMPORT_TABLE[argv]
+        paths = {"p3": tmp_path / "p3.col", "empty": tmp_path / "empty.col"}
+        paths["p3"].write_text(P3_TEXT)
+        paths["empty"].write_text("p edge 0 0\n")
+        preload = "" if absent is None or "dataclasses" in absent else ", dataclasses"
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, amls; print(sorted(m for m in sys.modules if m.startswith('amls')))"],
+            [sys.executable, "-S", "-c", _IMPORT_CHILD.format(preload=preload),
+             *(arg.format(**paths) for arg in argv.split())],
             capture_output=True, text=True, timeout=60, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["['amls']"]
-
-    def test_package_import_loads_only_importlib(self):
-        # -S: no site hook loads modules first.  The package module's one
-        # import is importlib, so a helper there that imported math, say,
-        # would load it into every run
-        script = (
-            "import sys\n"
-            "import importlib\n"
-            "before = set(sys.modules)\n"
-            "import amls\n"
-            "print(sorted(set(sys.modules) - before))\n"
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert sorted(m for m in loaded if m.split(".")[0] == "amls") == sorted(
+            amls_modules.split()
         )
-        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                              text=True, timeout=60, env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["['amls']"]
-
-    def test_bounds_loads_only_bounds(self):
-        rc, modules, err, _ = _cli_modules("bounds", "--alpha", "1.5,2", "--c", "2,3")
-        assert rc == 0, err
-        assert modules == ["amls", "amls.bounds", "amls.cli"]
-
-    def test_bounds_loads_no_dataclasses(self):
-        # modules a site hook loaded before amls do not count
-        script = (
-            "import json, sys\n"
-            "before = set(sys.modules)\n"
-            "from amls.cli import main\n"
-            "imported = set(sys.modules) - before\n"
-            "rc = main(['bounds', '--alpha', '1.5,2', '--c', '2,3'])\n"
-            "ran = set(sys.modules) - before\n"
-            "watched = {'dataclasses', 'inspect'}\n"
-            "print(json.dumps([sorted(imported & watched), sorted(ran & watched)]))\n"
-            "sys.exit(rc)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=60, env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
-
-    def test_families_loads_no_dataclasses(self):
-        # modules a site hook loaded before amls do not count
-        script = (
-            "import json, sys\n"
-            "before = set(sys.modules)\n"
-            "from amls.cli import main\n"
-            "rc = main(['families', '--kind', 'intersection', '--n', '5', '--p', '2',"
-            " '--q', '2', '--r', '1'])\n"
-            "ran = set(sys.modules) - before\n"
-            "print(json.dumps(sorted(ran & {'dataclasses', 'inspect'})))\n"
-            "sys.exit(rc)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=60, env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["solve", "--problem", "vc", "--input"],
-         ["solve", "--problem", "vc", "--deterministic", "--input"],
-         ["brute", "--problem", "vc", "--alpha", "2", "--input"],
-         ["families", "--kind", "covering", "--n", "4", "--t", "3", "--k", "2"],
-         ["bounds", "--alpha", "1.5,2", "--c", "2,3"]],
-    )
-    def test_commands_load_no_typing(self, argv, p3_file):
-        # -S: a site hook may load typing first.  dataclasses comes first, as
-        # on some Pythons its inspect import loads typing by itself.
-        if argv[-1] == "--input":
-            argv = [*argv, p3_file]
-        script = (
-            "import dataclasses, json, sys\n"
-            "before = set(sys.modules)\n"
-            "from amls.cli import main\n"
-            "rc = main(sys.argv[1:])\n"
-            "print(json.dumps('typing' in set(sys.modules) - before))\n"
-            "sys.exit(rc)\n"
-        )
-        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
-                              capture_output=True, text=True, timeout=60, env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) is False
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["solve"], ["solve", "--oracle", "matching"],
-         ["solve", "--oracle", "matching", "--deterministic"],
-         ["brute", "--alpha", "2"]],
-    )
-    def test_solves_skip_unused_layers(self, flags, tmp_path):
-        # a deterministic solve at c = 1 has t = 0 at every k and needs no
-        # family; brute force at n = 0 runs k = 0 alone, on X = {}, and needs
-        # no covering
-        path = tmp_path / "in.col"
-        path.write_text("p edge 0 0\n" if flags[0] == "brute" else P3_TEXT)
-        rc, modules, err, out = _cli_modules(*flags, "--problem", "vc", "--input", str(path))
-        assert rc == 0, err
-        assert flags[0] != "brute" or out.splitlines()[0] == "size 0"
-        assert {"amls.engine", "amls.problems"} <= set(modules)
-        assert not {"amls.families", "amls.bounds"} & set(modules)
-
-    def test_families_loads_only_families(self):
-        rc, modules, err, _ = _cli_modules("families", "--kind", "covering", "--n", "4",
-                                           "--t", "3", "--k", "2")
-        assert rc == 0, err
-        assert modules == ["amls", "amls.cli", "amls.families"]
-
-    def test_brute_skips_bounds_and_verification(self, p3_file):
-        # nor the cost model: a brute plan row is t = floor(alpha*k)
-        rc, modules, err, _ = _cli_modules("brute", "--problem", "vc", "--input", p3_file,
-                                           "--alpha", "2")
-        assert rc == 0, err
-        assert modules == ["amls", "amls.cli", "amls.engine", "amls.families", "amls.problems"]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["brute", "--problem", "vc", "--alpha", "1.5", "--input"],
-         ["families", "--kind", "intersection", "--n", "6", "--p", "3", "--q", "3",
-          "--r", "2"]],
-    )
-    def test_brute_and_families_load_no_rational_modules(self, argv, p3_file):
-        # -S: a site hook may load these first
-        if argv[-1] == "--input":
-            argv = [*argv, p3_file]
-        script = (
-            "import json, sys\n"
-            "before = set(sys.modules)\n"
-            "from amls.cli import main\n"
-            "rc = main(sys.argv[1:])\n"
-            "ran = set(sys.modules) - before\n"
-            "print(json.dumps(sorted(ran & {'fractions', 'decimal', 'numbers'})))\n"
-            "sys.exit(rc)\n"
-        )
-        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
-                              capture_output=True, text=True, timeout=60, env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        if absent is None:
+            assert loaded == set(amls_modules.split())
+        else:
+            assert loaded & set(absent) == set()
 
     @pytest.mark.parametrize(
         "argv",
@@ -789,7 +677,7 @@ class TestImportSet:
         import importlib
 
         names = [name for group in PACKAGE_EXPORTS.values() for name in group.split()]
-        assert len(names) == 39
+        assert len(names) == 37
         assert sorted(amls.__all__) == sorted(names)
         for module, group in PACKAGE_EXPORTS.items():
             layer = importlib.import_module(f"amls.{module}")

@@ -1,10 +1,10 @@
 """Exact combinatorics against enumeration oracles.
 
 The hypergeometric oracle below counts intersections over all C(n, t)
-subsets with itertools; the binomial oracle is the additive Pascal
-recurrence.  Both are independent of the implementations under test.
+subsets with itertools, independently of the implementations under test.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -22,24 +22,12 @@ from amls.combinatorics import (
     _cost_less,
     _pascal_row,
     argmin_t,
-    binomial,
-    exact_ratio,
     hyper_tail,
     iteration_cost,
     kappa,
     select_t,
 )
 from reference import decimal_ratio, empirical_brute_exponent, relaxed_log_cost
-
-
-def pascal_triangle(n_max):
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append(
-            [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-        )
-    return rows
 
 
 def hyper_distribution(n, k, t):
@@ -54,17 +42,22 @@ def hyper_distribution(n, k, t):
 
 
 class TestExactRatio:
+    """alpha's exact ratio, the int pair of amls._ratio, in the cost model."""
+
     def test_decimal_intent(self):
-        assert exact_ratio(1.7) == Fraction(17, 10)
-        assert exact_ratio(1.1652) == Fraction(2913, 2500)
-        assert exact_ratio(2) == Fraction(2)
-        assert exact_ratio(Fraction(3, 2)) == Fraction(3, 2)
+        assert amls._ratio(1.7) == (17, 10)
+        assert amls._ratio(1.1652) == (2913, 2500)
+        assert amls._ratio(2) == (2, 1)
+        assert amls._ratio(Fraction(3, 2)) == (3, 2)
 
     def test_threshold_sanity(self):
-        # floor(alpha * k) must match the decimal reading for awkward floats
-        assert math.floor(exact_ratio(1.7) * 10) == 17
-        assert math.floor(exact_ratio(1.1) * 20) == 22
-        assert math.ceil(Fraction(49) / exact_ratio(1.4)) == 35
+        # floor(alpha*k) and ceil(t/alpha) follow the decimal reading where
+        # float arithmetic is an ulp off: 1.16 * 25 gives 28.999999999999996
+        # and 21 / 1.4 gives 15.000000000000002
+        assert iteration_cost(30, 25, 29, 1.16, 2).t == 29
+        with pytest.raises(ValueError, match="t=30 outside"):
+            iteration_cost(30, 25, 30, 1.16, 2)
+        assert iteration_cost(30, 15, 21, 1.4, 2).p == hyper_tail(30, 15, 21, 15)
 
 
 def _ratio_corpus() -> list:
@@ -83,14 +76,13 @@ def _ratio_corpus() -> list:
 
 
 class TestRatio:
-    """amls._ratio, the one decimal reading behind exact_ratio and the
+    """amls._ratio, the one decimal reading behind the cost model and the
     engine's plan, against the Decimal definition it replaced."""
 
     def test_matches_the_decimal_reading(self):
         for x in _ratio_corpus():
             ref = decimal_ratio(x)
             assert amls._ratio(x) == (ref.numerator, ref.denominator), x
-            assert exact_ratio(x) == ref, x
 
     def test_ints_and_fractions_give_their_own_ratio(self):
         assert amls._ratio(7) == (7, 1)
@@ -102,27 +94,6 @@ class TestRatio:
     def test_non_finite_raises(self, x):
         with pytest.raises(ValueError, match="finite"):
             amls._ratio(x)
-        with pytest.raises(ValueError, match="finite"):
-            exact_ratio(x)
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(5, 2) == 10
-        assert binomial(4, 0) == 1
-        assert binomial(60, 30) == 118264581564861424
-
-    def test_out_of_range(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_matches_pascal_recurrence(self):
-        rows = pascal_triangle(64)
-        for n in range(65):
-            for k in range(n + 1):
-                assert binomial(n, k) == rows[n][k]
 
 
 class TestHyperTail:
@@ -250,12 +221,12 @@ class TestSelectT:
     )
     def test_is_argmin_exhaustively(self, n, k, alpha, c):
         chosen = select_t(n, k, alpha, c)
-        a = exact_ratio(alpha)
+        a = decimal_ratio(alpha)
         costs = [
             iteration_cost(n, k, t, alpha, c)
             for t in range(min(math.floor(a * k), n) + 1)
         ]
-        exact = lambda ic: (1 / ic.p) ** a.numerator * exact_ratio(c) ** (
+        exact = lambda ic: (1 / ic.p) ** a.numerator * decimal_ratio(c) ** (
             -ic.t * a.denominator
         )
         best = min(costs, key=lambda ic: (exact(ic), ic.t))
@@ -267,18 +238,19 @@ class TestSelectT:
         assert cost.t == 0
 
 
-# exact_ratio(4/3) = 13333333333333333 / 10**16: an audit that raised the
+# 4/3 reads as 13333333333333333 / 10**16: an audit that raised the
 # costs to a.numerator did not return for it.  At n = 4, k = 1 the costs of
 # t = 0 and t = 1 are c and 4 * c**(1 - 1/alpha), so c = 4**(4/3) makes them
 # tie to float precision and sends both argmins into the audit.
 FLOAT_ALPHA_AUDITS = """
 from fractions import Fraction
-from amls.combinatorics import _cost_less, argmin_t, exact_ratio, kappa, select_t
+import amls
+from amls.combinatorics import _cost_less, argmin_t, kappa, select_t
 
 def family_t(n, k, a, c):
     return argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())
 
-a = exact_ratio(4 / 3)
+a = Fraction(*amls._ratio(4 / 3))
 # 4/a exceeds 3 by about 7.5e-17, so 8 * 2**(-4/a) is just below 1
 assert _cost_less(Fraction(2), a, 4, Fraction(8), 0, Fraction(1))
 assert not _cost_less(Fraction(2), a, 0, Fraction(1), 4, Fraction(8))
@@ -338,11 +310,41 @@ class TestTieAudit:
         assert proc.stdout.split() == ["done"]
 
 
+# The cost model's floats, pinned: select_t's (t, log_cost.hex(), p,
+# repetitions) and the family argmin's t over a grid, as the Fraction
+# arithmetic of the model first gave them.  c = 4**(4/3) and 4**1.37 put near
+# ties at n = 4, k = 1 for alpha = 4/3 and alpha = 1.37, whose denominators
+# exceed 64, so the 60-digit audit settles them.
+DIGEST_ALPHAS = (1, 1.1, 1.1652, 4 / 3, 1.37, 1.5, 2, 3)
+DIGEST_CS = (1, 1.1652, 2, 7.3, 1024, 4 ** (4 / 3), 4 ** 1.37)
+DIGEST_NS = (0, 2, 4, 6, 8, 10, 12, 14, 25)
+COST_MODEL_DIGEST = "3941df4282d87e432e6d557e87a672bbaf7548f7f5df094870d4cefa91ccdd0b"
+
+
+class TestCostModelDigest:
+    def test_grid_is_pinned(self):
+        h = hashlib.sha256()
+        for alpha in DIGEST_ALPHAS:
+            a = decimal_ratio(alpha)
+            for c in DIGEST_CS:
+                for n in DIGEST_NS:
+                    for k in range(math.floor(n / a) + 1):
+                        cost = select_t(n, k, alpha, c)
+                        t = argmin_t(
+                            n, k, alpha, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
+                        )
+                        h.update(
+                            f"{n} {k} {alpha!r} {c!r} {cost.t} {cost.log_cost.hex()} "
+                            f"{cost.p} {cost.repetitions} {t}\n".encode()
+                        )
+        assert h.hexdigest() == COST_MODEL_DIGEST
+
+
 def reference_select_t(n, k, alpha, c):
     # the sampling argmin as written before argmin_t served both modes
-    a, c = exact_ratio(alpha), float(c)
+    a, c = decimal_ratio(alpha), float(c)
     best = iteration_cost(n, k, 0, alpha, c)
-    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
+    c_exact = decimal_ratio(c) if c != 1.0 else Fraction(1)
     for t in range(1, min(math.floor(a * k), n) + 1):
         cand = iteration_cost(n, k, t, alpha, c)
         diff = cand.log_cost - best.log_cost
@@ -356,7 +358,7 @@ def reference_select_t(n, k, alpha, c):
 
 def reference_select_t_deterministic(n, k, alpha, c):
     # the family argmin as written before argmin_t served both modes
-    c_exact = exact_ratio(c) if c != 1.0 else Fraction(1)
+    c_exact = decimal_ratio(c) if c != 1.0 else Fraction(1)
     log_c = math.log(c)
     best_t, best_r = 0, 0
     best_factor = Fraction(1)
@@ -385,7 +387,7 @@ FOLD_NS = (8, 14, 20, 50)
 class TestArgminFold:
     @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
     def test_sampling_matches_reference(self, alpha):
-        a = exact_ratio(alpha)
+        a = decimal_ratio(alpha)
         for c in FOLD_CS:
             for n in FOLD_NS:
                 for k in range(math.floor(n / a) + 1):
@@ -404,7 +406,7 @@ class TestArgminFold:
 
     @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
     def test_family_matches_reference(self, alpha):
-        a = exact_ratio(alpha)
+        a = decimal_ratio(alpha)
         for c in FOLD_CS:
             for n in FOLD_NS:
                 for k in range(math.floor(n / a) + 1):
@@ -431,14 +433,14 @@ class TestPolynomialOracleShortCircuit:
         def factor(t, r):
             raise AssertionError(f"factor({t}, {r}) called at c = 1")
 
-        a = exact_ratio(alpha)
+        a = decimal_ratio(alpha)
         for n in SHORT_CIRCUIT_NS:
             for k in range(math.floor(n / a) + 1):
                 assert argmin_t(n, k, alpha, 1, factor) == 0, (n, k)
 
     @pytest.mark.parametrize("alpha", SHORT_CIRCUIT_ALPHAS)
     def test_select_t_matches_reference(self, alpha):
-        a = exact_ratio(alpha)
+        a = decimal_ratio(alpha)
         for n in SHORT_CIRCUIT_NS:
             for k in range(math.floor(n / a) + 1):
                 got = select_t(n, k, alpha, 1)
@@ -474,7 +476,7 @@ class TestRelaxedLogCost:
         # and a grid: every third t, every fifth feasible k from k's lower edge
         for n in (20, 50, 90):
             for alpha in (1.0, 1.5, 2.0):
-                a = exact_ratio(alpha)
+                a = decimal_ratio(alpha)
                 for t in range(0, n - 1, 3):
                     k_lo = math.ceil(Fraction(t) / a)
                     k_hi = min(n, math.floor(n - t + Fraction(t) / a))
@@ -493,7 +495,7 @@ class TestRelaxedLogCost:
             n = rng.randrange(3, 200)
             t = rng.randrange(0, n)
             alpha = rng.choice([1, 1.1, 1.5, 2, 2.5, 3])
-            a = exact_ratio(alpha)
+            a = decimal_ratio(alpha)
             k_lo = math.ceil(Fraction(t) / a)
             k_hi = min(n, math.floor(Fraction(n) - t + Fraction(t) / a))
             if k_lo > k_hi:

@@ -11,7 +11,7 @@ import pytest
 
 import amls.engine as engine
 from amls import families
-from amls.combinatorics import exact_ratio, select_t
+from amls.combinatorics import select_t
 from amls.engine import (
     ExtensionOracle,
     MonotoneInstance,
@@ -31,6 +31,7 @@ from amls.problems import (
     vc_system,
 )
 from conftest import exhaustive_hs_opt, exhaustive_vc_opt, is_cover
+from reference import decimal_ratio
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -103,7 +104,7 @@ class TestRandomized:
 def _success_rate(g: Graph, ext: ExtensionOracle, trials: int, cfg: RunConfig) -> float:
     """Fraction of solves of vertex cover on g, trial i seeded cfg.seed + i,
     returning size <= alpha * OPT, OPT by enumeration."""
-    inst, bound = vc_system(g), exact_ratio(ext.alpha) * exhaustive_vc_opt(g)
+    inst, bound = vc_system(g), decimal_ratio(ext.alpha) * exhaustive_vc_opt(g)
     sizes = [solve(inst, ext, cfg._replace(seed=cfg.seed + i)).size for i in range(trials)]
     return sum(size <= bound for size in sizes) / trials
 
@@ -270,6 +271,20 @@ class TestDeterministicMode:
             solve(vc_system(g), oracle, RunConfig(deterministic=True))
         assert calls == []
 
+    def test_limit_fires_after_planning_one_row(self, monkeypatch):
+        # on a path the largest k has t >= 1, and the plan starts there
+        g = Graph(300, [(v, v + 1) for v in range(299)])
+        argmin_t, calls = engine.argmin_t, []
+
+        def counted(*args):
+            calls.append(args[1])
+            return argmin_t(*args)
+
+        monkeypatch.setattr(engine, "argmin_t", counted)
+        with pytest.raises(LimitExceededError, match="limited to n <= 14, got n=300"):
+            solve(vc_system(g), vc_exact_oracle(g), RunConfig(deterministic=True))
+        assert calls == [300]
+
     def test_matching_runs_above_the_limit(self):
         # at c = 1 every t is 0, so no k builds a family and n may exceed
         # families.LIMIT; each k extends X = {} once
@@ -315,8 +330,9 @@ class TestBruteForce:
     @pytest.mark.parametrize("alpha", [1, 1.01, 1.1, 4 / 3, 1.5, 2, 3])
     def test_plan_rows_have_r_equal_k(self, alpha):
         # floor(alpha*k)/alpha lies in (k - 1, k], so the weak
-        # (n, k, floor(alpha*k), k) family the run builds is the covering
-        for n in range(41):
+        # (n, k, floor(alpha*k), k) family the run builds is the covering;
+        # above families.LIMIT the plan is rejected at its first row
+        for n in range(families.LIMIT + 1):
             rows = list(engine._plan(n, alpha, "brute", None, 1))
             assert rows and all(row.r == row.k for row in rows), n
 
