@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output stability, file handling."""
 
 import ast
+import functools
 import hashlib
 import json
 import os
@@ -637,13 +638,18 @@ def _cli_modules(*argv):
     return proc.returncode, json.loads(modules), "\n".join(diagnostics), proc.stdout
 
 
-class TestImportSet:
-    @pytest.mark.parametrize("argv", IMPORT_TABLE, ids=lambda argv: argv or "import amls")
-    def test_import_table(self, argv, tmp_path):
-        amls_modules, absent = IMPORT_TABLE[argv]
-        paths = {"p3": tmp_path / "p3.col", "empty": tmp_path / "empty.col"}
-        paths["p3"].write_text(P3_TEXT)
-        paths["empty"].write_text("p edge 0 0\n")
+@pytest.fixture(scope="module")
+def import_row(tmp_path_factory):
+    """Runs an IMPORT_TABLE row once per module, in a fresh -S interpreter, and
+    returns (the modules it loaded, its stdout lines before that list)."""
+    root = tmp_path_factory.mktemp("import_rows")
+    paths = {"p3": root / "p3.col", "empty": root / "empty.col"}
+    paths["p3"].write_text(P3_TEXT)
+    paths["empty"].write_text("p edge 0 0\n")
+
+    @functools.cache
+    def run(argv):
+        absent = IMPORT_TABLE[argv][1]
         preload = "" if absent is None or "dataclasses" in absent else ", dataclasses"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", _IMPORT_CHILD.format(preload=preload),
@@ -651,14 +657,105 @@ class TestImportSet:
             capture_output=True, text=True, timeout=60, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.splitlines()[-1].split())
-        assert sorted(m for m in loaded if m.split(".")[0] == "amls") == sorted(
-            amls_modules.split()
-        )
+        *out, loaded = proc.stdout.splitlines()
+        return frozenset(loaded.split()), out
+
+    return run
+
+
+def _amls_modules(loaded):
+    return sorted(m for m in loaded if m.split(".")[0] == "amls")
+
+
+_BOUNDS_ROW = "bounds --alpha 1.5,2 --c 2,3"
+_COVERING_ROW = "families --kind covering --n 4 --t 3 --k 2"
+_INTERSECTION_ROW = "families --kind intersection --n 6 --p 3 --q 3 --r 2 --strong"
+_BRUTE_ROW = "brute --problem vc --alpha 1.5 --input {p3}"
+
+
+class TestImport:
+    def test_cli_import_does_not_load_numpy(self, import_row):
+        for argv in IMPORT_TABLE:
+            assert not {"numpy", "concurrent.futures"} & import_row(argv)[0], argv
+
+    def test_commands_run_without_numpy(self, import_row):
+        # brute force, deterministic search and the families command build
+        # coverings and families; a run that never imports numpy needs none
+        for argv in (_BRUTE_ROW, "solve --problem vc --deterministic --input {p3}",
+                     _INTERSECTION_ROW, _COVERING_ROW):
+            assert "numpy" not in import_row(argv)[0], argv
+
+
+class TestImportSet:
+    @pytest.mark.parametrize("argv", IMPORT_TABLE, ids=lambda argv: argv or "import amls")
+    def test_import_table(self, argv, import_row):
+        amls_modules, absent = IMPORT_TABLE[argv]
+        loaded = import_row(argv)[0]
+        assert _amls_modules(loaded) == sorted(amls_modules.split())
         if absent is None:
             assert loaded == set(amls_modules.split())
         else:
             assert loaded & set(absent) == set()
+
+    # The tests below each check one cell of the table, as named.
+
+    def test_package_import_loads_no_layer(self, import_row):
+        assert _amls_modules(import_row("")[0]) == ["amls"]
+
+    def test_package_import_loads_only_importlib(self, import_row):
+        assert import_row("")[0] == {"amls"}
+
+    def test_bounds_loads_only_bounds(self, import_row):
+        assert _amls_modules(import_row(_BOUNDS_ROW)[0]) == ["amls", "amls.bounds", "amls.cli"]
+
+    def test_bounds_loads_no_dataclasses(self, import_row):
+        assert not {"dataclasses", "inspect"} & import_row(_BOUNDS_ROW)[0]
+
+    def test_families_loads_no_dataclasses(self, import_row):
+        assert not {"dataclasses", "inspect"} & import_row(_INTERSECTION_ROW)[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--problem", "vc", "--input", "{p3}"],
+         ["solve", "--problem", "vc", "--deterministic", "--input", "{p3}"],
+         ["brute", "--problem", "vc", "--alpha", "1.5", "--input", "{p3}"],
+         ["families", "--kind", "covering", "--n", "4", "--t", "3", "--k", "2"],
+         ["bounds", "--alpha", "1.5,2", "--c", "2,3"]],
+    )
+    def test_commands_load_no_typing(self, argv, import_row):
+        assert "typing" not in import_row(" ".join(argv))[0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["solve"], ["solve", "--oracle", "matching"],
+         ["solve", "--oracle", "matching", "--deterministic"],
+         ["brute", "--alpha", "2"]],
+    )
+    def test_solves_skip_unused_layers(self, flags, import_row):
+        # a deterministic solve at c = 1 has t = 0 at every k and needs no
+        # family; brute force at n = 0 runs k = 0 alone, on X = {}, and needs
+        # no covering
+        graph = "{empty}" if flags[0] == "brute" else "{p3}"
+        command, *rest = flags
+        loaded, out = import_row(" ".join([command, "--problem", "vc", *rest, "--input", graph]))
+        assert flags[0] != "brute" or out[0] == "size 0"
+        assert {"amls.engine", "amls.problems"} <= loaded
+        assert not {"amls.families", "amls.bounds"} & loaded
+
+    def test_families_loads_only_families(self, import_row):
+        assert _amls_modules(import_row(_COVERING_ROW)[0]) == [
+            "amls", "amls.cli", "amls.families",
+        ]
+
+    def test_brute_skips_bounds_and_verification(self, import_row):
+        # nor the cost model: a brute plan row is t = floor(alpha*k)
+        assert _amls_modules(import_row(_BRUTE_ROW)[0]) == [
+            "amls", "amls.cli", "amls.engine", "amls.families", "amls.problems",
+        ]
+
+    @pytest.mark.parametrize("argv", [[_BRUTE_ROW], [_INTERSECTION_ROW]])
+    def test_brute_and_families_load_no_rational_modules(self, argv, import_row):
+        assert not {"fractions", "decimal", "numbers"} & import_row(argv[0])[0]
 
     @pytest.mark.parametrize(
         "argv",
