@@ -199,6 +199,7 @@ def argmin_t(
         return 0
     log_c = math.log(c)
     best_t, best_pair, best_log = 0, (1, 1), k * log_c
+    exact = ()  # (c, alpha) as Fractions, built at the first tie audit
     for t in range(1, min(k * num_a // den_a, n) + 1):
         num, den = factor(t, -(-t * den_a // num_a))
         # k - t/alpha by correctly rounded int division, as float(Fraction)
@@ -212,7 +213,7 @@ def argmin_t(
         if diff < -1e-12 or (
             diff <= 1e-12
             and _cost_less(
-                Fraction(*_ratio(c)), Fraction(num_a, den_a),
+                *(exact := exact or (Fraction(*_ratio(c)), Fraction(num_a, den_a))),
                 t, Fraction(num, den), best_t, Fraction(*best_pair),
             )
         ):

@@ -3,10 +3,12 @@
 import ast
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import random
 import re
+import site
 import subprocess
 import sys
 from dataclasses import replace
@@ -596,11 +598,15 @@ IMPORT_TABLE = {
     ),
 }
 
-# -S: no site hook loads modules first.  amls's own import is importlib, and
+# -S: no site hook loads modules first, and this process's site directories
+# go on sys.path by hand, after the stdlib as the hook puts them, so an
+# installed numpy stays importable.  amls's own import is importlib, and
 # dataclasses comes first where a row allows it, as on some Pythons its
-# inspect import loads typing by itself.  Prints the modules the call loaded.
+# inspect import loads typing by itself.  Prints the modules the call loaded,
+# then whether numpy is importable.
 _IMPORT_CHILD = (
     "import sys\n"
+    "sys.path += {site_dirs!r}\n"
     "import importlib{preload}\n"
     "before = set(sys.modules)\n"
     "if sys.argv[1:]:\n"
@@ -609,8 +615,14 @@ _IMPORT_CHILD = (
     "else:\n"
     "    import amls\n"
     "    rc = 0\n"
-    "print(*sorted(set(sys.modules) - before))\n"
+    "loaded = sorted(set(sys.modules) - before)\n"
+    "import importlib.util\n"
+    "print(*loaded)\n"
+    "print(importlib.util.find_spec('numpy') is not None)\n"
     "sys.exit(rc)\n"
+)
+_SITE_DIRS = site.getsitepackages() + (
+    [site.getusersitepackages()] if site.ENABLE_USER_SITE else []
 )
 
 
@@ -641,7 +653,8 @@ def _cli_modules(*argv):
 @pytest.fixture(scope="module")
 def import_row(tmp_path_factory):
     """Runs an IMPORT_TABLE row once per module, in a fresh -S interpreter, and
-    returns (the modules it loaded, its stdout lines before that list)."""
+    returns (the modules it loaded, its stdout lines before that list, whether
+    numpy was importable there)."""
     root = tmp_path_factory.mktemp("import_rows")
     paths = {"p3": root / "p3.col", "empty": root / "empty.col"}
     paths["p3"].write_text(P3_TEXT)
@@ -652,13 +665,14 @@ def import_row(tmp_path_factory):
         absent = IMPORT_TABLE[argv][1]
         preload = "" if absent is None or "dataclasses" in absent else ", dataclasses"
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", _IMPORT_CHILD.format(preload=preload),
+            [sys.executable, "-S", "-c",
+             _IMPORT_CHILD.format(site_dirs=_SITE_DIRS, preload=preload),
              *(arg.format(**paths) for arg in argv.split())],
             capture_output=True, text=True, timeout=60, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        *out, loaded = proc.stdout.splitlines()
-        return frozenset(loaded.split()), out
+        *out, loaded, numpy_importable = proc.stdout.splitlines()
+        return frozenset(loaded.split()), out, numpy_importable == "True"
 
     return run
 
@@ -674,6 +688,12 @@ _BRUTE_ROW = "brute --problem vc --alpha 1.5 --input {p3}"
 
 
 class TestImport:
+    def test_rows_can_import_numpy(self, import_row):
+        # the numpy cells check something only where numpy is importable
+        importable = importlib.util.find_spec("numpy") is not None
+        for argv in IMPORT_TABLE:
+            assert import_row(argv)[2] == importable, argv
+
     def test_cli_import_does_not_load_numpy(self, import_row):
         for argv in IMPORT_TABLE:
             assert not {"numpy", "concurrent.futures"} & import_row(argv)[0], argv
@@ -737,7 +757,8 @@ class TestImportSet:
         # no covering
         graph = "{empty}" if flags[0] == "brute" else "{p3}"
         command, *rest = flags
-        loaded, out = import_row(" ".join([command, "--problem", "vc", *rest, "--input", graph]))
+        argv = " ".join([command, "--problem", "vc", *rest, "--input", graph])
+        loaded, out, _ = import_row(argv)
         assert flags[0] != "brute" or out[0] == "size 0"
         assert {"amls.engine", "amls.problems"} <= loaded
         assert not {"amls.families", "amls.bounds"} & loaded
