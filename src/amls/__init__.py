@@ -6,8 +6,8 @@ O*(c^k), this package provides:
 
   * bounds          the running-time exponent bases (the implicit
                     divergence-equation base plus three benchmarks)
-  * combinatorics   exact hypergeometric tails, iteration costs, and the
-                    optimal sample-size selection
+  * combinatorics   the optimal sample size with its exact success
+                    probability and cost, and the family factor kappa
   * engine          the randomized sample-and-extend search, its
                     family-driven deterministic variant, and a covering
                     brute force
@@ -30,11 +30,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "BoundReport", "amls_bound", "bound_report", "bound_table",
-        "brute_bound", "emls_bound", "entropy", "kl_divergence", "naive_bound",
+        "brute_bound", "emls_bound", "entropy", "naive_bound",
     ),
-    "combinatorics": (
-        "IterationCost", "hyper_tail", "iteration_cost", "kappa", "select_t",
-    ),
+    "combinatorics": ("IterationCost", "kappa", "select_t"),
     "engine": (
         "ExtensionOracle", "MonotoneInstance", "RunConfig", "RunReport",
         "brute_force_search", "solve",

@@ -57,25 +57,6 @@ def entropy(p: float) -> float:
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
-def kl_divergence(a: float, b: float) -> float:
-    """Kullback-Leibler divergence a*ln(a/b) + (1-a)*ln((1-a)/(1-b)) in nats.
-
-    Requires a in [0, 1] and b in (0, 1).  Terms with a == 0 or a == 1 follow
-    the 0*ln(0) = 0 convention, so D(1 || b) = ln(1/b) and
-    D(0 || b) = ln(1/(1-b)).
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"kl_divergence requires a in [0, 1], got {a}")
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"kl_divergence requires b in (0, 1), got {b}")
-    total = 0.0
-    if a > 0.0:
-        total += a * math.log(a / b)
-    if a < 1.0:
-        total += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
-    return total
-
-
 class BoundReport(
     namedtuple(
         "BoundReport", "alpha c gamma delta_star brute naive emls dominant_benchmark"
@@ -122,8 +103,8 @@ def emls_bound(c: float) -> float:
 def amls_bound(alpha: float, c: float) -> float:
     """Base of approximate monotone local search, by bisection.
 
-    Returns the unique gamma in (1, 1 + (c-1)/alpha) at which
-    kl_divergence(1/alpha, (gamma-1)/(c-1)) equals ln(c)/alpha.  The
+    Returns the unique gamma in (1, 1 + (c-1)/alpha) at which the
+    divergence D(1/alpha || (gamma-1)/(c-1)) equals ln(c)/alpha.  The
     objective is strictly decreasing in gamma on that interval (+inf at the
     left end, 0 at the right end), so plain bisection converges; only
     interval midpoints are ever evaluated, which keeps the divergent
@@ -134,10 +115,10 @@ def amls_bound(alpha: float, c: float) -> float:
 
     c == 1 is the degenerate polynomial-oracle case and returns exactly 1.0.
 
-    The divergence is evaluated (``_divergence``, the float operations of
-    kl_divergence in the same order) only at midpoints inside an interval
-    (low, high) around the root that ``_certified_interval`` has checked; a
-    midpoint <= low moves ``lo`` and one >= high moves ``hi`` unevaluated.
+    The divergence, a*ln(a/b) + (1-a)*ln((1-a)/(1-b)) in ``_divergence``,
+    is evaluated only at midpoints inside an interval (low, high) around the
+    root that ``_certified_interval`` has checked; a midpoint <= low moves
+    ``lo`` and one >= high moves ``hi`` unevaluated.
     This returns the plain bisection's root bit for bit.  Write T for the
     target ln(c)/alpha, D for the exact divergence at the loop's computed b,
     and D^ for the computed divergence:
@@ -184,7 +165,8 @@ def amls_bound(alpha: float, c: float) -> float:
 
 
 def _divergence(gamma: float, a: float, one_minus_a: float, c_minus_1: float) -> float:
-    """kl_divergence(a, (gamma-1)/(c-1)) with its float operations, unchecked."""
+    """D(a || b) = a*ln(a/b) + (1-a)*ln((1-a)/(1-b)) at b = (gamma-1)/(c-1),
+    unchecked; the second term is dropped when 1 - a is 0."""
     b = (gamma - 1.0) / c_minus_1
     if not b:  # underflow: the divergence's limit at the bracket's left end
         return math.inf

@@ -14,32 +14,32 @@ Conventions used throughout this module:
     engine's plan computes them.  The exponent k - t/alpha is the correctly
     rounded float (k*num - t*den)/num.
 
-The central quantity is ``hyper_tail(n, k, t, x)``: the probability that a
-uniformly random t-subset of an n-universe meets a fixed k-subset in at
-least x elements (the upper tail of the hypergeometric distribution).  The
-cost of one sample-then-extend iteration at sample size t is
+The central quantity is the hypergeometric tail p(n, k, t, x): the
+probability that a uniformly random t-subset of an n-universe meets a fixed
+k-subset in at least x elements.  The cost of one sample-then-extend
+iteration at sample size t is
 
-    c^(k - t/alpha) / hyper_tail(n, k, t, ceil(t/alpha))
+    c^(k - t/alpha) / p(n, k, t, ceil(t/alpha))
 
 and ``select_t`` minimizes it over the integer range t in [0, floor(alpha*k)].
 The derandomized search minimizes the same expression with kappa in place of
-1/hyper_tail; ``argmin_t`` is the one minimizer behind both.  The sample
-budgets use the integral threshold ceil(t/alpha) (a t-subset
-meets the target in >= t/alpha elements iff in >= ceil(t/alpha) of them);
-the exponent uses the real t/alpha.
+1/p; ``argmin_t`` is the one minimizer behind both.  The sample budgets use
+the integral threshold ceil(t/alpha) (a t-subset meets the target in
+>= t/alpha elements iff in >= ceil(t/alpha) of them); the exponent uses the
+real t/alpha.
 
 ``argmin_t`` works on integers only: its factor(t, r) gets the threshold
 r = ceil(t/alpha) with t and returns a pair (num, den) of positive ints
 whose ratio is the factor, not necessarily in lowest terms, and a Fraction
-is built only for a near-tie audit.  Both factors are reciprocal
-probabilities, so at least factor(0, 0) = 1; at c == 1 (a polynomial
-oracle) every t costs its factor alone, so ``argmin_t`` returns t = 0
-without calling factor.
+is built only for a near-tie audit.  It returns the winning t with its
+pair, (0, (1, 1)) at t = 0.  Both factors are reciprocal probabilities, so
+at least factor(0, 0) = 1; at c == 1 (a polynomial oracle) every t costs
+its factor alone, so ``argmin_t`` returns t = 0 without calling factor.
 ``select_t`` feeds it C(n, t) over the favourable count, both read from
-cached Pascal rows; one helper sums that count for ``hyper_tail`` too.
-Probabilities stay exact Fractions at the API boundary: ``hyper_tail``,
-``iteration_cost`` and ``kappa`` are the reference definitions, and
-``select_t`` reports its choice through ``iteration_cost``.
+cached Pascal rows, and computes its exact p, count / C(n, t), from the
+winner's pair.  The reference definitions of the tail and of one t's cost
+profile, by ``math.comb`` alone, are ``hyper_tail`` and ``iteration_cost``
+in ``tests/reference.py``; the tests check ``select_t`` against them.
 """
 
 from __future__ import annotations
@@ -68,30 +68,14 @@ def _pascal_row(m: int) -> tuple[int, ...]:
 
 def _favourable(n: int, k: int, t: int, x: int) -> int:
     """sum_{y >= x} C(k, y) * C(n-k, t-y) over cached Pascal rows: the
-    t-subsets of [n] meeting a fixed k-subset in at least x elements."""
+    t-subsets of [n] meeting a fixed k-subset in at least x elements, so
+    p(n, k, t, x) times C(n, t)."""
     lo = max(x, 0, t - (n - k))
     hi = min(k, t)
     if lo > hi:
         return 0
     tail = reversed(_pascal_row(n - k)[t - hi : t - lo + 1])
     return sum(map(operator.mul, _pascal_row(k)[lo : hi + 1], tail))
-
-
-def hyper_tail(n: int, k: int, t: int, x: int) -> Fraction:
-    """Pr(|X cap K| >= x) for a uniform t-subset X of [n] and fixed |K| = k.
-
-    Exactly sum_{y >= x} C(k, y) * C(n-k, t-y) / C(n, t).  Returns 1 when the
-    threshold is trivially met (e.g. x == 0) and 0 when x > min(k, t).
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"hyper_tail requires 0 <= k <= n, got k={k}, n={n}")
-    if not 0 <= t <= n:
-        raise ValueError(f"hyper_tail requires 0 <= t <= n, got t={t}, n={n}")
-    if x < 0:
-        raise ValueError(f"hyper_tail requires x >= 0, got {x}")
-    if x <= max(0, t - (n - k)):  # every y in the support; reads no Pascal row
-        return Fraction(1)
-    return Fraction(_favourable(n, k, t, x), math.comb(n, t))
 
 
 class IterationCost(namedtuple("IterationCost", "t log_cost p repetitions")):
@@ -118,22 +102,6 @@ def _validate_k(n: int, k: int, alpha, c) -> tuple[int, int, float]:
     if not 0 <= k * num <= n * den:
         raise ValueError(f"k={k} outside [0, n/alpha] for n={n}, alpha={alpha}")
     return num, den, float(c)
-
-
-def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
-    """Exact single-iteration cost profile at sample size t.
-
-    Requires 0 <= k <= floor(n/alpha) and 0 <= t <= min(floor(alpha*k), n).
-    Under these bounds ceil(t/alpha) <= min(k, t), so the success
-    probability is strictly positive.
-    """
-    num, den, c = _validate_k(n, k, alpha, c)
-    t_max = min(k * num // den, n)
-    if not 0 <= t <= t_max:
-        raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)]={t_max}")
-    p = hyper_tail(n, k, t, -(-t * den // num))
-    log_cost = ((k * num - t * den) / num) * math.log(c) - _log_fraction(p)
-    return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
 
 
 _TIE_DIGITS = 60
@@ -183,9 +151,10 @@ def _cost_less(
 
 def argmin_t(
     n: int, k: int, alpha, c, factor: Callable[[int, int], tuple[int, int]]
-) -> int:
-    """Sample size t in [0, min(floor(alpha*k), n)] minimizing
-    factor(t, ceil(t/alpha)) * c^(k - t/alpha).
+) -> tuple[int, tuple[int, int]]:
+    """(t, factor's pair at t) for the sample size t in
+    [0, min(floor(alpha*k), n)] minimizing factor(t, ceil(t/alpha)) *
+    c^(k - t/alpha); (0, (1, 1)) when t = 0 wins.
 
     factor(t, r) returns (num, den), two positive ints with num/den >= 1 the
     factor, for t >= 1 and r = ceil(t/alpha) <= min(k, t); factor(0, 0) is 1
@@ -196,7 +165,7 @@ def argmin_t(
     """
     num_a, den_a, c = _validate_k(n, k, alpha, c)
     if c == 1.0:  # cost = factor(t, r) >= 1 = factor(0, 0), and ties keep t = 0
-        return 0
+        return 0, (1, 1)
     log_c = math.log(c)
     best_t, best_pair, best_log = 0, (1, 1), k * log_c
     exact = ()  # (c, alpha) as Fractions, built at the first tie audit
@@ -218,24 +187,26 @@ def argmin_t(
             )
         ):
             best_t, best_pair, best_log = t, (num, den), log_cost
-    return best_t
+    return best_t, best_pair
 
 
-@lru_cache(maxsize=None)
 def select_t(n: int, k: int, alpha, c) -> IterationCost:
     """Integer sample size in [0, floor(alpha*k)] minimizing the iteration cost.
 
     The argmin_t of c^(k - t/alpha) / p(n, k, t, ceil(t/alpha)), with its
     cost profile.  The factor 1/p is the pair (C(n, t), favourable count),
-    the count being the _favourable sum hyper_tail divides; both read cached
-    Pascal rows, and only when argmin_t scans.
+    both read from cached Pascal rows, and only when argmin_t scans; p is
+    the winner's pair inverted, exactly.
     """
     def factor(t: int, x: int) -> tuple[int, int]:
         # x = ceil(t/alpha) <= min(k, t), so the count is positive
         return _pascal_row(n)[t], _favourable(n, k, t, x)
 
-    t = argmin_t(n, k, alpha, c, factor)
-    return iteration_cost(n, k, t, alpha, c)
+    t, (subsets, count) = argmin_t(n, k, alpha, c, factor)
+    num, den = _ratio(alpha)
+    p = Fraction(count, subsets)
+    log_cost = ((k * num - t * den) / num) * math.log(c) - _log_fraction(p)
+    return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
 
 
 def kappa(n: int, p: int, q: int, r: int) -> Fraction:

@@ -244,7 +244,9 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
         if mode == "brute":
             t = alpha_k
         elif mode == "deterministic":
-            t = argmin_t(n, k, alpha, ext.c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())
+            t = argmin_t(
+                n, k, alpha, ext.c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
+            )[0]
         else:
             cost = select_t(n, k, alpha, ext.c)
             t = cost.t

@@ -11,7 +11,7 @@ Two kinds of combinatorial designs over the universe [n) = {0, ..., n-1}:
     it meets it in k elements, so for k >= 1 this is exactly the weak
     (n, k, t, k)-set-intersection family, and it is built as one.
 
-Both come from one cached builder, ``_greedy``, the classic greedy
+Both come from one builder, ``_greedy``, the classic greedy
 set-cover heuristic: the universe of the cover instance is the set of all
 target subsets, candidates are all subsets of the member size, and each
 round picks the candidate covering the most still-uncovered targets (ties
@@ -39,7 +39,6 @@ holds about 1.5 MB of columns.  Families are immutable once built.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -121,7 +120,6 @@ def _columns(n: int, target_size: int, member_size: int, lo: int, hi: int) -> li
     return cols
 
 
-@lru_cache(maxsize=None)
 def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Members:
     """Lazy greedy cover where candidate C serves target T iff lo <= |T & C| <= hi.
 
@@ -129,8 +127,8 @@ def _greedy(n: int, target_size: int, member_size: int, lo: int, hi: int) -> Mem
     recounted in index order, and the module docstring says why that works.
     Picks are kept as candidate indices, and their members read off in one
     pass over the candidates at the end, so no list of all C(n, q) member
-    tuples is held.  The one builder of every family and covering, cached
-    per argument tuple.
+    tuples is held.  The one builder of every family and covering; a run
+    builds each family once, so nothing is cached.
     """
     cols = _columns(n, target_size, member_size, lo, hi)
     uncovered = (1 << comb(n, target_size)) - 1
@@ -172,8 +170,8 @@ def build_intersection_family(n: int, p: int, q: int, r: int, strong: bool = Fal
 def build_covering(n: int, t: int, k: int) -> SetFamily:
     """(n, t, k)-covering: the weak (n, k, t, k)-set-intersection family.
 
-    Requires 0 <= k <= t <= n and n <= LIMIT.  Shares the intersection
-    family's cache entry; t = 0 has the one member () and no greedy.
+    Requires 0 <= k <= t <= n and n <= LIMIT.  t = 0 has the one member ()
+    and no greedy.
     """
     if not 0 <= k <= t <= n:
         raise ValueError(f"need 0 <= k <= t <= n, got n={n}, t={t}, k={k}")

@@ -1,20 +1,80 @@
 """Reference forms the tests check production code against.
 
-None is run by an ``amls`` command.  relaxed_log_cost evaluates the
+None is run by an ``amls`` command.  kl_divergence is the checked
+Kullback-Leibler divergence whose float operations bounds._divergence
+repeats unchecked; hyper_tail and iteration_cost are the hypergeometric
+tail and one sample size's cost profile, by math.comb alone, that
+combinatorics.select_t's choice and its p are checked against (the range
+rule is combinatorics._validate_k's); relaxed_log_cost evaluates the
 continuous relaxation of the log iteration cost in two algebraic forms, a
-cross-check of bounds.entropy and bounds.kl_divergence;
-empirical_brute_exponent is the finite-n exponent that converges to
-ln(bounds.brute_bound(alpha)); family_size_range is the exact range a greedy
-set-intersection family's size lies in; decimal_ratio is the decimal-module
-reading of a float that amls._ratio replaces, and the tests' exact alpha.
-Only public package names are used.
+cross-check of bounds.entropy and kl_divergence; empirical_brute_exponent
+is the finite-n exponent that converges to ln(bounds.brute_bound(alpha));
+family_size_range is the exact range a greedy set-intersection family's
+size lies in; decimal_ratio is the decimal-module reading of a float that
+amls._ratio replaces, and the tests' exact alpha.
 """
 
 import math
 from decimal import Decimal
 from fractions import Fraction
 
-from amls.bounds import entropy, kl_divergence
+from amls.bounds import entropy
+from amls.combinatorics import IterationCost, _validate_k
+
+
+def kl_divergence(a: float, b: float) -> float:
+    """Kullback-Leibler divergence a*ln(a/b) + (1-a)*ln((1-a)/(1-b)) in nats.
+
+    Requires a in [0, 1] and b in (0, 1).  Terms with a == 0 or a == 1 follow
+    the 0*ln(0) = 0 convention, so D(1 || b) = ln(1/b) and
+    D(0 || b) = ln(1/(1-b)).
+    """
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"kl_divergence requires a in [0, 1], got {a}")
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"kl_divergence requires b in (0, 1), got {b}")
+    total = 0.0
+    if a > 0.0:
+        total += a * math.log(a / b)
+    if a < 1.0:
+        total += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    return total
+
+
+def hyper_tail(n: int, k: int, t: int, x: int) -> Fraction:
+    """Pr(|X cap K| >= x) for a uniform t-subset X of [n] and fixed |K| = k.
+
+    Exactly sum_{y >= x} C(k, y) * C(n-k, t-y) / C(n, t), each binomial by
+    math.comb (which is 0 where t - y > n - k).  Returns 1 when x == 0 and 0
+    when x > min(k, t).
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"hyper_tail requires 0 <= k <= n, got k={k}, n={n}")
+    if not 0 <= t <= n:
+        raise ValueError(f"hyper_tail requires 0 <= t <= n, got t={t}, n={n}")
+    if x < 0:
+        raise ValueError(f"hyper_tail requires x >= 0, got {x}")
+    ways = sum(math.comb(k, y) * math.comb(n - k, t - y) for y in range(x, min(k, t) + 1))
+    return Fraction(ways, math.comb(n, t))
+
+
+def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
+    """Exact single-iteration cost profile at sample size t.
+
+    Requires 0 <= k <= floor(n/alpha) and 0 <= t <= min(floor(alpha*k), n).
+    Under these bounds ceil(t/alpha) <= min(k, t), so the success
+    probability is strictly positive.  log_cost is the float expression
+    select_t evaluates, (k - t/alpha) * ln(c) - ln(p) with k - t/alpha
+    correctly rounded and ln(p) taken on p's numerator and denominator.
+    """
+    num, den, c = _validate_k(n, k, alpha, c)
+    t_max = min(k * num // den, n)
+    if not 0 <= t <= t_max:
+        raise ValueError(f"t={t} outside [0, min(floor(alpha*k), n)]={t_max}")
+    p = hyper_tail(n, k, t, -(-t * den // num))
+    log_p = math.log(p.numerator) - math.log(p.denominator)
+    log_cost = ((k * num - t * den) / num) * math.log(c) - log_p
+    return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
 
 
 def decimal_ratio(x) -> Fraction:

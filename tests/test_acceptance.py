@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from amls.bounds import amls_bound, brute_bound, emls_bound, naive_bound
-from amls.combinatorics import hyper_tail, select_t
+from amls.combinatorics import select_t
 from amls.engine import RunConfig, brute_force_search, solve
 from amls.families import build_covering, build_intersection_family, verify_family
 from amls.problems import gen_gnp, vc_exact_oracle, vc_matching_oracle, vc_system
@@ -22,6 +22,7 @@ from reference import (
     decimal_ratio,
     empirical_brute_exponent,
     family_size_range,
+    hyper_tail,
     relaxed_log_cost,
 )
 
@@ -100,7 +101,10 @@ def test_criterion_2_bound_properties_on_grid():
 
 
 def test_criterion_3_combinatorics_oracles():
+    # the reference tail, and select_t's own p at the t it picks, against
+    # enumerated tails
     v = []
+    tails = {}  # (n, k, t, x) -> the enumerated Pr(|X cap [k]| >= x)
     for n in range(13):
         for k in range(n + 1):
             for t in range(n + 1):
@@ -114,11 +118,19 @@ def test_criterion_3_combinatorics_oracles():
                     expected = Fraction(
                         sum(cnt for h, cnt in counts.items() if h >= x), total
                     )
+                    tails[n, k, t, x] = expected
                     if hyper_tail(n, k, t, x) != expected:
                         v.append(f"tail mismatch at ({n},{k},{t},{x})")
                 for x in range(min(k, t) + 1):
                     if hyper_tail(n, k, t, x) != hyper_tail(n, t, k, x):
                         v.append(f"symmetry fails at ({n},{k},{t},{x})")
+        for alpha in (1, 1.5, 2):
+            a = decimal_ratio(alpha)
+            for k in range(math.floor(n / a) + 1):
+                for c in (2, 3):
+                    cost = select_t(n, k, alpha, c)
+                    if cost.p != tails[n, k, cost.t, math.ceil(cost.t / a)]:
+                        v.append(f"select_t p mismatch at ({n},{k},{alpha},{c})")
 
     rng = random.Random(424242)
     cases = 0

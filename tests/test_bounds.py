@@ -23,9 +23,9 @@ from amls.bounds import (
     emls_bound,
     entropy,
     format_csv_rows,
-    kl_divergence,
     naive_bound,
 )
+from reference import kl_divergence
 
 ALPHA_GRID = [1 + i / 10 for i in range(21)]  # 1.0, 1.1, ..., 3.0
 C_GRID = [1.01, 1.1, 2.0, 10.0, 1024.0]

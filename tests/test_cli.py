@@ -542,8 +542,12 @@ class TestFamilies:
         assert capsys.readouterr().out == plain
         assert not (tmp_path / "-").exists()
 
-    def test_missing_params_usage_error(self):
+    def test_missing_params_usage_error(self, capsys):
         assert main(["families", "--kind", "intersection", "--n", "4"]) == 1
+        assert "need --p --q --r" in capsys.readouterr().err
+        assert main(["families", "--kind", "covering", "--n", "4", "--t", "3"]) == 1
+        assert main(["families", "--kind", "covering", "--n", "4", "--k", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: coverings need --t and --k"] * 2
 
     def test_infeasible_exits_2(self):
         rc = main(
@@ -556,8 +560,8 @@ class TestFamilies:
 # the names `from amls import X` serves, by the layer that defines them
 PACKAGE_EXPORTS = {
     "bounds": "BoundReport amls_bound bound_report bound_table brute_bound emls_bound "
-              "entropy kl_divergence naive_bound",
-    "combinatorics": "IterationCost hyper_tail iteration_cost kappa select_t",
+              "entropy naive_bound",
+    "combinatorics": "IterationCost kappa select_t",
     "engine": "ExtensionOracle MonotoneInstance RunConfig RunReport brute_force_search "
               "solve",
     "families": "LimitExceededError SetFamily build_covering build_intersection_family "
@@ -626,43 +630,22 @@ _SITE_DIRS = site.getsitepackages() + (
 )
 
 
-# runs one CLI call, then prints the loaded amls modules as the last stderr line
-_LIST_MODULES = (
-    "import json, sys\n"
-    "from amls.cli import main\n"
-    "try:\n"
-    "    rc = main(sys.argv[1:])\n"
-    "finally:\n"
-    "    names = sorted(m for m in sys.modules if m.split('.')[0] == 'amls')\n"
-    "    print(json.dumps(names), file=sys.stderr)\n"
-    "sys.exit(rc)\n"
-)
-
-
-def _cli_modules(*argv):
-    """(exit code, loaded amls modules, stderr, stdout) of one CLI call in a fresh
-    interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _LIST_MODULES, *argv],
-        capture_output=True, text=True, timeout=60, env=_child_env(),
-    )
-    *diagnostics, modules = proc.stderr.splitlines()
-    return proc.returncode, json.loads(modules), "\n".join(diagnostics), proc.stdout
-
-
 @pytest.fixture(scope="module")
 def import_row(tmp_path_factory):
-    """Runs an IMPORT_TABLE row once per module, in a fresh -S interpreter, and
-    returns (the modules it loaded, its stdout lines before that list, whether
-    numpy was importable there)."""
+    """Runs one CLI argv, an IMPORT_TABLE row or any other, once per module,
+    in a fresh -S interpreter, and returns (the modules it loaded, its stdout
+    lines before that list, whether numpy was importable there, its exit
+    code, its stderr).  {p3}, {empty} and {n15} (G(15, 0.3), one vertex over
+    the size limit) in argv name graph files."""
     root = tmp_path_factory.mktemp("import_rows")
-    paths = {"p3": root / "p3.col", "empty": root / "empty.col"}
+    paths = {name: root / f"{name}.col" for name in ("p3", "empty", "n15")}
     paths["p3"].write_text(P3_TEXT)
     paths["empty"].write_text("p edge 0 0\n")
+    paths["n15"].write_text(_graph_text(gen_gnp(15, 0.3, seed=15)))
 
     @functools.cache
     def run(argv):
-        absent = IMPORT_TABLE[argv][1]
+        absent = IMPORT_TABLE.get(argv, ("", None))[1]
         preload = "" if absent is None or "dataclasses" in absent else ", dataclasses"
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
@@ -670,9 +653,11 @@ def import_row(tmp_path_factory):
              *(arg.format(**paths) for arg in argv.split())],
             capture_output=True, text=True, timeout=60, env=_child_env(),
         )
-        assert proc.returncode == 0, proc.stderr
-        *out, loaded, numpy_importable = proc.stdout.splitlines()
-        return frozenset(loaded.split()), out, numpy_importable == "True"
+        lines = proc.stdout.splitlines()
+        assert len(lines) >= 2, proc.stderr  # the child got to its last prints
+        *out, loaded, numpy_importable = lines
+        return (frozenset(loaded.split()), out, numpy_importable == "True",
+                proc.returncode, proc.stderr)
 
     return run
 
@@ -710,7 +695,8 @@ class TestImportSet:
     @pytest.mark.parametrize("argv", IMPORT_TABLE, ids=lambda argv: argv or "import amls")
     def test_import_table(self, argv, import_row):
         amls_modules, absent = IMPORT_TABLE[argv]
-        loaded = import_row(argv)[0]
+        loaded, _, _, rc, err = import_row(argv)
+        assert rc == 0, err
         assert _amls_modules(loaded) == sorted(amls_modules.split())
         if absent is None:
             assert loaded == set(amls_modules.split())
@@ -758,7 +744,7 @@ class TestImportSet:
         graph = "{empty}" if flags[0] == "brute" else "{p3}"
         command, *rest = flags
         argv = " ".join([command, "--problem", "vc", *rest, "--input", graph])
-        loaded, out, _ = import_row(argv)
+        loaded, out, *_ = import_row(argv)
         assert flags[0] != "brute" or out[0] == "size 0"
         assert {"amls.engine", "amls.problems"} <= loaded
         assert not {"amls.families", "amls.bounds"} & loaded
@@ -783,10 +769,8 @@ class TestImportSet:
         [["brute", "--problem", "vc", "--alpha", "2"],
          ["solve", "--problem", "vc", "--deterministic"]],
     )
-    def test_limit_exits_2_in_a_fresh_process(self, argv, tmp_path):
-        path = tmp_path / "n15.col"
-        path.write_text(_graph_text(gen_gnp(15, 0.3, seed=15)))
-        rc, modules, err, _ = _cli_modules(*argv, "--input", str(path))
+    def test_limit_exits_2_in_a_fresh_process(self, argv, import_row):
+        *_, rc, err = import_row(" ".join([*argv, "--input", "{n15}"]))
         assert rc == 2
         assert "limited to n <= 14, got n=15" in err
         assert "Traceback" not in err
@@ -795,7 +779,7 @@ class TestImportSet:
         import importlib
 
         names = [name for group in PACKAGE_EXPORTS.values() for name in group.split()]
-        assert len(names) == 37
+        assert len(names) == 34
         assert sorted(amls.__all__) == sorted(names)
         for module, group in PACKAGE_EXPORTS.items():
             layer = importlib.import_module(f"amls.{module}")
@@ -858,13 +842,6 @@ class TestLazyBinding:
         assert engine.families is families
 
 
-# the package names no module of src/amls or perfbench uses, with the reason each stays
-UNUSED_EXPORTS = {
-    "kl_divergence": "the checked divergence; bounds._divergence repeats its float "
-                     "operations unchecked, and the tests compare the two",
-}
-
-
 def _used_names(path: Path) -> set:
     """Every name, attribute and imported name in one Python file."""
     used = set()
@@ -883,7 +860,7 @@ class TestExports:
         root = Path(__file__).resolve().parent.parent
         files = [*(root / "src" / "amls").glob("*.py"), *(root / "perfbench").glob("*.py")]
         used = set().union(*map(_used_names, files))
-        assert set(amls.__all__) - used == set(UNUSED_EXPORTS)
+        assert set(amls.__all__) - used == set()
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_star_import_serves_every_listed_name(self, layer):

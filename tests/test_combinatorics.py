@@ -2,6 +2,8 @@
 
 The hypergeometric oracle below counts intersections over all C(n, t)
 subsets with itertools, independently of the implementations under test.
+hyper_tail and iteration_cost are the math.comb references of
+tests/reference.py, which select_t is checked against.
 """
 
 import hashlib
@@ -18,16 +20,14 @@ import pytest
 
 import amls
 from amls.bounds import brute_bound
-from amls.combinatorics import (
-    _cost_less,
-    _pascal_row,
-    argmin_t,
+from amls.combinatorics import _cost_less, _pascal_row, argmin_t, kappa, select_t
+from reference import (
+    decimal_ratio,
+    empirical_brute_exponent,
     hyper_tail,
     iteration_cost,
-    kappa,
-    select_t,
+    relaxed_log_cost,
 )
-from reference import decimal_ratio, empirical_brute_exponent, relaxed_log_cost
 
 
 def hyper_distribution(n, k, t):
@@ -102,12 +102,12 @@ class TestHyperTail:
             assert hyper_tail(n, k, t, 0) == 1
 
     def test_whole_support_reads_no_pascal_row(self):
-        # a matching solve asks for t = x = 0 at every k; building rows there
+        # a matching solve plans t = 0, p = 1 at every k; building rows there
         # costs time and memory for nothing
         _pascal_row.cache_clear()
-        for k in range(201):
-            assert hyper_tail(200, k, 0, 0) == 1
-        assert hyper_tail(200, 150, 80, 30) == 1  # |X cap K| >= t - (n - k) = 30
+        for k in range(101):
+            cost = select_t(200, k, 2.0, 1.0)
+            assert (cost.t, cost.p, cost.repetitions) == (0, 1, 1)
         assert _pascal_row.cache_info().currsize == 0
 
     def test_examples(self):
@@ -248,7 +248,7 @@ import amls
 from amls.combinatorics import _cost_less, argmin_t, kappa, select_t
 
 def family_t(n, k, a, c):
-    return argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())
+    return argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())[0]
 
 a = Fraction(*amls._ratio(4 / 3))
 # 4/a exceeds 3 by about 7.5e-17, so 8 * 2**(-4/a) is just below 1
@@ -332,7 +332,7 @@ class TestCostModelDigest:
                         cost = select_t(n, k, alpha, c)
                         t = argmin_t(
                             n, k, alpha, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
-                        )
+                        )[0]
                         h.update(
                             f"{n} {k} {alpha!r} {c!r} {cost.t} {cost.log_cost.hex()} "
                             f"{cost.p} {cost.repetitions} {t}\n".encode()
@@ -412,7 +412,7 @@ class TestArgminFold:
                 for k in range(math.floor(n / a) + 1):
                     t = argmin_t(
                         n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
-                    )
+                    )[0]
                     want = reference_select_t_deterministic(n, k, a, c)
                     assert (t, math.ceil(t / a)) == want, (n, k, c)
 
@@ -436,7 +436,7 @@ class TestPolynomialOracleShortCircuit:
         a = decimal_ratio(alpha)
         for n in SHORT_CIRCUIT_NS:
             for k in range(math.floor(n / a) + 1):
-                assert argmin_t(n, k, alpha, 1, factor) == 0, (n, k)
+                assert argmin_t(n, k, alpha, 1, factor) == (0, (1, 1)), (n, k)
 
     @pytest.mark.parametrize("alpha", SHORT_CIRCUIT_ALPHAS)
     def test_select_t_matches_reference(self, alpha):

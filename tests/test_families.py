@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from amls.combinatorics import hyper_tail, kappa
+from amls.combinatorics import kappa
 from amls.engine import RunConfig, brute_force_search, solve
 from amls.families import (
     LIMIT,
@@ -21,7 +21,7 @@ from amls.families import (
     verify_family,
 )
 from amls.problems import gen_gnp, vc_exact_oracle, vc_system
-from reference import family_size_range
+from reference import family_size_range, hyper_tail
 
 
 def weak_ok(n, p, r, members) -> bool:
@@ -265,7 +265,7 @@ class TestLimits:
         columns = sum(col.__sizeof__() for col in _columns(14, 5, 7, 5, 7))
         tracemalloc.start()
         try:
-            _greedy.__wrapped__(14, 5, 7, 5, 7)  # uncached
+            _greedy(14, 5, 7, 5, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,6 +314,28 @@ class TestVerifyFamily:
             n=4, member_size=2, members=((0, 5),), kind="covering", params=(2, 1),
         )
         assert not verify_family(bad)
+
+    @pytest.mark.parametrize(
+        "members,member_size,kind,params",
+        [
+            (((0, 1), (2, 3), (3,)), 2, "covering", (2, 1)),    # a member of the wrong size
+            (((0, 1), (2, 3), (3, 3)), 2, "covering", (2, 1)),  # a repeated element
+            (((0, 1), (2, 3), (3, 2, 3)), 2, "covering", (2, 1)),  # 3 entries, 2 distinct
+            (((0, 1, 2), (1, 2, 3)), 3, "covering", (2, 1)),   # declares t = 2, holds 3
+            (((0, 1), (2, 3)), 2, "intersection_weak", (2, 3, 1)),  # declares q = 3
+        ],
+    )
+    def test_rejects_inconsistent_members(self, members, member_size, kind, params):
+        # each family serves every target; only the named fault is wrong
+        bad = SetFamily(
+            n=4, member_size=member_size, members=members, kind=kind, params=params,
+        )
+        assert not verify_family(bad)
+
+    def test_unknown_kind_raises(self):
+        odd = SetFamily(n=4, member_size=2, members=((0, 1),), kind="packing", params=(2, 1))
+        with pytest.raises(ValueError, match="unknown family kind 'packing'"):
+            verify_family(odd)
 
     def test_limit(self):
         big = SetFamily(

@@ -276,6 +276,19 @@ class TestGraphParser:
             parse_graph(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p edge 3\n", "line 1: expected 'p edge <n> <m>'"),   # wrong field count
+            ("p edge -1 0\n", "line 1: counts must be non-negative"),
+        ],
+    )
+    def test_header_errors_keep_their_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line_no == 1
+        assert str(err.value) == message
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_graph("p edge 3 2\ne 1 2\n")

@@ -1,7 +1,8 @@
 """Input rules shared across layers: one check and one message per rule.
 
 alpha, c and boost follow the package's one range rule (finite and >= 1) at
-every entry point that takes them; the (n, p, q, r) parameters of a
+every entry point that takes them, and the reference iteration_cost follows
+it through combinatorics._validate_k; the (n, p, q, r) parameters of a
 set-intersection family follow one rule wherever they are checked.
 """
 
@@ -10,9 +11,10 @@ import math
 import pytest
 
 from amls.bounds import amls_bound, bound_report, brute_bound, emls_bound, naive_bound
-from amls.combinatorics import argmin_t, iteration_cost, kappa, select_t
+from amls.combinatorics import argmin_t, kappa, select_t
 from amls.engine import ExtensionOracle, MonotoneInstance, RunConfig, brute_force_search
 from amls.families import build_intersection_family
+from reference import iteration_cost
 
 
 def _no_extension(x, k, rng):
