@@ -171,9 +171,11 @@ def _print_report(rep, json_path) -> None:
 
 
 def _cmd_solve(args) -> int:
+    # problems, the largest module, compiles first, then engine, which it
+    # imports, and only then the stdlib they load: a lower peak RSS
+    _bind("problems", "engine")
     from dataclasses import replace
 
-    _bind("engine", "problems")
     parsed, inst = _load_instance(args)
     if args.problem == "vc":
         oracle = (vc_matching_oracle if args.oracle == "matching" else vc_exact_oracle)(parsed)
@@ -198,7 +200,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    _bind("engine", "problems")
+    _bind("problems", "engine")  # in this order, as in _cmd_solve
     rep = brute_force_search(_load_instance(args)[1], args.alpha)
     _print_report(rep, args.json)
     return 0

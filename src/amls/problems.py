@@ -256,7 +256,7 @@ def _parse_header(fields, line_no, expected_kind):
 
 
 def _parse_lines(text, kind, item_tag, parse_item):
-    header = None
+    header = header_line = None
     items = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -266,7 +266,7 @@ def _parse_lines(text, kind, item_tag, parse_item):
         if fields[0] == "p":
             if header is not None:
                 raise ParseError(line_no, "duplicate problem header")
-            header = _parse_header(fields, line_no, kind)
+            header, header_line = _parse_header(fields, line_no, kind), line_no
         elif fields[0] == item_tag:
             if header is None:
                 raise ParseError(line_no, "data line before the problem header")
@@ -277,7 +277,7 @@ def _parse_lines(text, kind, item_tag, parse_item):
         raise ParseError(1, "missing problem header")
     n, m = header
     if len(items) != m:
-        raise ParseError(1, f"header declares {m} data lines, found {len(items)}")
+        raise ParseError(header_line, f"header declares {m} data lines, found {len(items)}")
     return n, items
 
 

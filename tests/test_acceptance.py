@@ -16,8 +16,16 @@ from amls.bounds import amls_bound, brute_bound, emls_bound, naive_bound
 from amls.combinatorics import select_t
 from amls.engine import RunConfig, brute_force_search, solve
 from amls.families import build_covering, build_intersection_family, verify_family
-from amls.problems import gen_gnp, vc_exact_oracle, vc_matching_oracle, vc_system
-from conftest import exhaustive_vc_opt
+from amls.problems import (
+    Hypergraph3,
+    gen_gnp,
+    hs3_exact_oracle,
+    hs3_system,
+    vc_exact_oracle,
+    vc_matching_oracle,
+    vc_system,
+)
+from conftest import exhaustive_hs_opt, exhaustive_vc_opt
 from reference import (
     decimal_ratio,
     empirical_brute_exponent,
@@ -158,6 +166,44 @@ def test_criterion_3_combinatorics_oracles():
         if gap > 0.02:
             v.append(f"empirical exponent gap {gap:.4f} at alpha={alpha}")
     _report("3 combinatorics-oracles", v)
+
+
+def test_criterion_3b_sampling_lemma_holds_exactly():
+    # At k = OPT, the share of all C(n, t) t-subsets X on which the exact
+    # oracle's Y hits (X u Y a member with at most floor(alpha*OPT) elements)
+    # is at least select_t's p: an optimum that meets X in ceil(t/alpha)
+    # elements fits the budget left.  Where only those X hit, the share is
+    # p: an overestimated p fails there, an underestimated one the pinned
+    # count of equalities.
+    v = []
+    cases = []
+    for seed in range(6):
+        g = gen_gnp(14, 0.3, seed=seed)
+        cases.append((vc_system(g), vc_exact_oracle(g), exhaustive_vc_opt(g)))
+        rng = random.Random(seed)  # 25 draws of three elements; repeats merge
+        h = Hypergraph3(13, tuple(tuple(rng.sample(range(13), 3)) for _ in range(25)))
+        cases.append((hs3_system(h), hs3_exact_oracle(h), exhaustive_hs_opt(h)))
+    feasible = equal = 0
+    for inst, oracle, opt in cases:
+        for alpha in (1, 1.5, 2):
+            a = decimal_ratio(alpha)
+            if opt > inst.n / a:  # select_t takes k <= n/alpha
+                continue
+            cost = select_t(inst.n, opt, alpha, oracle.c)
+            budget, limit = opt - math.ceil(cost.t / a), math.floor(a * opt)
+            hits = 0
+            for combo in combinations(range(inst.n), cost.t):
+                x = frozenset(combo)
+                y = oracle.extend(x, budget, None)
+                hits += y is not None and len(x | y) <= limit and inst.membership(x | y)
+            share = Fraction(hits, math.comb(inst.n, cost.t))
+            feasible += 1
+            equal += share == cost.p
+            if share < cost.p:
+                v.append(f"{inst.label} at alpha={alpha}: hit share {share} < p = {cost.p}")
+    if (feasible, equal) != (34, 8):
+        v.append(f"{feasible} cases with {equal} equalities, expected 34 with 8")
+    _report("3b sampling-lemma", v)
 
 
 def _acceptance_graphs():

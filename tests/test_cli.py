@@ -606,12 +606,19 @@ IMPORT_TABLE = {
 # go on sys.path by hand, after the stdlib as the hook puts them, so an
 # installed numpy stays importable.  amls's own import is importlib, and
 # dataclasses comes first where a row allows it, as on some Pythons its
-# inspect import loads typing by itself.  Prints the modules the call loaded,
-# then whether numpy is importable.
+# inspect import loads typing by itself.  A first meta path finder, which
+# finds nothing, records the order in which imports start, before any module
+# compiles (sys.modules holds modules in the order they finished).  Prints
+# the modules the call loaded, the imports it started in that order, then
+# whether numpy is importable.
 _IMPORT_CHILD = (
     "import sys\n"
     "sys.path += {site_dirs!r}\n"
     "import importlib{preload}\n"
+    "starts = []\n"
+    "class Starts:\n"
+    "    find_spec = staticmethod(lambda name, *rest: starts.append(name))\n"
+    "sys.meta_path.insert(0, Starts)\n"
     "before = set(sys.modules)\n"
     "if sys.argv[1:]:\n"
     "    from amls.cli import main\n"
@@ -620,8 +627,9 @@ _IMPORT_CHILD = (
     "    import amls\n"
     "    rc = 0\n"
     "loaded = sorted(set(sys.modules) - before)\n"
-    "import importlib.util\n"
     "print(*loaded)\n"
+    "print(*starts)\n"
+    "import importlib.util\n"
     "print(importlib.util.find_spec('numpy') is not None)\n"
     "sys.exit(rc)\n"
 )
@@ -635,8 +643,10 @@ def import_row(tmp_path_factory):
     """Runs one CLI argv, an IMPORT_TABLE row or any other, once per module,
     in a fresh -S interpreter, and returns (the modules it loaded, its stdout
     lines before that list, whether numpy was importable there, its exit
-    code, its stderr).  {p3}, {empty} and {n15} (G(15, 0.3), one vertex over
-    the size limit) in argv name graph files."""
+    code, its stderr, the imports it started, in order).  {p3}, {empty} and
+    {n15} (G(15, 0.3), one vertex over the size limit) in argv name graph
+    files.  preload=False loads no dataclasses first, whatever the row
+    allows."""
     root = tmp_path_factory.mktemp("import_rows")
     paths = {name: root / f"{name}.col" for name in ("p3", "empty", "n15")}
     paths["p3"].write_text(P3_TEXT)
@@ -644,20 +654,21 @@ def import_row(tmp_path_factory):
     paths["n15"].write_text(_graph_text(gen_gnp(15, 0.3, seed=15)))
 
     @functools.cache
-    def run(argv):
+    def run(argv, preload=True):
         absent = IMPORT_TABLE.get(argv, ("", None))[1]
-        preload = "" if absent is None or "dataclasses" in absent else ", dataclasses"
+        preload = preload and absent is not None and "dataclasses" not in absent
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
-             _IMPORT_CHILD.format(site_dirs=_SITE_DIRS, preload=preload),
+             _IMPORT_CHILD.format(site_dirs=_SITE_DIRS,
+                                  preload=", dataclasses" if preload else ""),
              *(arg.format(**paths) for arg in argv.split())],
             capture_output=True, text=True, timeout=60, env=_child_env(),
         )
         lines = proc.stdout.splitlines()
-        assert len(lines) >= 2, proc.stderr  # the child got to its last prints
-        *out, loaded, numpy_importable = lines
+        assert len(lines) >= 3, proc.stderr  # the child got to its last prints
+        *out, loaded, starts, numpy_importable = lines
         return (frozenset(loaded.split()), out, numpy_importable == "True",
-                proc.returncode, proc.stderr)
+                proc.returncode, proc.stderr, tuple(starts.split()))
 
     return run
 
@@ -695,7 +706,7 @@ class TestImportSet:
     @pytest.mark.parametrize("argv", IMPORT_TABLE, ids=lambda argv: argv or "import amls")
     def test_import_table(self, argv, import_row):
         amls_modules, absent = IMPORT_TABLE[argv]
-        loaded, _, _, rc, err = import_row(argv)
+        loaded, _, _, rc, err, _ = import_row(argv)
         assert rc == 0, err
         assert _amls_modules(loaded) == sorted(amls_modules.split())
         if absent is None:
@@ -770,10 +781,18 @@ class TestImportSet:
          ["solve", "--problem", "vc", "--deterministic"]],
     )
     def test_limit_exits_2_in_a_fresh_process(self, argv, import_row):
-        *_, rc, err = import_row(" ".join([*argv, "--input", "{n15}"]))
+        rc, err = import_row(" ".join([*argv, "--input", "{n15}"]))[3:5]
         assert rc == 2
         assert "limited to n <= 14, got n=15" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve --problem vc", "brute --problem vc --alpha 1.5"])
+    def test_layers_start_before_dataclasses(self, command, import_row):
+        # problems, the largest module, then engine, which it imports, compile
+        # before dataclasses and its inspect chain load: a lower peak RSS
+        first = ("amls.problems", "amls.engine", "dataclasses")
+        starts = import_row(f"{command} --input {{p3}}", preload=False)[5]
+        assert tuple(name for name in starts if name in first) == first
 
     def test_exports_resolve_to_layer_objects(self):
         import importlib

@@ -238,6 +238,11 @@ class TestGoldenGreedy:
         assert sum(len(f.members) for f in families) == 1345
         text = "".join(family_to_text(f) for f in families)
         assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_DIGEST_14
+        # each in its LP range, a covering (14, t, k) as the weak (14, k, t, k)
+        pqrs = [(k, t, k) for t, k in BENCHMARK_COVERINGS_14] + BENCHMARK_WEAK_14
+        for pqr, family in zip(pqrs, families, strict=True):
+            low, high = family_size_range(14, *pqr, False)
+            assert low <= len(family.members) <= high, pqr
 
     def test_heavy_families_are_pinned(self):
         families = [

@@ -253,6 +253,7 @@ class TestGraphParser:
             ("p edge 2 1\np edge 2 1\ne 1 2\n", 2),  # duplicate header
             ("p edge x 1\ne 1 2\n", 1),          # non-integer count
             ("p edge 2 1\nq 1 2\n", 2),          # unknown tag
+            ("c one\nc two\np edge 3 2\ne 1 2\n", 3),  # count mismatch: the header's line
         ],
     )
     def test_rejects_malformed_with_line_numbers(self, text, line):
@@ -290,12 +291,16 @@ class TestGraphParser:
         assert str(err.value) == message
 
     def test_rejects_count_mismatch(self):
-        with pytest.raises(ParseError):
-            parse_graph("p edge 3 2\ne 1 2\n")
+        # the message names the header's line, after any comments
+        for comments, line in (("", 1), ("c one\n\nc two\n", 4)):
+            with pytest.raises(ParseError) as err:
+                parse_graph(comments + "p edge 3 2\ne 1 2\n")
+            assert str(err.value) == f"line {line}: header declares 2 data lines, found 1"
 
     def test_missing_header(self):
-        with pytest.raises(ParseError):
-            parse_graph("c nothing here\n")
+        with pytest.raises(ParseError) as err:
+            parse_graph("c nothing here\n\nc nor here\n")
+        assert str(err.value) == "line 1: missing problem header"
 
 
 class TestHypergraphParser:
@@ -310,6 +315,7 @@ class TestHypergraphParser:
             ("p hs3 3 1\ns 1 2 3 1\n", 2),  # too many elements
             ("p hs3 3 1\ns 2 2\n", 2),      # repeated element
             ("p hs3 3 1\ns 4\n", 2),        # out of range
+            ("c one\n\np hs3 3 2\ns 1 2 3\n", 3),  # count mismatch: the header's line
         ],
     )
     def test_rejects_malformed(self, text, line):
