@@ -11,22 +11,25 @@ Hypergraphs use the analogous format with a ``p hs3 <n> <m>`` header and
 ``s <a> [b] [c]`` lines holding 1-3 distinct 1-based elements.
 
 Vertex cover is hitting set with sets of two, so both problems share one
-validator, one membership test and one exact oracle, and differ only in
-their parsers, labels and oracle bases.  All extension oracles are
-deterministic.  The exact oracle is one hitting-set core over both:
-it branches on the first set the chosen elements miss, trying its elements
-in ascending order (base 2 or 3 per unit of budget).  Sets and the chosen
-elements are int bitmasks; the masks, the apexes below and the search
-itself are built once per oracle.  Along a branch the chosen set only
-grows, so each node resumes the scan for the first unhit set where its
-parent stopped.  Before branching with budget b, a node walks the rest of
-the list and greedily packs unhit sets disjoint from each other: each
-needs an element of its own.  When a packed pair {u, v} has a free apex
-w, an element with {u, w} and {v, w} sets too, the node packs the whole
-triangle, whose three pairs need two elements.  A packing that needs more
-than b elements returns None at once.  The cut removes only subtrees
-without a solution, so the search returns the same first solution as
-plain branching.
+parser, one validator, one membership test and one exact oracle, and differ
+only in their tags, messages, labels and oracle bases.  All extension
+oracles are deterministic.  The exact oracle is one hitting-set core over
+both: it branches on the first set the chosen elements miss, trying its
+elements in ascending order (base 2 or 3 per unit of budget).  Sets and
+the chosen elements are int bitmasks; the masks and the apexes below are
+built once per oracle.  The search is one depth-first loop over
+(chosen, next set, budget) nodes, the ones still to visit on an explicit
+stack, so its depth has no interpreter limit; a node's children are
+pushed in reverse, so they pop in ascending order.  Along a branch the chosen set only grows, so each
+node resumes the scan for the first unhit set where its parent stopped.
+Before branching with budget b, a node walks the rest of the list and
+greedily packs unhit sets disjoint from each other: each needs an element
+of its own.  When a packed pair {u, v} has a free apex w, an element with
+{u, w} and {v, w} sets too, the node packs the whole triangle, whose three
+pairs need two elements.  A packing that needs more than b elements cuts
+the node at once; at b = 0 the first unhit set alone does.  The cut
+removes only subtrees without a solution, so the search returns the same
+first solution as plain branching.
 
 The matching oracle returns both endpoints of a greedy maximal matching,
 a polynomial 2-approximate extension exercising the (alpha=2, c=1)
@@ -73,7 +76,12 @@ class Graph(namedtuple("Graph", "n edges")):
 
 
 class Hypergraph3(namedtuple("Hypergraph3", "n sets")):
-    """Set system with member sets of size 1-3, deduplicated, sorted."""
+    """Set system with member sets of size 1-3, each set's elements sorted.
+
+    Sets keep their first occurrences in input order, which the exact oracle
+    branches in: ``Hypergraph3(3, [(2, 1), (0,), (1, 2)]).sets`` is
+    ``((1, 2), (0,))``.
+    """
 
     __slots__ = ()
 
@@ -112,13 +120,6 @@ def _hitting_system(n: int, sets, label: str) -> MonotoneInstance:
     return MonotoneInstance(n=n, membership=membership, label=label)
 
 
-def _hitting_sets(sets) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Bitmasks and elements of the sets, in the given order; each set is an
-    ascending tuple, as ``Graph`` and ``Hypergraph3`` store them."""
-    elems = tuple(sets)
-    return tuple(sum(map((1).__lshift__, t)) for t in elems), elems
-
-
 def _exact_oracle(sets, c: float) -> ExtensionOracle:
     """The exact branching oracle over the sets, scanned in the given order.
 
@@ -128,7 +129,8 @@ def _exact_oracle(sets, c: float) -> ExtensionOracle:
     search starts from x itself as chosen, which skips exactly the sets x
     hits.
     """
-    masks, elems = _hitting_sets(sets)
+    elems = tuple(sets)
+    masks = tuple(sum(map((1).__lshift__, t)) for t in elems)
     m = len(masks)
     # each pair {u, v} with apexes -> the mask of the w with {u, w} and
     # {v, w} sets too
@@ -139,43 +141,40 @@ def _exact_oracle(sets, c: float) -> ExtensionOracle:
         partners[v] |= 1 << u
     apexes = {mask: a for mask, (u, v) in pairs if (a := partners[u] & partners[v])}
 
-    def branch(chosen: int, i: int, budget: int) -> int | None:
-        while i < m and masks[i] & chosen:
-            i += 1
-        if i == m:
-            return chosen
-        if budget == 0:
-            return None
-        # each packed unhit set needs an element of its own; a pair packed
-        # with a free apex packs a triangle of pairs, which needs two
-        blocked = chosen
-        need = 0
-        for mask in masks[i:]:
-            if not mask & blocked:
-                blocked |= mask
-                need += 1
-                if mask in apexes:
-                    free = apexes[mask] & ~blocked
-                    if free:
-                        blocked |= free & -free
-                        need += 1
-                if need > budget:
-                    return None
-        for v in elems[i]:
-            result = branch(chosen | 1 << v, i + 1, budget - 1)
-            if result is not None:
-                return result
-        return None
-
     def extend(x: frozenset, k: int, rng) -> frozenset | None:
         if k < 0:
             return None
         x_mask = sum(map((1).__lshift__, x))
-        found = branch(x_mask, 0, k)
-        if found is None:
-            return None
-        found &= ~x_mask
-        return frozenset(v for v in range(found.bit_length()) if found >> v & 1)
+        chosen, i, budget = x_mask, 0, k
+        stack = []
+        while True:
+            while i < m and masks[i] & chosen:
+                i += 1
+            if i == m:
+                chosen &= ~x_mask
+                return frozenset(v for v in range(chosen.bit_length()) if chosen >> v & 1)
+            # each packed unhit set needs an element of its own, set i
+            # first, so budget 0 is cut at once; a pair packed with a free
+            # apex packs a triangle of pairs, which needs two
+            blocked = chosen
+            need = 0
+            for mask in masks[i:]:
+                if not mask & blocked:
+                    blocked |= mask
+                    need += 1
+                    if mask in apexes:
+                        free = apexes[mask] & ~blocked
+                        if free:
+                            blocked |= free & -free
+                            need += 1
+                    if need > budget:
+                        break
+            else:  # children pushed in reverse pop in ascending order
+                for v in reversed(elems[i]):
+                    stack.append((chosen | 1 << v, i + 1, budget - 1))
+            if not stack:
+                return None
+            chosen, i, budget = stack.pop()
 
     return ExtensionOracle(alpha=1.0, c=c, success_prob=1.0, extend=extend)
 
@@ -202,7 +201,7 @@ def vc_matching_oracle(g: Graph) -> ExtensionOracle:
     in input order, remembered for the last x.  None when the matching has
     more than k edges: any cover hits each matched edge, so no completion
     of size <= k exists either."""
-    masks = _hitting_sets(g.edges)[0]
+    masks = tuple(sum(map((1).__lshift__, e)) for e in g.edges)
     last_x, size, matched = None, 0, frozenset()
 
     def extend(x: frozenset, k: int, rng) -> frozenset | None:
@@ -243,83 +242,73 @@ def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:
 # -------------------------------------------------------------------- parsing
 
 
-def _parse_header(fields, line_no, expected_kind):
-    if len(fields) != 4 or fields[1] != expected_kind:
-        raise ParseError(line_no, f"expected 'p {expected_kind} <n> <m>'")
-    try:
-        n, m = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise ParseError(line_no, f"non-integer counts in {' '.join(fields)!r}") from None
-    if n < 0 or m < 0:
-        raise ParseError(line_no, "counts must be non-negative")
-    return n, m
-
-
-def _parse_lines(text, kind, item_tag, parse_item):
-    header = header_line = None
-    items = []
+def _parse_sets(text, kind, tag, sizes, size_error, repeat_error):
+    """n and the sets of the instance text: a ``p <kind> <n> <m>`` header and
+    m ``<tag>`` lines, each holding a number in sizes of distinct 1-based
+    elements, read as ascending 0-based tuples in line order.  A line with a
+    wrong number of elements raises size_error; one with a repeat raises
+    repeat_error, formatted with the line's least vertex."""
+    header_line = None
+    sets = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
         if fields[0] == "p":
-            if header is not None:
+            if header_line is not None:
                 raise ParseError(line_no, "duplicate problem header")
-            header, header_line = _parse_header(fields, line_no, kind), line_no
-        elif fields[0] == item_tag:
-            if header is None:
+            if len(fields) != 4 or fields[1] != kind:
+                raise ParseError(line_no, f"expected 'p {kind} <n> <m>'")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise ParseError(line_no, f"non-integer counts in {' '.join(fields)!r}") from None
+            if n < 0 or m < 0:
+                raise ParseError(line_no, "counts must be non-negative")
+            header_line = line_no
+        elif fields[0] == tag:
+            if header_line is None:
                 raise ParseError(line_no, "data line before the problem header")
-            items.append(parse_item(fields[1:], line_no, header[0]))
+            if len(fields) - 1 not in sizes:
+                raise ParseError(line_no, size_error)
+            vs = []
+            for token in fields[1:]:
+                try:
+                    v = int(token)
+                except ValueError:
+                    raise ParseError(line_no, f"non-integer vertex {token!r}") from None
+                if not 1 <= v <= n:
+                    raise ParseError(line_no, f"vertex {v} outside 1..{n}")
+                vs.append(v - 1)
+            vs.sort()
+            if len(set(vs)) != len(vs):
+                raise ParseError(line_no, repeat_error.format(vs[0] + 1))
+            sets.append(tuple(vs))
         else:
             raise ParseError(line_no, f"unrecognized line {raw!r}")
-    if header is None:
+    if header_line is None:
         raise ParseError(1, "missing problem header")
-    n, m = header
-    if len(items) != m:
-        raise ParseError(header_line, f"header declares {m} data lines, found {len(items)}")
-    return n, items
-
-
-def _parse_vertex(token, line_no, n):
-    try:
-        v = int(token)
-    except ValueError:
-        raise ParseError(line_no, f"non-integer vertex {token!r}") from None
-    if not 1 <= v <= n:
-        raise ParseError(line_no, f"vertex {v} outside 1..{n}")
-    return v - 1
+    if len(sets) != m:
+        raise ParseError(header_line, f"header declares {m} data lines, found {len(sets)}")
+    return n, tuple(sets)
 
 
 def parse_graph(text: str) -> Graph:
     """Strict DIMACS edge-format parser (see module docstring)."""
-
-    def parse_edge(tokens, line_no, n):
-        if len(tokens) != 2:
-            raise ParseError(line_no, "edge lines take exactly two vertices")
-        u = _parse_vertex(tokens[0], line_no, n)
-        v = _parse_vertex(tokens[1], line_no, n)
-        if u == v:
-            raise ParseError(line_no, f"loop edge on vertex {u + 1}")
-        return (u, v) if u < v else (v, u)
-
-    n, edges = _parse_lines(text, "edge", "e", parse_edge)
-    return Graph(n=n, edges=tuple(edges))
+    n, edges = _parse_sets(
+        text, "edge", "e", (2,), "edge lines take exactly two vertices", "loop edge on vertex {}"
+    )
+    return Graph(n=n, edges=edges)
 
 
 def parse_hypergraph(text: str) -> Hypergraph3:
     """Strict parser for the hs3 format (see module docstring)."""
-
-    def parse_set(tokens, line_no, n):
-        if not 1 <= len(tokens) <= 3:
-            raise ParseError(line_no, "set lines take one to three elements")
-        elems = tuple(sorted(_parse_vertex(t, line_no, n) for t in tokens))
-        if len(set(elems)) != len(elems):
-            raise ParseError(line_no, "repeated element within a set")
-        return elems
-
-    n, sets = _parse_lines(text, "hs3", "s", parse_set)
-    return Hypergraph3(n=n, sets=tuple(sets))
+    n, sets = _parse_sets(
+        text, "hs3", "s", (1, 2, 3), "set lines take one to three elements",
+        "repeated element within a set",
+    )
+    return Hypergraph3(n=n, sets=sets)
 
 
 # ----------------------------------------------------------------- generators

@@ -323,6 +323,21 @@ class TestHypergraphParser:
             parse_hypergraph(text)
         assert err.value.line_no == line
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p hs3 3 1\ns 1 2 3 1\n", "line 2: set lines take one to three elements"),
+            ("p hs3 3 1\ns 2 2\n", "line 2: repeated element within a set"),
+            ("p hs3 3\n", "line 1: expected 'p hs3 <n> <m>'"),
+            ("p hs3 3 1\ns 1 x\n", "line 2: non-integer vertex 'x'"),
+            ("p hs3 3 1\ns 1 4\n", "line 2: vertex 4 outside 1..3"),
+        ],
+    )
+    def test_set_errors_keep_their_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert str(err.value) == message
+
 
 class TestGenerators:
     def test_gnp_extremes(self):
@@ -437,6 +452,28 @@ class TestBitmaskCoreEquivalence:
         assert hs3_exact_oracle(a).extend(frozenset(), 2, None) == frozenset({0, 2})
         assert hs3_exact_oracle(b).extend(frozenset(), 2, None) == frozenset({1, 2})
         assert reference_hs3_extend(b, frozenset(), 2) == frozenset({1, 2})
+
+
+# A 2400-vertex path needs 1200 vertices, and the search chooses one per
+# level: 1200 deep, past the interpreter's recursion limit.
+PATH_2400 = tuple((v, v + 1) for v in range(2399))
+
+
+class TestDeepSearch:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: vc_exact_oracle(Graph(2400, PATH_2400)),
+            lambda: hs3_exact_oracle(Hypergraph3(2400, PATH_2400)),
+        ],
+        ids=["vc", "hs3"],
+    )
+    def test_deep_search_has_no_depth_limit(self, make):
+        oracle = make()
+        found = oracle.extend(frozenset(), 1200, None)
+        assert len(found) == 1200
+        assert is_cover(PATH_2400, found)
+        assert oracle.extend(frozenset(), 1199, None) is None
 
 
 # 30 disjoint edges need 30 vertices: plain branching walks all 2**29
