@@ -125,9 +125,20 @@ def _cmd_bounds(args) -> int:
             print("error: need --alpha and --c (or --preset)", file=sys.stderr)
             return 1
         alphas, cs = args.alpha, args.c
-    reports = bound_table(alphas, cs)
-    _write("\n".join([CSV_HEADER] + format_csv_rows(reports)) + "\n", args.csv or "-")
+    _write(_bounds_csv(alphas, cs), args.csv or "-")
     return 0
+
+
+def _bounds_csv(alphas: list[float], cs: list[float]) -> str:
+    """The CSV text of bound_table(alphas, cs), header first, built one alpha
+    at a time: only one alpha's reports and lines are held beside the text
+    so far.  Every row is computed before any is written, so an invalid
+    pair writes nothing."""
+    blocks = [CSV_HEADER]
+    for alpha in alphas:
+        blocks.append("\n".join(format_csv_rows(bound_table([alpha], cs))))
+    blocks.append("")  # the final newline
+    return "\n".join(blocks)
 
 
 def _write(text: str, path: str) -> None:

@@ -3,9 +3,10 @@
 Conventions used throughout this module:
 
   * n is the universe size, k the target solution size, t the sample size.
-  * Probabilities are exact ``fractions.Fraction`` values (always in lowest
-    terms, in [0, 1]); logarithms are taken only at the end, for cost
-    comparison, so astronomically small tails never underflow.
+  * Probabilities are exact: the int 1 where t = 0 (X = {} always
+    succeeds), else a ``fractions.Fraction`` in lowest terms, in (0, 1];
+    logarithms are taken only at the end, for cost comparison, so
+    astronomically small tails never underflow.
   * alpha (the approximation ratio) enters integral expressions like
     floor(alpha*k) and ceil(t/alpha).  Floats such as 1.7 do not represent
     their decimal exactly, so these thresholds are computed on the int pair
@@ -37,9 +38,12 @@ at least factor(0, 0) = 1; at c == 1 (a polynomial oracle) every t costs
 its factor alone, so ``argmin_t`` returns t = 0 without calling factor.
 ``select_t`` feeds it C(n, t) over the favourable count, both read from
 cached Pascal rows, and computes its exact p, count / C(n, t), from the
-winner's pair.  The reference definitions of the tail and of one t's cost
-profile, by ``math.comb`` alone, are ``hyper_tail`` and ``iteration_cost``
-in ``tests/reference.py``; the tests check ``select_t`` against them.
+winner's pair.  ``fractions`` and ``decimal`` load only where a Fraction
+or a Decimal is built: a t >= 1 winner's p, ``kappa``, and the near-tie
+audit.  So a c == 1 solve, whose every t is 0, loads neither.  The
+reference definitions of the tail and of one t's cost profile, by
+``math.comb`` alone, are ``hyper_tail`` and ``iteration_cost`` in
+``tests/reference.py``; the tests check ``select_t`` against them.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Callable
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from functools import lru_cache
 
 from . import _EXPORTS, _at_least_one, _check_npqr, _ratio
@@ -82,15 +84,17 @@ class IterationCost(namedtuple("IterationCost", "t log_cost p repetitions")):
     """Cost profile of one sample size t for a given (n, k, alpha, c).
 
     log_cost = (k - t/alpha) * ln(c) - ln(p) where p is the exact success
-    probability of a single sample; repetitions = ceil(1/p) is the number of
-    samples needed for constant success probability.
+    probability of a single sample: the int 1 at t = 0, a Fraction
+    otherwise.  repetitions = ceil(1/p) is the number of samples needed for
+    constant success probability.
     """
 
     __slots__ = ()
 
 
-def _log_fraction(p: Fraction) -> float:
-    # math.log on the big-int parts; float(p) could under/overflow
+def _log_fraction(p) -> float:
+    # math.log on the big-int parts of a Fraction or an int; float(p) could
+    # under/overflow
     return math.log(p.numerator) - math.log(p.denominator)
 
 
@@ -105,16 +109,19 @@ def _validate_k(n: int, k: int, alpha, c) -> tuple[int, int, float]:
 
 
 _TIE_DIGITS = 60
-_TIE_MARGIN = Decimal("1e-50")
 
 
 def _decimal_ln(x: Fraction) -> Decimal:
+    from decimal import Decimal
+
     return Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
 
 
 @lru_cache(maxsize=None)
 def _tie_ln_c(c_exact: Fraction) -> Decimal:
     """_decimal_ln(c) at _TIE_DIGITS digits, computed once per c."""
+    from decimal import localcontext
+
     with localcontext() as ctx:
         ctx.prec = _TIE_DIGITS
         return _decimal_ln(c_exact)
@@ -130,9 +137,9 @@ def _cost_less(
     A gives (num1*den2)^A * q^(dB) < (num2*den1)^A * p^(dB) (p and q swap
     sides when d < 0), compared exactly while A < 256 and |d|*B <= 64.
     Otherwise both sides are compared as logarithms at 60 significant
-    digits, and f1's side counts as less only when it is below by more than
-    1e-50, so an exact tie is not less; that cost is fixed whatever the
-    size of a's numerator.
+    digits, with d/a as the quotient dB/A rounded once, and f1's side
+    counts as less only when it is below by more than 1e-50, so an exact
+    tie is not less; that cost is fixed whatever the size of a's numerator.
     """
     d = t1 - t2
     num_a, e = a.numerator, abs(d) * a.denominator
@@ -142,11 +149,22 @@ def _cost_less(
             p, q = q, p
         lhs = (f1.numerator * f2.denominator) ** num_a * q**e
         return lhs < (f2.numerator * f1.denominator) ** num_a * p**e
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = _TIE_DIGITS
-        shift = Fraction(d) / a
-        gap = Decimal(shift.numerator) / shift.denominator * _tie_ln_c(c_exact)
-        return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > _TIE_MARGIN
+        gap = Decimal(d * a.denominator) / num_a * _tie_ln_c(c_exact)
+        return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > Decimal("1e-50")
+
+
+def _audit_less(c: float, num_a: int, den_a: int, t1: int, pair1, t2: int, pair2) -> bool:
+    """_cost_less on the Fractions of c, alpha = num_a/den_a and the factor
+    pairs: argmin_t's near-tie audit, the one place it loads fractions."""
+    from fractions import Fraction
+
+    return _cost_less(
+        Fraction(*_ratio(c)), Fraction(num_a, den_a), t1, Fraction(*pair1), t2, Fraction(*pair2)
+    )
 
 
 def argmin_t(
@@ -168,7 +186,6 @@ def argmin_t(
         return 0, (1, 1)
     log_c = math.log(c)
     best_t, best_pair, best_log = 0, (1, 1), k * log_c
-    exact = ()  # (c, alpha) as Fractions, built at the first tie audit
     for t in range(1, min(k * num_a // den_a, n) + 1):
         num, den = factor(t, -(-t * den_a // num_a))
         # k - t/alpha by correctly rounded int division, as float(Fraction)
@@ -181,10 +198,7 @@ def argmin_t(
         diff = log_cost - best_log
         if diff < -1e-12 or (
             diff <= 1e-12
-            and _cost_less(
-                *(exact := exact or (Fraction(*_ratio(c)), Fraction(num_a, den_a))),
-                t, Fraction(num, den), best_t, Fraction(*best_pair),
-            )
+            and _audit_less(c, num_a, den_a, t, (num, den), best_t, best_pair)
         ):
             best_t, best_pair, best_log = t, (num, den), log_cost
     return best_t, best_pair
@@ -196,7 +210,8 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
     The argmin_t of c^(k - t/alpha) / p(n, k, t, ceil(t/alpha)), with its
     cost profile.  The factor 1/p is the pair (C(n, t), favourable count),
     both read from cached Pascal rows, and only when argmin_t scans; p is
-    the winner's pair inverted, exactly.
+    the winner's pair inverted, exactly: the int 1 at t = 0, where X = {}
+    always succeeds, and a Fraction for t >= 1.
     """
     def factor(t: int, x: int) -> tuple[int, int]:
         # x = ceil(t/alpha) <= min(k, t), so the count is positive
@@ -204,7 +219,12 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
 
     t, (subsets, count) = argmin_t(n, k, alpha, c, factor)
     num, den = _ratio(alpha)
-    p = Fraction(count, subsets)
+    if t:
+        from fractions import Fraction
+
+        p = Fraction(count, subsets)
+    else:  # X = {} always succeeds, and the pair is (1, 1)
+        p = 1
     log_cost = ((k * num - t * den) / num) * math.log(c) - _log_fraction(p)
     return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
 
@@ -216,5 +236,7 @@ def kappa(n: int, p: int, q: int, r: int) -> Fraction:
     p-subset in exactly r elements; it scales the size of set-intersection
     families.  Requires n >= p >= r >= 1 and n - p + r >= q >= r.
     """
+    from fractions import Fraction
+
     _check_npqr(n, p, q, r)
     return Fraction(math.comb(n, q), math.comb(p, r) * math.comb(n - p, q - r))

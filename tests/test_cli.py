@@ -11,6 +11,7 @@ import re
 import site
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import amls
+from amls.bounds import CSV_HEADER, bound_table, format_csv_rows
 from amls.cli import main
 from amls.engine import RunConfig, brute_force_search, solve
 from amls.problems import (
@@ -42,6 +44,15 @@ def _child_env() -> dict:
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
     return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def _benchmark_grid():
+    """A 60 x 60 grid drawn like the benchmark's bounds ops: distinct alpha
+    in [1, 4] to 4 decimals, c in [1.01, 1024] to 5 significant digits."""
+    rng = random.Random(13)
+    alphas = sorted({f"{rng.uniform(1.0, 4.0):.4f}" for _ in range(120)}, key=float)
+    cs = sorted({f"{rng.uniform(1.01, 1024.0):.5g}" for _ in range(120)}, key=float)
+    return rng.sample(alphas, 60), rng.sample(cs, 60)
 
 
 @pytest.fixture
@@ -121,6 +132,50 @@ class TestBounds:
 
     def test_runtime_error_on_bad_domain(self, capsys):
         assert main(["bounds", "--alpha", "0.5", "--c", "2"]) == 2
+
+    def test_grid_is_the_table(self, tmp_path, capsys):
+        # built one alpha at a time, the text is still the whole table's
+        alphas, cs = [1, 1.5, 2, 3.7], [1, 1.1652, 2, 1024]
+        expected = "\n".join([CSV_HEADER, *format_csv_rows(bound_table(alphas, cs)), ""])
+        argv = ["bounds", "--alpha", "1,1.5,2,3.7", "--c", "1,1.1652,2,1024"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        path = tmp_path / "table.csv"
+        assert main([*argv, "--csv", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize(
+        "alpha,c,message",
+        [("2,nan", "inf", "c must be finite and >= 1, got inf"),
+         ("nan,2", "inf", "alpha must be finite and >= 1, got nan"),
+         # the first alpha's rows are made before the second one fails
+         ("2,nan", "2", "alpha must be finite and >= 1, got nan")],
+    )
+    def test_first_error_writes_nothing(self, alpha, c, message, tmp_path, capsys):
+        argv = ["bounds", "--alpha", alpha, "--c", c]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        path = tmp_path / "table.csv"
+        assert main([*argv, "--csv", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not path.exists()
+
+    def test_table_memory_is_near_its_text(self, tmp_path):
+        # the text, its encoded bytes and one alpha's reports and lines: a
+        # traced peak of 2.2 times the text, against 7.9 when every report
+        # and line was held beside the text at once
+        alphas, cs = _benchmark_grid()
+        argv = ["bounds", "--alpha", ",".join(alphas), "--c", ",".join(cs)]
+        path = tmp_path / "table.csv"
+        assert main(["bounds", "--alpha", "2", "--c", "2", "--csv", str(path)]) == 0  # binds bounds
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--csv", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(path.read_text())
 
     @pytest.mark.parametrize(
         "argv",
@@ -450,12 +505,7 @@ class TestGoldenReports:
     BOUNDS_DIGEST = "6a490574657c97dc8c93adb6ffe07e376b9656937312a201ddf52e57b51b8bd7"
 
     def test_bounds_table_is_pinned(self, tmp_path):
-        # a 60 x 60 grid drawn like the benchmark's bounds ops: distinct alpha
-        # in [1, 4] to 4 decimals, c in [1.01, 1024] to 5 significant digits
-        rng = random.Random(13)
-        alphas = sorted({f"{rng.uniform(1.0, 4.0):.4f}" for _ in range(120)}, key=float)
-        cs = sorted({f"{rng.uniform(1.01, 1024.0):.5g}" for _ in range(120)}, key=float)
-        alphas, cs = rng.sample(alphas, 60), rng.sample(cs, 60)
+        alphas, cs = _benchmark_grid()
         path = tmp_path / "bounds.csv"
         argv = ["bounds", "--alpha", ",".join(alphas), "--c", ",".join(cs), "--csv", str(path)]
         assert main(argv) == 0
@@ -576,7 +626,8 @@ LAYERS = ("bounds", "combinatorics", "engine", "families", "problems")
 # the stdlib modules it must not load (None: no module beyond its amls ones).
 # Brute force at n = 0 runs k = 0 alone, on X = {}, and needs no covering; a
 # deterministic solve at c = 1 (matching) has t = 0 at every k and needs no
-# family.
+# family.  A solve at c = 1, randomized or deterministic, has p = 1 exactly
+# at every k and builds no Fraction or Decimal, so it loads no rationals.
 _NEVER = ("numpy", "concurrent.futures", "typing")
 _NO_DATACLASSES = ("dataclasses", "inspect")
 _NO_RATIONALS = ("fractions", "decimal", "numbers")
@@ -592,8 +643,10 @@ IMPORT_TABLE = {
     ),
     "solve --problem vc --input {p3}": (_SOLVE, _NEVER),
     "solve --problem vc --deterministic --input {p3}": (f"{_SOLVE} amls.families", _NEVER),
-    "solve --problem vc --oracle matching --input {p3}": (_SOLVE, _NEVER),
-    "solve --problem vc --oracle matching --deterministic --input {p3}": (_SOLVE, _NEVER),
+    "solve --problem vc --oracle matching --input {p3}": (_SOLVE, _NEVER + _NO_RATIONALS),
+    "solve --problem vc --oracle matching --deterministic --input {p3}": (
+        _SOLVE, _NEVER + _NO_RATIONALS,
+    ),
     "brute --problem vc --alpha 1.5 --input {p3}": (
         "amls amls.cli amls.engine amls.families amls.problems", _NEVER + _NO_RATIONALS,
     ),
