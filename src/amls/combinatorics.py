@@ -31,16 +31,17 @@ real t/alpha.
 
 ``argmin_t`` works on integers only: its factor(t, r) gets the threshold
 r = ceil(t/alpha) with t and returns a pair (num, den) of positive ints
-whose ratio is the factor, not necessarily in lowest terms, and a Fraction
-is built only for a near-tie audit.  It returns the winning t with its
-pair, (0, (1, 1)) at t = 0.  Both factors are reciprocal probabilities, so
-at least factor(0, 0) = 1; at c == 1 (a polynomial oracle) every t costs
-its factor alone, so ``argmin_t`` returns t = 0 without calling factor.
-``select_t`` feeds it C(n, t) over the favourable count, both read from
-cached Pascal rows, and computes its exact p, count / C(n, t), from the
-winner's pair.  ``fractions`` and ``decimal`` load only where a Fraction
-or a Decimal is built: a t >= 1 winner's p, ``kappa``, and the near-tie
-audit.  So a c == 1 solve, whose every t is 0, loads neither.  The
+whose ratio is the factor, not necessarily in lowest terms; a near-tie
+audit compares these pairs with those of c and alpha and builds no
+Fraction.  It returns the winning t with its pair, (0, (1, 1)) at t = 0.
+Both factors are reciprocal probabilities, so at least factor(0, 0) = 1;
+at c == 1 (a polynomial oracle) every t costs its factor alone, so
+``argmin_t`` returns t = 0 without calling factor.  ``select_t`` feeds it
+C(n, t) over the favourable count, read from Pascal rows n, k and n - k
+(the last four rows are cached), and computes its exact p,
+count / C(n, t), from the winner's pair.  ``fractions`` loads only for a
+t >= 1 winner's p and ``kappa``, ``decimal`` only in the audit's 60-digit
+fallback; a c == 1 solve, whose every t is 0, loads neither.  The
 reference definitions of the tail and of one t's cost profile, by
 ``math.comb`` alone, are ``hyper_tail`` and ``iteration_cost`` in
 ``tests/reference.py``; the tests check ``select_t`` against them.
@@ -59,7 +60,7 @@ from . import _EXPORTS, _at_least_one, _check_npqr, _ratio
 __all__ = _EXPORTS["combinatorics"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _pascal_row(m: int) -> tuple[int, ...]:
     """(C(m, 0), ..., C(m, m)), by the exact multiplicative recurrence."""
     row = [1] * (m + 1)
@@ -92,12 +93,6 @@ class IterationCost(namedtuple("IterationCost", "t log_cost p repetitions")):
     __slots__ = ()
 
 
-def _log_fraction(p) -> float:
-    # math.log on the big-int parts of a Fraction or an int; float(p) could
-    # under/overflow
-    return math.log(p.numerator) - math.log(p.denominator)
-
-
 def _validate_k(n: int, k: int, alpha, c) -> tuple[int, int, float]:
     """(num, den) of amls._ratio(alpha) and float(c), once k is in [0, n/alpha]."""
     _at_least_one("alpha", alpha)
@@ -111,60 +106,33 @@ def _validate_k(n: int, k: int, alpha, c) -> tuple[int, int, float]:
 _TIE_DIGITS = 60
 
 
-def _decimal_ln(x: Fraction) -> Decimal:
-    from decimal import Decimal
+def _cost_less(c, a, t1: int, f1, t2: int, f2) -> bool:
+    """Whether f1 * c^(-t1/a) < f2 * c^(-t2/a), for the int pairs (num, den)
+    c = (p, q), a = (A, B), f1 = (n1, d1) and f2 = (n2, d2), not necessarily
+    in lowest terms: the tie audit when two log costs agree to float noise.
 
-    return Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
-
-
-@lru_cache(maxsize=None)
-def _tie_ln_c(c_exact: Fraction) -> Decimal:
-    """_decimal_ln(c) at _TIE_DIGITS digits, computed once per c."""
-    from decimal import localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = _TIE_DIGITS
-        return _decimal_ln(c_exact)
-
-
-def _cost_less(
-    c_exact: Fraction, a: Fraction, t1: int, f1: Fraction, t2: int, f2: Fraction
-) -> bool:
-    """Whether f1 * c^(-t1/a) < f2 * c^(-t2/a).
-
-    Used as a tie audit when two log costs agree to within float noise.
-    With a = A/B, c = p/q and d = t1 - t2, raising both sides to the power
-    A gives (num1*den2)^A * q^(dB) < (num2*den1)^A * p^(dB) (p and q swap
-    sides when d < 0), compared exactly while A < 256 and |d|*B <= 64.
-    Otherwise both sides are compared as logarithms at 60 significant
-    digits, with d/a as the quotient dB/A rounded once, and f1's side
-    counts as less only when it is below by more than 1e-50, so an exact
-    tie is not less; that cost is fixed whatever the size of a's numerator.
+    With d = t1 - t2, raising both sides to the power A gives
+    (n1*d2)^A * q^(dB) < (n2*d1)^A * p^(dB) (p and q swap sides when d < 0),
+    compared exactly while A < 256 and |d|*B <= 64 (scaling a pair by g
+    scales both sides by a power of g alike); otherwise as logarithms at 60
+    significant digits, with d/a as the quotient dB/A rounded once, at a
+    cost fixed whatever the size of A.  f1's side counts as less there only
+    when below by more than 1e-50, so an exact tie is not less.
     """
+    (p, q), (num_a, den_a), (n1, d1), (n2, d2) = c, a, f1, f2
     d = t1 - t2
-    num_a, e = a.numerator, abs(d) * a.denominator
+    e = abs(d) * den_a
     if num_a < 256 and e <= 64:
-        p, q = c_exact.numerator, c_exact.denominator
         if d < 0:
             p, q = q, p
-        lhs = (f1.numerator * f2.denominator) ** num_a * q**e
-        return lhs < (f2.numerator * f1.denominator) ** num_a * p**e
+        return (n1 * d2) ** num_a * q**e < (n2 * d1) ** num_a * p**e
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
         ctx.prec = _TIE_DIGITS
-        gap = Decimal(d * a.denominator) / num_a * _tie_ln_c(c_exact)
-        return gap - (_decimal_ln(f1) - _decimal_ln(f2)) > Decimal("1e-50")
-
-
-def _audit_less(c: float, num_a: int, den_a: int, t1: int, pair1, t2: int, pair2) -> bool:
-    """_cost_less on the Fractions of c, alpha = num_a/den_a and the factor
-    pairs: argmin_t's near-tie audit, the one place it loads fractions."""
-    from fractions import Fraction
-
-    return _cost_less(
-        Fraction(*_ratio(c)), Fraction(num_a, den_a), t1, Fraction(*pair1), t2, Fraction(*pair2)
-    )
+        ln = lambda x: Decimal(x).ln()
+        gap = Decimal(d * den_a) / num_a * (ln(p) - ln(q))
+        return gap - ((ln(n1) - ln(d1)) - (ln(n2) - ln(d2))) > Decimal("1e-50")
 
 
 def argmin_t(
@@ -178,8 +146,9 @@ def argmin_t(
     factor, for t >= 1 and r = ceil(t/alpha) <= min(k, t); factor(0, 0) is 1
     and is not called.  At c == 1 the answer is 0 and factor is not called
     at all.  Otherwise comparison happens in log space; candidates within
-    1e-12 of the incumbent are re-compared by _cost_less, exactly or with
-    60-digit logarithms of the exact Fractions.  Ties keep the smaller t.
+    1e-12 of the incumbent are re-compared by _cost_less on the factor
+    pairs and the pairs of c and alpha, exactly or with 60-digit
+    logarithms.  Ties keep the smaller t.
     """
     num_a, den_a, c = _validate_k(n, k, alpha, c)
     if c == 1.0:  # cost = factor(t, r) >= 1 = factor(0, 0), and ties keep t = 0
@@ -198,7 +167,7 @@ def argmin_t(
         diff = log_cost - best_log
         if diff < -1e-12 or (
             diff <= 1e-12
-            and _audit_less(c, num_a, den_a, t, (num, den), best_t, best_pair)
+            and _cost_less(_ratio(c), (num_a, den_a), t, (num, den), best_t, best_pair)
         ):
             best_t, best_pair, best_log = t, (num, den), log_cost
     return best_t, best_pair
@@ -225,7 +194,9 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
         p = Fraction(count, subsets)
     else:  # X = {} always succeeds, and the pair is (1, 1)
         p = 1
-    log_cost = ((k * num - t * den) / num) * math.log(c) - _log_fraction(p)
+    # ln p on the big-int parts of p; float(p) could under/overflow
+    log_p = math.log(p.numerator) - math.log(p.denominator)
+    log_cost = ((k * num - t * den) / num) * math.log(c) - log_p
     return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
 
 

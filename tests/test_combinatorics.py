@@ -13,6 +13,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,9 @@ import pytest
 
 import amls
 from amls.bounds import brute_bound
-from amls.combinatorics import _cost_less, _pascal_row, argmin_t, kappa, select_t
+from amls.combinatorics import _cost_less, _favourable, _pascal_row, argmin_t, kappa, select_t
+from amls.engine import _plan
+from amls.problems import Graph, vc_exact_oracle
 from reference import (
     decimal_ratio,
     empirical_brute_exponent,
@@ -250,10 +253,11 @@ from amls.combinatorics import _cost_less, argmin_t, kappa, select_t
 def family_t(n, k, a, c):
     return argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())[0]
 
-a = Fraction(*amls._ratio(4 / 3))
+a_pair = amls._ratio(4 / 3)
+a = Fraction(*a_pair)
 # 4/a exceeds 3 by about 7.5e-17, so 8 * 2**(-4/a) is just below 1
-assert _cost_less(Fraction(2), a, 4, Fraction(8), 0, Fraction(1))
-assert not _cost_less(Fraction(2), a, 0, Fraction(1), 4, Fraction(8))
+assert _cost_less((2, 1), a_pair, 4, (8, 1), 0, (1, 1))
+assert not _cost_less((2, 1), a_pair, 0, (1, 1), 4, (8, 1))
 assert select_t(4, 1, 4 / 3, 4 ** (4 / 3)).t in (0, 1)
 assert family_t(4, 1, a, 4 ** (4 / 3)) in (0, 1)
 for k in range(16):
@@ -265,49 +269,136 @@ print("done")
 """
 
 
+# One argmin_t with select_t's factor, whose audit _cost_less counts; prints
+# the result, the number of audits, then which of fractions and decimal the
+# call loaded.  At (10, 6), alpha = 1, c = 2, t = 3 ties t = 2 on the exact
+# branch; at (4, 1), alpha = 4/3, c = 4**(4/3) (see FLOAT_ALPHA_AUDITS) the
+# tie takes the 60-digit branch.
+AUDIT_IMPORTS = """
+import sys
+from amls import combinatorics
+before = set(sys.modules)
+audit, audits = combinatorics._cost_less, []
+combinatorics._cost_less = lambda *args: audits.append(args) or audit(*args)
+n, k, alpha, c = {n}, {k}, {alpha}, {c}
+factor = lambda t, r: (combinatorics._pascal_row(n)[t], combinatorics._favourable(n, k, t, r))
+print(combinatorics.argmin_t(n, k, alpha, c, factor), len(audits))
+print(*sorted({{"fractions", "decimal"}} & (set(sys.modules) - before)))
+"""
+
+
+def _run_child(code, *flags):
+    """Runs code in a fresh interpreter (with flags) that imports this amls."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=_cap_address_space,
+    )
+
+
 def _cap_address_space():
     limit = 2 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+# Exact ties of select_t as _cost_less's int pairs (c, a, t1, f1, t2, f2):
+# f1 * c**(-t1/a) == f2 * c**(-t2/a).
+AUDIT_TIES = [
+    ((2, 1), (1, 1), 1, (2, 1), 0, (1, 1)),
+    ((9, 1), (3, 2), 3, (81, 1), 0, (1, 1)),
+    ((3, 2), (3, 2), 3, (9, 4), 0, (1, 1)),
+    ((3, 1), (2, 1), 10, (34, 1), 8, (34, 3)),
+    ((4, 1), (2, 1), 14, (575, 3), 12, (575, 12)),
+]
+NEAR_ONE = (10**30 + 1, 10**30)
+
+
+def _swapped(case):
+    c, a, t1, f1, t2, f2 = case
+    return c, a, t2, f2, t1, f1
+
+
+def _scaled(case, g=6):
+    # every pair times g: both sides of the comparison times one power of g
+    c, a, t1, f1, t2, f2 = case
+    (p, q), (num_a, den_a), (n1, d1), (n2, d2) = c, a, f1, f2
+    return (g * p, g * q), (g * num_a, g * den_a), t1, (g * n1, g * d1), t2, (g * n2, g * d2)
+
+
+def _as_300th_power(case):
+    # c**300 and 300 * a: the same costs, past the exact branch's A < 256
+    (p, q), (num_a, den_a), *rest = case
+    return ((p**300, q**300), (300 * num_a, den_a), *rest)
+
+
+# (case, whether f1's side is less): the ties either way round, and strict
+# inequalities either way round
+SCALING_CASES = [(case, False) for tie in AUDIT_TIES for case in (tie, _swapped(tie))] + [
+    (((2, 1), (1, 1), 0, (1, 1), 0, NEAR_ONE), True),
+    (((2, 1), (1, 1), 0, NEAR_ONE, 0, (1, 1)), False),
+    (((2, 1), (1, 1), 1, (3, 2), 0, (1, 1)), True),
+    (((2, 1), (1, 1), 0, (1, 1), 1, (3, 2)), False),
+]
+
+
 class TestTieAudit:
     def test_exact_tie_is_not_less(self):
         # 2 * 2**-1 == 1 * 2**0, either way round
-        assert not _cost_less(Fraction(2), Fraction(1), 1, Fraction(2), 0, Fraction(1))
-        assert not _cost_less(Fraction(2), Fraction(1), 0, Fraction(1), 1, Fraction(2))
+        assert not _cost_less((2, 1), (1, 1), 1, (2, 1), 0, (1, 1))
+        assert not _cost_less((2, 1), (1, 1), 0, (1, 1), 1, (2, 1))
         # 81 * 9**(-3/(3/2)) == 1 * 9**0
-        a = Fraction(3, 2)
-        assert not _cost_less(Fraction(9), a, 3, Fraction(81), 0, Fraction(1))
+        assert not _cost_less((9, 1), (3, 2), 3, (81, 1), 0, (1, 1))
         # the same costs as c**300 and 300 * a go through the 60-digit logs,
         # not the exact powers, and agree on these ties of select_t
-        for c, a, t1, f1, t2, f2 in [
-            (2, 1, 1, 2, 0, 1), (9, Fraction(3, 2), 3, 81, 0, 1),
-            (Fraction(3, 2), Fraction(3, 2), 3, Fraction(9, 4), 0, 1),
-            (3, 2, 10, 34, 8, Fraction(34, 3)), (4, 2, 14, Fraction(575, 3), 12, Fraction(575, 12)),
-        ]:
-            c, a, f1, f2 = Fraction(c), Fraction(a), Fraction(f1), Fraction(f2)
-            for args in ((c, a, t1, f1, t2, f2), (c, a, t2, f2, t1, f1)):
-                assert not _cost_less(*args)
-                assert not _cost_less(c**300, 300 * a, *args[2:])
+        for tie in AUDIT_TIES:
+            for case in (tie, _swapped(tie)):
+                assert not _cost_less(*case)
+                assert not _cost_less(*_as_300th_power(case))
 
     def test_tiny_margin_is_decided(self):
-        near_one = 1 + Fraction(1, 10**30)
-        assert _cost_less(Fraction(2), Fraction(1), 0, Fraction(1), 0, near_one)
-        assert not _cost_less(Fraction(2), Fraction(1), 0, near_one, 0, Fraction(1))
+        assert _cost_less((2, 1), (1, 1), 0, (1, 1), 0, NEAR_ONE)
+        assert not _cost_less((2, 1), (1, 1), 0, NEAR_ONE, 0, (1, 1))
+
+    @pytest.mark.parametrize("case,less", SCALING_CASES)
+    def test_scaled_pairs_give_the_reduced_answer(self, case, less):
+        # on the exact branch and through the 60-digit logarithms alike
+        _, (num_a, den_a), t1, _, t2, _ = _scaled(case)
+        assert num_a < 256 and abs(t1 - t2) * den_a <= 64  # the exact branch
+        assert _cost_less(*case) is less
+        assert _cost_less(*_scaled(case)) is less
+        assert _cost_less(*_as_300th_power(case)) is less
+        assert _cost_less(*_scaled(_as_300th_power(case))) is less
+
+    def test_argmin_keeps_the_unreduced_pair(self):
+        # at n = 10, k = 6, alpha = 1, c = 2, t = 2 and t = 3 both cost 48;
+        # the audit keeps t = 2 with select_t's pair (C(10, 2), count) as is
+        def factor(t, r):
+            return _pascal_row(10)[t], _favourable(10, 6, t, r)
+
+        assert argmin_t(10, 6, 1, 2.0, factor) == (2, (45, 15))
+        assert select_t(10, 6, 1, 2.0).p == Fraction(1, 3)
 
     def test_float_alpha_audits_return(self):
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
-        pythonpath = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", FLOAT_ALPHA_AUDITS],
-            capture_output=True, text=True, timeout=20,
-            env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
-            preexec_fn=_cap_address_space,
-        )
+        proc = _run_child(FLOAT_ALPHA_AUDITS)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["done"]
+
+    @pytest.mark.parametrize(
+        "n,k,alpha,c,loads",
+        [(10, 6, "1", "2.0", ""), (4, 1, "4 / 3", "4 ** (4 / 3)", "decimal")],
+    )
+    def test_audit_builds_no_fraction(self, n, k, alpha, c, loads):
+        # under -S no site hook loads a module first
+        proc = _run_child(AUDIT_IMPORTS.format(n=n, k=k, alpha=alpha, c=c), "-S")
+        assert proc.returncode == 0, proc.stderr
+        result, loaded = proc.stdout.split("\n")[:2]
+        assert not result.endswith(" 0"), result  # the call audited a tie
+        assert loaded == loads
 
 
 # The cost model's floats, pinned: select_t's (t, log_cost.hex(), p,
@@ -340,6 +431,11 @@ class TestCostModelDigest:
         assert h.hexdigest() == COST_MODEL_DIGEST
 
 
+def _pair(x):
+    """The (num, den) of x in lowest terms, as _cost_less takes it."""
+    return Fraction(x).as_integer_ratio()
+
+
 def reference_select_t(n, k, alpha, c):
     # the sampling argmin as written before argmin_t served both modes
     a, c = decimal_ratio(alpha), float(c)
@@ -351,7 +447,8 @@ def reference_select_t(n, k, alpha, c):
         if diff < -1e-12:
             best = cand
         elif diff <= 1e-12:
-            if _cost_less(c_exact, a, cand.t, 1 / cand.p, best.t, 1 / best.p):
+            if _cost_less(_pair(c_exact), _pair(a), cand.t, _pair(1 / cand.p),
+                          best.t, _pair(1 / best.p)):
                 best = cand
     return best
 
@@ -373,7 +470,8 @@ def reference_select_t_deterministic(n, k, alpha, c):
         diff = log_cost - best_log
         if diff < -1e-12 or (
             diff <= 1e-12
-            and _cost_less(c_exact, alpha, t, factor, best_t, best_factor)
+            and _cost_less(_pair(c_exact), _pair(alpha), t, _pair(factor), best_t,
+                           _pair(best_factor))
         ):
             best_t, best_r, best_factor, best_log = t, r, factor, log_cost
     return best_t, best_r
@@ -419,6 +517,23 @@ class TestArgminFold:
     def test_pascal_rows_match_comb(self):
         for m in range(201):
             assert list(_pascal_row(m)) == [math.comb(m, j) for j in range(m + 1)], m
+
+
+class TestPascalRowCache:
+    def test_randomized_plan_keeps_few_rows(self):
+        # one select_t reads rows n, k and n - k; a cache of every row a plan
+        # read held C(m, j) for all m <= n, 3.0 MB under tracemalloc at n = 400
+        ext = vc_exact_oracle(Graph(400, ()))
+        _pascal_row.cache_clear()
+        tracemalloc.start()
+        try:
+            rows = list(_plan(400, 1, "randomized", ext, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 401
+        assert peak < 1_000_000
+        assert _pascal_row.cache_info().currsize <= 4
 
 
 SHORT_CIRCUIT_NS = (8, 50, 200)

@@ -270,6 +270,11 @@ class TestGraphParser:
             ("p edge 2 1\ne 1 0\n", "line 2: vertex 0 outside 1..2"),
             ("p edge 2 1\ne 2 2\n", "line 2: loop edge on vertex 2"),
             ("p edge 3 1\ne 1 2 3\n", "line 2: edge lines take exactly two vertices"),
+            # int() alone reads underscores and non-ASCII digits; signs keep
+            # the range message
+            ("p edge 10 1\ne 1_0 2\n", "line 2: non-integer vertex '1_0'"),
+            ("p edge 2 1\ne \u0661 \u0662\n", "line 2: non-integer vertex '\u0661'"),
+            ("p edge 2 1\ne -1 2\n", "line 2: vertex -1 outside 1..2"),
         ],
     )
     def test_edge_errors_keep_their_messages(self, text, message):
@@ -282,6 +287,9 @@ class TestGraphParser:
         [
             ("p edge 3\n", "line 1: expected 'p edge <n> <m>'"),   # wrong field count
             ("p edge -1 0\n", "line 1: counts must be non-negative"),
+            ("p edge 2 -1\n", "line 1: counts must be non-negative"),
+            ("p edge 1_0 0\n", "line 1: non-integer counts in 'p edge 1_0 0'"),
+            ("p edge \u0662 0\n", "line 1: non-integer counts in 'p edge \u0662 0'"),
         ],
     )
     def test_header_errors_keep_their_messages(self, text, message):
@@ -331,6 +339,10 @@ class TestHypergraphParser:
             ("p hs3 3\n", "line 1: expected 'p hs3 <n> <m>'"),
             ("p hs3 3 1\ns 1 x\n", "line 2: non-integer vertex 'x'"),
             ("p hs3 3 1\ns 1 4\n", "line 2: vertex 4 outside 1..3"),
+            ("p hs3 3 1\ns 1 \uff12 3\n", "line 2: non-integer vertex '\uff12'"),
+            ("p hs3 3 1\ns 1_2\n", "line 2: non-integer vertex '1_2'"),
+            ("p hs3 3 1\ns -1\n", "line 2: vertex -1 outside 1..3"),
+            ("p hs3 1_0 0\n", "line 1: non-integer counts in 'p hs3 1_0 0'"),
         ],
     )
     def test_set_errors_keep_their_messages(self, text, message):
