@@ -111,6 +111,15 @@ def _ratio(x) -> tuple[int, int]:
     return num // a, den // a
 
 
+def _ascii(token: str) -> str:
+    """token, if it is ASCII and holds no '_', else ValueError naming it: the
+    package's one rule for number tokens on the command line and in instance
+    files, as int() and float() alone also read '1_0' and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII number: {token!r}")
+    return token
+
+
 def _check_npqr(n: int, p: int, q: int, r: int) -> None:
     """The one rule for (n, p, q, r)-set-intersection parameters:
     n >= p >= r >= 1 and n - p + r >= q >= r, else ValueError."""

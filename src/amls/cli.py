@@ -9,10 +9,12 @@ Subcommands:
   families  build and print a set-intersection family or covering
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (bad input file,
-construction limit exceeded, failed verification).  stdout carries data;
-diagnostics go to stderr.  Vertices in instance files and in the printed
-solutions are 1-based (DIMACS convention); JSON reports keep the engine's
-0-based internal ids.
+construction limit exceeded, failed verification).  Numeric options read
+ASCII tokens only, by the package's one token rule (``amls._ascii``), so
+'1_0' and non-ASCII digits are usage errors, as in instance files.  stdout
+carries data; diagnostics go to stderr.  Vertices in instance files and in
+the printed solutions are 1-based (DIMACS convention); JSON reports keep
+the engine's 0-based internal ids.
 
 Importing this module loads no other layer of the package.  Each
 subcommand binds the names it calls from the layers in ``_LAYERS`` when it
@@ -24,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, _lazy
+from . import __version__, _ascii, _lazy
 
 # layer -> the names this module calls from it
 _LAYERS = {
@@ -51,9 +53,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _strict(kind):
+    """kind (int or float) on the tokens amls._ascii admits, so that '1_0'
+    and non-ASCII digits are usage errors; argparse names it as kind."""
+    parse = lambda token: kind(_ascii(token))
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_int, _float = _strict(int), _strict(float)
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok != ""]
+        values = [_float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
     if not values:
@@ -82,31 +95,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=("vc", "hs3"), required=True)
     p.add_argument("--input", required=True, metavar="FILE", help="instance path, '-' for stdin")
     p.add_argument("--oracle", choices=("exact", "matching"), default="exact")
-    p.add_argument("--alpha", type=float, help="target ratio (>= the oracle's own ratio)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--boost", type=float, default=3.0, help="repetition multiplier")
+    p.add_argument("--alpha", type=_float, help="target ratio (>= the oracle's own ratio)")
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--boost", type=_float, default=3.0, help="repetition multiplier")
     p.add_argument("--deterministic", action="store_true", help="family-driven mode")
     p.add_argument("--stop-at-first", action="store_true", help="return at the first qualifying k")
-    p.add_argument("--max-repetitions", type=int, help="cap repetitions per k (degrades the guarantee)")
+    p.add_argument("--max-repetitions", type=_int, help="cap repetitions per k (degrades the guarantee)")
     p.add_argument("--json", metavar="PATH", help="write the JSON report here, '-' for stdout")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("brute", help="covering-driven search, no oracle")
     p.add_argument("--problem", choices=("vc", "hs3"), required=True)
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_float, required=True)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_brute)
 
     p = sub.add_parser("families", help="build a set-intersection family or covering")
     p.add_argument("--kind", choices=("intersection", "covering"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, help="target subset size (intersection)")
-    p.add_argument("--q", type=int, help="member size (intersection)")
-    p.add_argument("--r", type=int, help="required overlap (intersection)")
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--p", type=_int, help="target subset size (intersection)")
+    p.add_argument("--q", type=_int, help="member size (intersection)")
+    p.add_argument("--r", type=_int, help="required overlap (intersection)")
     p.add_argument("--strong", action="store_true", help="require overlap exactly r")
-    p.add_argument("--t", type=int, help="member size (covering)")
-    p.add_argument("--k", type=int, help="covered subset size (covering)")
+    p.add_argument("--t", type=_int, help="member size (covering)")
+    p.add_argument("--k", type=_int, help="covered subset size (covering)")
     p.add_argument("--out", metavar="PATH", help="write here, '-' for stdout (the default)")
     p.set_defaults(func=_cmd_families)
 

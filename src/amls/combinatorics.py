@@ -3,8 +3,9 @@
 Conventions used throughout this module:
 
   * n is the universe size, k the target solution size, t the sample size.
-  * Probabilities are exact: the int 1 where t = 0 (X = {} always
-    succeeds), else a ``fractions.Fraction`` in lowest terms, in (0, 1];
+  * Probabilities are exact: an int pair in lowest terms, read as the int
+    1 where t = 0 (X = {} always succeeds), else as a
+    ``fractions.Fraction`` in (0, 1];
     logarithms are taken only at the end, for cost comparison, so
     astronomically small tails never underflow.
   * alpha (the approximation ratio) enters integral expressions like
@@ -38,13 +39,14 @@ Both factors are reciprocal probabilities, so at least factor(0, 0) = 1;
 at c == 1 (a polynomial oracle) every t costs its factor alone, so
 ``argmin_t`` returns t = 0 without calling factor.  ``select_t`` feeds it
 C(n, t) over the favourable count, read from Pascal rows n, k and n - k
-(the last four rows are cached), and computes its exact p,
-count / C(n, t), from the winner's pair.  ``fractions`` loads only for a
-t >= 1 winner's p and ``kappa``, ``decimal`` only in the audit's 60-digit
-fallback; a c == 1 solve, whose every t is 0, loads neither.  The
-reference definitions of the tail and of one t's cost profile, by
-``math.comb`` alone, are ``hyper_tail`` and ``iteration_cost`` in
-``tests/reference.py``; the tests check ``select_t`` against them.
+(the last four rows are cached), and keeps the winner's pair, reduced:
+its exact p is count / C(n, t), and ceil(1/p) an int division of the
+pair.  ``fractions`` loads only where a t >= 1 profile's p is read, and in
+``kappa``; ``decimal`` only in the audit's 60-digit fallback.  So a
+randomized solve, whose plan reads the pair alone, loads neither outside
+that fallback.  The reference definitions of the tail and of one t's cost
+profile, by ``math.comb`` alone, are ``hyper_tail`` and ``iteration_cost``
+in ``tests/reference.py``; the tests check ``select_t`` against them.
 """
 
 from __future__ import annotations
@@ -81,16 +83,31 @@ def _favourable(n: int, k: int, t: int, x: int) -> int:
     return sum(map(operator.mul, _pascal_row(k)[lo : hi + 1], tail))
 
 
-class IterationCost(namedtuple("IterationCost", "t log_cost p repetitions")):
+class IterationCost(namedtuple("IterationCost", "t log_cost count subsets")):
     """Cost profile of one sample size t for a given (n, k, alpha, c).
 
-    log_cost = (k - t/alpha) * ln(c) - ln(p) where p is the exact success
-    probability of a single sample: the int 1 at t = 0, a Fraction
-    otherwise.  repetitions = ceil(1/p) is the number of samples needed for
-    constant success probability.
+    count / subsets, in lowest terms, is the exact success probability of a
+    single sample: the favourable count over C(n, t), reduced, and (1, 1) at
+    t = 0.  log_cost = (k - t/alpha) * ln(c) - ln(p), with ln(p) taken on
+    the two ints.  p and repetitions are read from the pair: p is the int 1
+    at t = 0 and a Fraction otherwise, built (and ``fractions`` loaded)
+    only when read; repetitions = ceil(1/p), by int division, is the number
+    of samples needed for constant success probability.
     """
 
     __slots__ = ()
+
+    @property
+    def p(self):
+        if not self.t:
+            return 1
+        from fractions import Fraction
+
+        return Fraction(self.count, self.subsets)
+
+    @property
+    def repetitions(self) -> int:
+        return -(-self.subsets // self.count)
 
 
 def _validate_k(n: int, k: int, alpha, c) -> tuple[int, int, float]:
@@ -178,26 +195,24 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
 
     The argmin_t of c^(k - t/alpha) / p(n, k, t, ceil(t/alpha)), with its
     cost profile.  The factor 1/p is the pair (C(n, t), favourable count),
-    both read from cached Pascal rows, and only when argmin_t scans; p is
-    the winner's pair inverted, exactly: the int 1 at t = 0, where X = {}
-    always succeeds, and a Fraction for t >= 1.
+    both read from cached Pascal rows, and only when argmin_t scans; the
+    profile keeps the winner's pair inverted and reduced by math.gcd, so p
+    is exactly count / C(n, t) and log_cost is the float a Fraction's parts
+    give.
     """
     def factor(t: int, x: int) -> tuple[int, int]:
         # x = ceil(t/alpha) <= min(k, t), so the count is positive
         return _pascal_row(n)[t], _favourable(n, k, t, x)
 
     t, (subsets, count) = argmin_t(n, k, alpha, c, factor)
+    g = math.gcd(count, subsets)  # (1, 1) at t = 0, where X = {} always succeeds
+    count, subsets = count // g, subsets // g
     num, den = _ratio(alpha)
-    if t:
-        from fractions import Fraction
-
-        p = Fraction(count, subsets)
-    else:  # X = {} always succeeds, and the pair is (1, 1)
-        p = 1
-    # ln p on the big-int parts of p; float(p) could under/overflow
-    log_p = math.log(p.numerator) - math.log(p.denominator)
+    # ln p on the reduced pair, as on a Fraction's parts; a float p could
+    # under/overflow
+    log_p = math.log(count) - math.log(subsets)
     log_cost = ((k * num - t * den) / num) * math.log(c) - log_p
-    return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
+    return IterationCost(t, log_cost, count, subsets)
 
 
 def kappa(n: int, p: int, q: int, r: int) -> Fraction:

@@ -251,8 +251,8 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
             cost = select_t(n, k, alpha, ext.c)
             t = cost.t
             if alpha_k < n and not (t == 0 and ext.success_prob == 1):
-                p = cost.p  # ceil(boost / p), exactly
-                reps = -(-b_num * p.denominator // (b_den * p.numerator))
+                # ceil(boost / p), exactly, on p's pair count / subsets
+                reps = -(-b_num * cost.subsets // (b_den * cost.count))
         if t and mode != "randomized":
             _bind("families")
             check_limit(n, "brute-force search" if mode == "brute" else "deterministic mode")

@@ -47,7 +47,7 @@ import random
 from collections import defaultdict, namedtuple
 from itertools import combinations
 
-from . import _EXPORTS
+from . import _EXPORTS, _ascii
 from .engine import ExtensionOracle, MonotoneInstance
 
 __all__ = _EXPORTS["problems"]
@@ -242,14 +242,6 @@ def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:
 # -------------------------------------------------------------------- parsing
 
 
-def _int(token: str) -> int:
-    """int(token) for ASCII digits with an optional sign, else ValueError:
-    int() alone also reads '1_0' and non-ASCII digits."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(token)
-    return int(token)
-
-
 def _parse_sets(text, kind, tag, sizes, size_error, repeat_error):
     """n and the sets of the instance text: a ``p <kind> <n> <m>`` header and
     m ``<tag>`` lines, each holding a number in sizes of distinct 1-based
@@ -269,7 +261,7 @@ def _parse_sets(text, kind, tag, sizes, size_error, repeat_error):
             if len(fields) != 4 or fields[1] != kind:
                 raise ParseError(line_no, f"expected 'p {kind} <n> <m>'")
             try:
-                n, m = _int(fields[2]), _int(fields[3])
+                n, m = int(_ascii(fields[2])), int(_ascii(fields[3]))
             except ValueError:
                 raise ParseError(line_no, f"non-integer counts in {' '.join(fields)!r}") from None
             if n < 0 or m < 0:
@@ -283,7 +275,7 @@ def _parse_sets(text, kind, tag, sizes, size_error, repeat_error):
             vs = []
             for token in fields[1:]:
                 try:
-                    v = _int(token)
+                    v = int(_ascii(token))
                 except ValueError:
                     raise ParseError(line_no, f"non-integer vertex {token!r}") from None
                 if not 1 <= v <= n:

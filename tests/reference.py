@@ -74,7 +74,7 @@ def iteration_cost(n: int, k: int, t: int, alpha, c) -> IterationCost:
     p = hyper_tail(n, k, t, -(-t * den // num))
     log_p = math.log(p.numerator) - math.log(p.denominator)
     log_cost = ((k * num - t * den) / num) * math.log(c) - log_p
-    return IterationCost(t=t, log_cost=log_cost, p=p, repetitions=math.ceil(1 / p))
+    return IterationCost(t, log_cost, p.numerator, p.denominator)
 
 
 def decimal_ratio(x) -> Fraction:

@@ -622,12 +622,16 @@ PACKAGE_EXPORTS = {
 LAYERS = ("bounds", "combinatorics", "engine", "families", "problems")
 
 # One row per command: its argv ("" imports amls alone; {p3} is a 3-vertex
-# path, {empty} the 0-vertex graph), the amls modules it loads, exactly, and
-# the stdlib modules it must not load (None: no module beyond its amls ones).
-# Brute force at n = 0 runs k = 0 alone, on X = {}, and needs no covering; a
-# deterministic solve at c = 1 (matching) has t = 0 at every k and needs no
-# family.  A solve at c = 1, randomized or deterministic, has p = 1 exactly
-# at every k and builds no Fraction or Decimal, so it loads no rationals.
+# path, {empty} the 0-vertex graph, {two} two 3-sets that vertex 2 hits),
+# the amls modules it loads, exactly, and the stdlib modules it must not
+# load (None: no module beyond its amls ones).  Brute force at n = 0 runs
+# k = 0 alone, on X = {}, and needs no covering; a deterministic solve at
+# c = 1 (matching) has t = 0 at every k and needs no family.  A randomized
+# solve plans its repetitions on select_t's int pair and a solve at c = 1
+# has p = 1 exactly at every k, so neither builds a Fraction or a Decimal
+# and neither loads rationals; at alpha 1.3333333333333333 the near-tie
+# audit may take its 60-digit Decimal branch, so that row forbids only
+# fractions.  A deterministic solve at c > 1 reads kappa, a Fraction.
 _NEVER = ("numpy", "concurrent.futures", "typing")
 _NO_DATACLASSES = ("dataclasses", "inspect")
 _NO_RATIONALS = ("fractions", "decimal", "numbers")
@@ -641,7 +645,12 @@ IMPORT_TABLE = {
     "families --kind intersection --n 6 --p 3 --q 3 --r 2 --strong": (
         "amls amls.cli amls.families", _NEVER + _NO_DATACLASSES + _NO_RATIONALS,
     ),
-    "solve --problem vc --input {p3}": (_SOLVE, _NEVER),
+    "solve --problem vc --input {p3}": (_SOLVE, _NEVER + _NO_RATIONALS),
+    "solve --problem vc --alpha 2 --input {p3}": (_SOLVE, _NEVER + _NO_RATIONALS),
+    "solve --problem vc --alpha 1.3333333333333333 --input {p3}": (
+        _SOLVE, _NEVER + ("fractions",),
+    ),
+    "solve --problem hs3 --input {two}": (_SOLVE, _NEVER + _NO_RATIONALS),
     "solve --problem vc --deterministic --input {p3}": (f"{_SOLVE} amls.families", _NEVER),
     "solve --problem vc --oracle matching --input {p3}": (_SOLVE, _NEVER + _NO_RATIONALS),
     "solve --problem vc --oracle matching --deterministic --input {p3}": (
@@ -696,15 +705,17 @@ def import_row(tmp_path_factory):
     """Runs one CLI argv, an IMPORT_TABLE row or any other, once per module,
     in a fresh -S interpreter, and returns (the modules it loaded, its stdout
     lines before that list, whether numpy was importable there, its exit
-    code, its stderr, the imports it started, in order).  {p3}, {empty} and
-    {n15} (G(15, 0.3), one vertex over the size limit) in argv name graph
-    files.  preload=False loads no dataclasses first, whatever the row
-    allows."""
+    code, its stderr, the imports it started, in order).  {p3}, {empty},
+    {n15} (G(15, 0.3), one vertex over the size limit) and {two} in argv
+    name instance files.  preload=False loads no dataclasses first,
+    whatever the row allows."""
     root = tmp_path_factory.mktemp("import_rows")
     paths = {name: root / f"{name}.col" for name in ("p3", "empty", "n15")}
+    paths["two"] = root / "two.hs3"
     paths["p3"].write_text(P3_TEXT)
     paths["empty"].write_text("p edge 0 0\n")
     paths["n15"].write_text(_graph_text(gen_gnp(15, 0.3, seed=15)))
+    paths["two"].write_text("p hs3 4 2\ns 1 2 3\ns 2 3 4\n")
 
     @functools.cache
     def run(argv, preload=True):
@@ -1037,6 +1048,77 @@ class TestNonFinite:
         assert proc.stdout == ""
         if argv[0] == "brute":  # the message solve and bounds give
             assert proc.stderr == f"error: alpha must be finite and >= 1, got {argv[4]}\n"
+
+
+# Every numeric option with a value it accepts in ASCII: {p3} names the
+# 3-vertex path.  int() and float() also read that value with an underscore
+# and in Arabic-Indic or fullwidth digits; the CLI rejects those as usage
+# errors, as the instance parser does.
+NUMERIC_OPTIONS = [
+    ("bounds --c 2 --alpha {}", "1.5"),
+    ("bounds --alpha 2 --c {}", "2"),
+    ("bounds --c 2 --alpha 2,{}", "1.5"),
+    ("solve --problem vc --input {p3} --alpha {}", "1.5"),
+    ("solve --problem vc --input {p3} --boost {}", "9"),
+    ("solve --problem vc --input {p3} --seed {}", "10"),
+    ("solve --problem vc --input {p3} --max-repetitions {}", "14"),
+    ("brute --problem vc --input {p3} --alpha {}", "1.5"),
+    ("families --kind covering --t 3 --k 2 --n {}", "5"),
+    ("families --kind covering --n 5 --k 2 --t {}", "3"),
+    ("families --kind covering --n 5 --t 3 --k {}", "2"),
+    ("families --kind intersection --p 3 --q 3 --r 2 --n {}", "6"),
+    ("families --kind intersection --n 6 --q 3 --r 2 --p {}", "3"),
+    ("families --kind intersection --n 6 --p 3 --r 2 --q {}", "3"),
+    ("families --kind intersection --n 6 --p 3 --q 3 --r {}", "2"),
+]
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _numeric_argv(template, token, p3_file):
+    return [arg.format(token, p3=p3_file) for arg in template.split()]
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize("template,value", NUMERIC_OPTIONS)
+    def test_ascii_value_runs(self, template, value, p3_file, capsys):
+        assert main(_numeric_argv(template, value, p3_file)) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("spelling", ["underscore", "arabic-indic", "fullwidth"])
+    @pytest.mark.parametrize("template,value", NUMERIC_OPTIONS)
+    def test_other_spellings_are_usage_errors(self, template, value, spelling, p3_file,
+                                              capsys):
+        token = {
+            "underscore": f"0_{value}",
+            "arabic-indic": value.translate(_ARABIC_INDIC),
+            "fullwidth": value.translate(_FULLWIDTH),
+        }[spelling]
+        assert main(_numeric_argv(template, token, p3_file)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        option = template.split()[-2]
+        assert f"argument {option}: " in err and token in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["solve", "--boost", "inf"], "boost must be finite and >= 1, got inf"),
+         (["solve", "--boost", "nan"], "boost must be finite and >= 1, got nan"),
+         (["brute", "--alpha", "inf"], "alpha must be finite and >= 1, got inf"),
+         (["brute", "--alpha", "nan"], "alpha must be finite and >= 1, got nan")],
+    )
+    def test_inf_and_nan_keep_their_range_error(self, argv, message, p3_file, capsys):
+        assert main([*argv, "--problem", "vc", "--input", p3_file]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_exponents_and_long_decimals_run(self, p3_file, capsys):
+        assert main(["bounds", "--alpha", "1e12", "--c", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        for argv in (["solve", "--boost", "1e1"],
+                     ["solve", "--alpha", "1.3333333333333333"],
+                     ["brute", "--alpha", "1.3333333333333333"]):
+            assert main([*argv, "--problem", "vc", "--input", p3_file]) == 0, argv
+            assert capsys.readouterr().out.splitlines()[0] == "size 1", argv
 
 
 class TestTopLevel:

@@ -287,6 +287,15 @@ print(*sorted({{"fractions", "decimal"}} & (set(sys.modules) - before)))
 """
 
 
+LAZY_P = """
+import sys
+from amls.combinatorics import select_t
+cost = select_t(10, 6, 1, 2.0)
+print("fractions" in sys.modules, cost.repetitions, "fractions" in sys.modules)
+print(cost.p, "fractions" in sys.modules)
+"""
+
+
 def _run_child(code, *flags):
     """Runs code in a fresh interpreter (with flags) that imports this amls."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(amls.__file__)))
@@ -382,6 +391,16 @@ class TestTieAudit:
 
         assert argmin_t(10, 6, 1, 2.0, factor) == (2, (45, 15))
         assert select_t(10, 6, 1, 2.0).p == Fraction(1, 3)
+
+    def test_select_t_keeps_the_reduced_pair(self):
+        # select_t stores (15, 45) as (1, 3) and reads p and the repetitions
+        # from it; under -S, fractions loads only once p is read
+        cost = select_t(10, 6, 1, 2.0)
+        assert (cost.t, cost.count, cost.subsets, cost.repetitions) == (2, 1, 3, 3)
+        assert type(select_t(10, 0, 1, 2.0).p) is int
+        proc = _run_child(LAZY_P, "-S")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "3", "False", "1/3", "True"]
 
     def test_float_alpha_audits_return(self):
         proc = _run_child(FLOAT_ALPHA_AUDITS)

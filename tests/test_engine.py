@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import amls.engine as engine
-from amls import families
+from amls import _ratio, families
 from amls.combinatorics import select_t
 from amls.engine import (
     ExtensionOracle,
@@ -188,6 +188,26 @@ class TestStatistics:
         statistic = sum((o - expected) ** 2 / expected for o in counts.values())
         critical = 43.82  # upper 0.001 quantile of chi-square, df = 19: 43.8202
         assert statistic < critical
+
+
+class TestRepetitions:
+    # every randomized row draws exactly ceil(boost / p) samples, boost read
+    # as the decimal rational amls._ratio gives, so (1 - p)^reps <=
+    # exp(-boost); one sample decides k where floor(alpha*k) >= n, and where
+    # t = 0 and the oracle cannot fail
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("alpha", [1, 1.5, 2, 1.3333333333333333])
+    def test_reps_are_ceil_boost_over_p(self, alpha, c):
+        for success_prob in (1.0, 0.5):
+            oracle = ExtensionOracle(alpha, c, success_prob, lambda x, k, rng: None)
+            for boost in (1, 2.5, 3, 9):
+                b = Fraction(*_ratio(boost))
+                for n in range(31):
+                    for row in engine._plan(n, alpha, "randomized", oracle, boost):
+                        cost = select_t(n, row.k, alpha, c)
+                        one = row.alpha_k >= n or (row.t == 0 and success_prob == 1)
+                        reps = 1 if one else math.ceil(b / cost.p)
+                        assert (row.t, row.reps) == (cost.t, reps), (n, row.k, boost)
 
 
 class TestDeterministicMode:
