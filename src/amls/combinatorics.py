@@ -41,12 +41,14 @@ at c == 1 (a polynomial oracle) every t costs its factor alone, so
 C(n, t) over the favourable count, read from Pascal rows n, k and n - k
 (the last four rows are cached), and keeps the winner's pair, reduced:
 its exact p is count / C(n, t), and ceil(1/p) an int division of the
-pair.  ``fractions`` loads only where a t >= 1 profile's p is read, and in
-``kappa``; ``decimal`` only in the audit's 60-digit fallback.  So a
-randomized solve, whose plan reads the pair alone, loads neither outside
-that fallback.  The reference definitions of the tail and of one t's cost
-profile, by ``math.comb`` alone, are ``hyper_tail`` and ``iteration_cost``
-in ``tests/reference.py``; the tests check ``select_t`` against them.
+pair.  ``kappa`` returns its reduced int pair, which the deterministic
+plan hands ``argmin_t`` as is.  ``fractions`` loads only where a caller
+reads a t >= 1 profile's p; ``decimal`` only in the audit's 60-digit
+fallback.  So no solve, randomized or deterministic, loads either outside
+that fallback: every plan reads the pairs alone.  The reference
+definitions of the tail and of one t's cost profile, by ``math.comb``
+alone, are ``hyper_tail`` and ``iteration_cost`` in ``tests/reference.py``;
+the tests check ``select_t`` against them.
 """
 
 from __future__ import annotations
@@ -215,14 +217,17 @@ def select_t(n: int, k: int, alpha, c) -> IterationCost:
     return IterationCost(t, log_cost, count, subsets)
 
 
-def kappa(n: int, p: int, q: int, r: int) -> Fraction:
-    """C(n, q) / (C(p, r) * C(n-p, q-r)), exactly.
+def kappa(n: int, p: int, q: int, r: int) -> tuple[int, int]:
+    """C(n, q) / (C(p, r) * C(n-p, q-r)), exactly, as its int pair in lowest
+    terms: both counts divided by their math.gcd, the parts a Fraction of
+    them has.
 
     The reciprocal of the probability that a uniform q-subset meets a fixed
     p-subset in exactly r elements; it scales the size of set-intersection
-    families.  Requires n >= p >= r >= 1 and n - p + r >= q >= r.
+    families.  argmin_t takes the pair as the deterministic plan's factor.
+    Requires n >= p >= r >= 1 and n - p + r >= q >= r.
     """
-    from fractions import Fraction
-
     _check_npqr(n, p, q, r)
-    return Fraction(math.comb(n, q), math.comb(p, r) * math.comb(n - p, q - r))
+    subsets, exact = math.comb(n, q), math.comb(p, r) * math.comb(n - p, q - r)
+    g = math.gcd(subsets, exact)
+    return subsets // g, exact // g

@@ -232,7 +232,9 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     families.LIMIT, so a run over the limit plans no further either.
     Floors and ceilings are exact, on the int pairs alpha = num/den and
     boost = b_num/b_den of amls._ratio; only modes other than "brute" bind
-    the combinatorics layer.
+    the combinatorics layer.  The deterministic factor is kappa's reduced
+    int pair, read through this module's global (a wrapper installed there
+    sees each call), so no plan builds a Fraction.
     """
     _at_least_one("alpha", alpha)
     (num, den), (b_num, b_den) = _ratio(alpha), _ratio(boost)
@@ -244,9 +246,7 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
         if mode == "brute":
             t = alpha_k
         elif mode == "deterministic":
-            t = argmin_t(
-                n, k, alpha, ext.c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
-            )[0]
+            t = argmin_t(n, k, alpha, ext.c, lambda t, r: kappa(n, k, t, r))[0]
         else:
             cost = select_t(n, k, alpha, ext.c)
             t = cost.t

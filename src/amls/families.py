@@ -20,20 +20,29 @@ reproducible).  Greedy pays a factor of at most H(M), the M-th harmonic
 number, over the optimum, where M is the number of targets one candidate
 serves.
 
-The builder is pure Python over int bitsets.  Targets and candidates are
-indexed in combinations order, and a candidate's column is the bitset of
-the targets it serves.  Columns come from bit-sliced threshold counters
-shared along a depth-first walk of the candidates (``_columns``).  The
-greedy is Minoux's lazy greedy: a score only falls as targets get covered,
-so only candidates whose last count ties the current maximum are
-recounted, in index order, and the first whose recount keeps the maximum
-is the first maximum of a full recount.  That is the tie rule above.
+The builder is pure Python over int bitsets.  A candidate's column is the
+bitset of the targets it serves, and a Python int takes memory up to its
+highest set bit.  Candidates are indexed in combinations order, which fixes
+the tie rule.  Targets are indexed in colex order where a target must lie
+inside its candidate C (every covering): those targets all precede any
+target holding an element above max(C), so C's column is at most
+C(max(C) + 1, k) bits wide, and covering (14, 7, 5) holds 0.69 MB of
+columns against 0.92 MB in combinations order.  Every other family keeps
+combinations order for its targets, which measured narrower there: the
+(14, 8, 5, 5) family holds 0.63 MB of columns, and 0.83 MB in colex.  The
+order of the targets changes no count, so no pick.  Columns come from
+bit-sliced threshold counters shared along a depth-first walk of the
+candidates (``_columns``).  The greedy is Minoux's lazy greedy: a score
+only falls as targets get covered, so only candidates whose last count
+ties the current maximum are recounted, in index order, and the first
+whose recount keeps the maximum is the first maximum of a full recount.
+That is the tie rule above.
 
 Construction enumerates all p- and q-subsets, so its cost grows with
 C(n, p) * C(n, q).  One fixed universe-size limit, LIMIT = 14, gates every
 construction, verification and search that enumerates subsets; the
 largest construction it admits, C(14, 7) targets by C(14, 7) candidates,
-holds about 1.5 MB of columns.  Families are immutable once built.
+holds at most about 1.5 MB of columns.  Families are immutable once built.
 """
 
 from __future__ import annotations
@@ -71,18 +80,27 @@ class SetFamily(namedtuple("SetFamily", "n member_size members kind params")):
     __slots__ = ()
 
 
-def _containing(n: int, size: int) -> list[int]:
-    """elem[e]: bitset of the size-subsets of [n), in combinations order, holding e.
+def _containing(n: int, size: int, colex: bool) -> list[int]:
+    """elem[e]: bitset of the size-subsets of [n) holding e, indexed in
+    combinations order, or in colex order if colex.
 
-    The p-subsets of [a, n) are a + each (p - 1)-subset of [a + 1, n), then
-    the p-subsets of [a + 1, n); rows[p] holds the bitsets for suffix [a, n).
+    In combinations order the size-subsets of [a, n) are a + each
+    (size - 1)-subset of [a + 1, n), then the size-subsets of [a + 1, n); in
+    colex order those of [0, m) are the size-subsets of [0, m - 1), then
+    each (size - 1)-subset of [0, m - 1) + (m - 1).  rows[p] holds the
+    bitsets for the p-subsets of the suffix, or prefix, built so far.
     """
     rows = [[0] * n for _ in range(size + 1)]
-    for a in range(n - 1, -1, -1):
-        for p in range(min(size, n - a), 0, -1):
-            shift = comb(n - a - 1, p - 1)
-            rows[p] = [w | o << shift for w, o in zip(rows[p - 1], rows[p])]
-            rows[p][a] = (1 << shift) - 1
+    for m in range(1, n + 1):
+        for p in range(min(size, m), 0, -1):
+            if colex:  # add m - 1 to the prefix [0, m - 1)
+                a, shift = m - 1, comb(m - 1, p)
+                rows[p] = [w | o << shift for w, o in zip(rows[p], rows[p - 1])]
+                rows[p][a] = (1 << comb(m - 1, p - 1)) - 1 << shift
+            else:  # add a = n - m to the suffix [a + 1, n)
+                a, shift = n - m, comb(m - 1, p - 1)
+                rows[p] = [w | o << shift for w, o in zip(rows[p - 1], rows[p])]
+                rows[p][a] = (1 << shift) - 1
     return rows[size]
 
 
@@ -92,9 +110,11 @@ def _columns(n: int, target_size: int, member_size: int, lo: int, hi: int) -> li
     A depth-first walk over the candidates (member_size >= 1) keeps per
     prefix the counters ge[m], the targets meeting it in >= m elements;
     adding e sets ge[m] |= ge[m - 1] & elem[e].  Only counters that can still
-    reach ge[lo] or ge[hi + 1] are updated (the window).
+    reach ge[lo] or ge[hi + 1] are updated (the window).  Targets are in
+    colex order where each must lie inside its candidate (lo = target_size),
+    else in combinations order; the module docstring says why.
     """
-    elem = _containing(n, target_size)
+    elem = _containing(n, target_size, colex=lo == target_size)
     bounded = hi < min(target_size, member_size)  # else no count exceeds hi
     cap = hi + 1 if bounded else lo
     cols: list[int] = []

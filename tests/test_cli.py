@@ -631,7 +631,9 @@ LAYERS = ("bounds", "combinatorics", "engine", "families", "problems")
 # has p = 1 exactly at every k, so neither builds a Fraction or a Decimal
 # and neither loads rationals; at alpha 1.3333333333333333 the near-tie
 # audit may take its 60-digit Decimal branch, so that row forbids only
-# fractions.  A deterministic solve at c > 1 reads kappa, a Fraction.
+# fractions.  A deterministic solve at c > 1 weighs its rows by kappa's int
+# pair and builds its families on int bitsets, so it loads no rationals
+# either.
 _NEVER = ("numpy", "concurrent.futures", "typing")
 _NO_DATACLASSES = ("dataclasses", "inspect")
 _NO_RATIONALS = ("fractions", "decimal", "numbers")
@@ -651,7 +653,12 @@ IMPORT_TABLE = {
         _SOLVE, _NEVER + ("fractions",),
     ),
     "solve --problem hs3 --input {two}": (_SOLVE, _NEVER + _NO_RATIONALS),
-    "solve --problem vc --deterministic --input {p3}": (f"{_SOLVE} amls.families", _NEVER),
+    "solve --problem vc --deterministic --input {p3}": (
+        f"{_SOLVE} amls.families", _NEVER + _NO_RATIONALS,
+    ),
+    "solve --problem hs3 --deterministic --input {two}": (
+        f"{_SOLVE} amls.families", _NEVER + _NO_RATIONALS,
+    ),
     "solve --problem vc --oracle matching --input {p3}": (_SOLVE, _NEVER + _NO_RATIONALS),
     "solve --problem vc --oracle matching --deterministic --input {p3}": (
         _SOLVE, _NEVER + _NO_RATIONALS,

@@ -251,7 +251,7 @@ import amls
 from amls.combinatorics import _cost_less, argmin_t, kappa, select_t
 
 def family_t(n, k, a, c):
-    return argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio())[0]
+    return argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r))[0]
 
 a_pair = amls._ratio(4 / 3)
 a = Fraction(*a_pair)
@@ -440,9 +440,7 @@ class TestCostModelDigest:
                 for n in DIGEST_NS:
                     for k in range(math.floor(n / a) + 1):
                         cost = select_t(n, k, alpha, c)
-                        t = argmin_t(
-                            n, k, alpha, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
-                        )[0]
+                        t = argmin_t(n, k, alpha, c, lambda t, r: kappa(n, k, t, r))[0]
                         h.update(
                             f"{n} {k} {alpha!r} {c!r} {cost.t} {cost.log_cost.hex()} "
                             f"{cost.p} {cost.repetitions} {t}\n".encode()
@@ -481,7 +479,7 @@ def reference_select_t_deterministic(n, k, alpha, c):
     best_log = k * log_c
     for t in range(1, min(math.floor(alpha * k), n) + 1):
         r = math.ceil(Fraction(t) / alpha)
-        factor = kappa(n, k, t, r)
+        factor = Fraction(*kappa(n, k, t, r))
         log_cost = (
             math.log(factor.numerator) - math.log(factor.denominator)
             + float(k - Fraction(t) / alpha) * log_c
@@ -527,9 +525,7 @@ class TestArgminFold:
         for c in FOLD_CS:
             for n in FOLD_NS:
                 for k in range(math.floor(n / a) + 1):
-                    t = argmin_t(
-                        n, k, a, c, lambda t, r: kappa(n, k, t, r).as_integer_ratio()
-                    )[0]
+                    t = argmin_t(n, k, a, c, lambda t, r: kappa(n, k, t, r))[0]
                     want = reference_select_t_deterministic(n, k, a, c)
                     assert (t, math.ceil(t / a)) == want, (n, k, c)
 
@@ -668,13 +664,15 @@ class TestEmpiricalBruteExponent:
 
 class TestKappa:
     def test_examples(self):
-        assert kappa(4, 2, 2, 1) == Fraction(3, 2)
-        assert kappa(6, 4, 2, 2) == Fraction(15, 6)
-        assert kappa(5, 2, 2, 2) == 10
+        assert kappa(4, 2, 2, 1) == (3, 2)
+        assert Fraction(*kappa(6, 4, 2, 2)) == Fraction(15, 6)
+        assert kappa(5, 2, 2, 2) == (10, 1)
+        # in lowest terms: C(6, 2) = 15 over C(4, 2) * C(2, 0) = 6
+        assert kappa(6, 4, 2, 2) == (5, 2)
 
     def test_single_term_tail_identity(self):
-        assert kappa(5, 2, 2, 2) == 1 / hyper_tail(5, 2, 2, 2)
-        assert kappa(7, 3, 3, 3) == 1 / hyper_tail(7, 3, 3, 3)
+        assert Fraction(*kappa(5, 2, 2, 2)) == 1 / hyper_tail(5, 2, 2, 2)
+        assert Fraction(*kappa(7, 3, 3, 3)) == 1 / hyper_tail(7, 3, 3, 3)
 
     def test_point_probability_reciprocal(self):
         # 1/kappa equals the enumerated probability of hitting exactly r
@@ -685,7 +683,7 @@ class TestKappa:
                 for combo in combinations(range(n), q)
                 if len(target.intersection(combo)) == r
             )
-            assert 1 / kappa(n, p, q, r) == Fraction(hits, math.comb(n, q))
+            assert 1 / Fraction(*kappa(n, p, q, r)) == Fraction(hits, math.comb(n, q))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

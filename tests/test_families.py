@@ -4,6 +4,7 @@ import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -276,6 +277,21 @@ class TestLimits:
             tracemalloc.stop()
         assert peak <= 1.5 * columns, (peak, columns)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(14, 5, 7, 5, 7), (14, 6, 9, 6, 9), (14, 8, 5, 5, 5)],
+        ids=["covering-14-7-5", "covering-14-9-6", "family-14-8-5-5"],
+    )
+    def test_columns_take_at_most_three_quarters_of_full_width(self, args):
+        # an int takes memory up to its highest bit, so the summed bit
+        # lengths over len(cols) * C(14, p) is the share of full width the
+        # columns hold.  Coverings index their targets in colex order (0.656
+        # and 0.722; 0.904 and 0.967 in combinations order), the (14, 8, 5,
+        # 5) family in combinations order (0.722; 0.967 in colex)
+        cols = _columns(*args)
+        share = sum(col.bit_length() for col in cols) / (len(cols) * comb(14, args[1]))
+        assert share <= 0.75, share
+
     def test_default_limit_still_gates(self):
         with pytest.raises(LimitExceededError):
             build_covering(15, 3, 2)
@@ -355,16 +371,16 @@ class TestSizeBound:
         # a pair of [4) meets M = 5 of the C(4, 2) = 6 pairs, and 4 of them in
         # exactly one element: LP values 6/5 = 1/hyper_tail and 3/2 = kappa
         assert hyper_tail(4, 2, 2, 1) == Fraction(5, 6)
-        assert kappa(4, 2, 2, 1) == Fraction(3, 2)
+        assert Fraction(*kappa(4, 2, 2, 1)) == Fraction(3, 2)
         assert family_size_range(4, 2, 2, 1, False) == (2, Fraction(137, 60) * Fraction(6, 5))
         assert family_size_range(4, 2, 2, 1, True) == (2, Fraction(25, 12) * Fraction(3, 2))
         assert len(build_intersection_family(4, 2, 2, 1).members) == 2
         assert len(build_intersection_family(4, 2, 2, 1, strong=True).members) == 2
 
     def test_kappa_reciprocal_identity(self):
-        assert kappa(5, 2, 2, 2) == 1 / hyper_tail(5, 2, 2, 2)
-        assert Fraction(1) / kappa(8, 3, 4, 2) == hyper_tail(8, 3, 4, 2) - hyper_tail(
-            8, 3, 4, 3
+        assert Fraction(*kappa(5, 2, 2, 2)) == 1 / hyper_tail(5, 2, 2, 2)
+        assert 1 / Fraction(*kappa(8, 3, 4, 2)) == (
+            hyper_tail(8, 3, 4, 2) - hyper_tail(8, 3, 4, 3)
         )
 
 
