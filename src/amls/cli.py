@@ -9,9 +9,10 @@ Subcommands:
   families  build and print a set-intersection family or covering
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (bad input file,
-construction limit exceeded, failed verification).  Numeric options read
-ASCII tokens only, by the package's one token rule (``amls._ascii``), so
-'1_0' and non-ASCII digits are usage errors, as in instance files.  stdout
+construction limit exceeded, failed verification).  Usage errors are
+argparse's own, its exit 2 mapped to 1 in main.  Numeric options read ASCII
+tokens only, by the package's one token rule (``amls._ascii``), so '1_0'
+and non-ASCII digits are usage errors, as in instance files.  stdout
 carries data; diagnostics go to stderr.  Vertices in instance files and in
 the printed solutions are 1-based (DIMACS convention); JSON reports keep
 the engine's 0-based internal ids.
@@ -31,7 +32,7 @@ from . import __version__, _ascii, _lazy
 # layer -> the names this module calls from it
 _LAYERS = {
     "bounds": ("CSV_HEADER", "bound_table", "format_csv_rows"),
-    "engine": ("RunConfig", "brute_force_search", "solve"),
+    "engine": ("ExtensionOracle", "RunConfig", "brute_force_search", "solve"),
     "families": ("build_covering", "build_intersection_family", "family_to_text", "verify_family"),
     "problems": (
         "hs3_exact_oracle", "hs3_system", "parse_graph", "parse_hypergraph",
@@ -39,19 +40,6 @@ _LAYERS = {
     ),
 }
 _bind, __getattr__ = _lazy(globals(), _LAYERS)
-
-PRESETS = {
-    "vc-1.1": ([1.1], [1.1652]),  # 1.1-approximate vertex cover extension base
-    "dfvs-2": ([2.0], [1024.0]),  # 2-approximate directed feedback vertex set base
-}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
 
 def _strict(kind):
     """kind (int or float) on the tokens amls._ascii admits, so that '1_0'
@@ -75,7 +63,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="amls", description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(prog="amls", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -85,9 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Print one row per (alpha, c) pair of the cartesian "
         "product: the local-search base plus the brute/naive/emls benchmarks.",
     )
-    p.add_argument("--alpha", type=_float_list, help="comma-separated ratios, each >= 1")
-    p.add_argument("--c", type=_float_list, help="comma-separated oracle bases, each >= 1")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="a known (alpha, c) pair")
+    p.add_argument("--alpha", type=_float_list, required=True, help="comma-separated ratios, each >= 1")
+    p.add_argument("--c", type=_float_list, required=True, help="comma-separated oracle bases, each >= 1")
     p.add_argument("--csv", metavar="PATH", help="write CSV here, '-' for stdout (the default)")
     p.set_defaults(func=_cmd_bounds)
 
@@ -128,17 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bounds(args) -> int:
     _bind("bounds")
-    if args.preset is not None:
-        if args.alpha is not None or args.c is not None:
-            print("error: --preset conflicts with --alpha/--c", file=sys.stderr)
-            return 1
-        alphas, cs = PRESETS[args.preset]
-    else:
-        if args.alpha is None or args.c is None:
-            print("error: need --alpha and --c (or --preset)", file=sys.stderr)
-            return 1
-        alphas, cs = args.alpha, args.c
-    _write(_bounds_csv(alphas, cs), args.csv or "-")
+    _write(_bounds_csv(args.alpha, args.c), args.csv or "-")
     return 0
 
 
@@ -196,10 +173,8 @@ def _print_report(rep, json_path) -> None:
 
 def _cmd_solve(args) -> int:
     # problems, the largest module, compiles first, then engine, which it
-    # imports, and only then the stdlib they load: a lower peak RSS
+    # imports, and each before the stdlib they load: a lower peak RSS
     _bind("problems", "engine")
-    from dataclasses import replace
-
     parsed, inst = _load_instance(args)
     if args.problem == "vc":
         oracle = (vc_matching_oracle if args.oracle == "matching" else vc_exact_oracle)(parsed)
@@ -208,7 +183,8 @@ def _cmd_solve(args) -> int:
     else:
         oracle = hs3_exact_oracle(parsed)
     if args.alpha is not None:  # the range rule first, then the oracle's own ratio
-        ratio, oracle = oracle.alpha, replace(oracle, alpha=args.alpha)
+        ratio = oracle.alpha
+        oracle = ExtensionOracle(args.alpha, oracle.c, oracle.success_prob, oracle.extend)
         if args.alpha < ratio:
             raise ValueError(f"--alpha {args.alpha} is below the oracle's ratio {ratio}")
     cfg = RunConfig(
@@ -255,8 +231,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, amls 1
+        return 1 if exc.code else 0
     if getattr(args, "func", None) is None:
         parser.print_help(sys.stderr)
         return 1

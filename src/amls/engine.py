@@ -34,18 +34,17 @@ extension (the oracle with budget k - ceil(t/alpha), or none in brute
 force) and stopping (randomized stops at a k's first hit; the others visit
 every X).  A k whose X all have more elements than the best member found
 before it is skipped: every Z contains its X, so it cannot change the
-report.  Only total_samples and warnings differ from visiting it (in
-deterministic mode, whose k's share one generator, for an oracle whose
-answers do not depend on it, as with every shipped oracle).  In brute
-force, where |X| = floor(alpha*k) grows with k, the first k that hits is
-the last.
+report.  Only total_samples and warnings differ from visiting it.  In
+brute force, where |X| = floor(alpha*k) grows with k, the first k that
+hits is the last.
 
-Reproducibility: the iteration for target size k draws from one generator
-seeded with the string "seed:k:0" (the trailing 0 keeps reports identical
-to earlier releases) and stops at its first qualifying hit; the result is
-the (size, lexicographic) minimum over all k.  So identical (instance,
-oracle, RunConfig) produce bit-identical reports.  The engine draws each X
-itself, with the generator's getrandbits calls that
+Reproducibility: in every mode the iteration for target size k draws
+from, and hands its oracle, its own generator seeded with the string
+"seed:k:0" (the trailing 0 keeps reports identical to earlier releases),
+so a skipped k changes no other k's draws.  Randomized mode stops at a k's
+first qualifying hit; the result is the (size, lexicographic) minimum over
+all k.  So identical (instance, oracle, RunConfig) produce bit-identical
+reports.  The engine draws each X itself, with the getrandbits calls that
 random.sample(range(n), t) makes, so each X, and the generator's state
 after it, are those random.sample gives, without its per-draw overhead.
 
@@ -118,9 +117,9 @@ class RunConfig(
 ):
     """Knobs for a solving run.
 
-    seed names the run's random streams: randomized mode draws the samples
-    for target size k from a generator seeded with "seed:k:0", and
-    deterministic mode hands its oracle one seeded "seed:deterministic".
+    seed names the run's random streams: each target size k, in every mode,
+    has one generator seeded with "seed:k:0", which draws k's samples in
+    randomized mode and is handed to the oracle.
     deterministic makes solve search families instead of samples.  boost,
     finite and >= 1, multiplies the baseline ceil(1/p) repetition count,
     pushing the per-k failure probability below exp(-boost * success_prob).
@@ -284,7 +283,6 @@ def _run(
     rows = _plan(n, alpha, mode, ext, cfg.boost)
     if mode != "randomized":
         rows = reversed(list(rows))
-        rng = random.Random(f"{cfg.seed}:deterministic")
     best, k_found, samples, warnings = (n, tuple(range(n))), -1, 0, []
     for k, t, r, alpha_k, reps in rows:
         if t > best[0]:  # every Z contains its X, so none can beat the best
@@ -295,8 +293,8 @@ def _run(
                 f"(needed {reps}); success guarantee degraded"
             )
             reps = cfg.max_repetitions
+        rng = random.Random(f"{cfg.seed}:{k}:0")
         if mode == "randomized":
-            rng = random.Random(f"{cfg.seed}:{k}:0")
             xs = _samples(rng, n, t, reps)
         elif t == 0:
             xs = (frozenset(),)

@@ -600,6 +600,25 @@ class TestSkippedK:
         assert built == sizes
         assert rep.size == best[0] and inst.membership(frozenset(rep.solution))
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_deterministic_hands_each_k_its_own_generator(self, seed):
+        # a skipped k leaves no generator state behind for a later k: the
+        # oracle of each visited k gets a fresh generator seeded "seed:k:0"
+        oracle = vc_exact_oracle(self.G)
+        handed, draws = [], []
+
+        def extend(x, budget, rng):
+            if not any(rng is g for g in handed):  # each held, so no id is reused
+                handed.append(rng)
+                draws.append((budget + len(x), rng.random()))  # alpha 1: r = |X|
+            return oracle.extend(x, budget, rng)
+
+        cfg = RunConfig(seed=seed, deterministic=True)
+        solve(vc_system(self.G), replace(oracle, extend=extend), cfg)
+        ks = [k for k, _ in draws]
+        assert ks == list(range(10))  # k = 10..12 are skipped, as above
+        assert draws == [(k, random.Random(f"{seed}:{k}:0").random()) for k in ks]
+
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_randomized_extends_no_x_larger_than_the_best(self, alpha):
         inst, best = self._tracked()
