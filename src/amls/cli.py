@@ -161,7 +161,8 @@ def _print_report(rep, json_path) -> None:
     print(f"size {rep.size}")
     print(" ".join(["solution", *(str(v + 1) for v in rep.solution)]))
     print(
-        f"mode={rep.mode} k_found={rep.k_found} samples={rep.total_samples} "
+        f"mode={rep.mode} k_found={rep.k_found} opt_lower={rep.opt_lower} "
+        f"samples={rep.total_samples} "
         f"elapsed={rep.elapsed:.3f}s warnings={len(rep.warnings)}",
         file=sys.stderr,
     )

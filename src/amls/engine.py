@@ -36,7 +36,13 @@ every X).  A k whose X all have more elements than the best member found
 before it is skipped: every Z contains its X, so it cannot change the
 report.  Only total_samples and warnings differ from visiting it.  In
 brute force, where |X| = floor(alpha*k) grows with k, the first k that
-hits is the last.
+hits is the last.  Every mode stops once the best member's size equals
+opt_lower, the lower bound on OPT its rows have proven: a k searched
+exhaustively (a brute covering, a deterministic family, or X = {} alone,
+with a sure oracle and no broken contract) that misses proves OPT > k.
+No later k can then find a smaller member, so only total_samples and
+warnings fall; the solution could change only to another optimum of the
+same size.
 
 Reproducibility: in every mode the iteration for target size k draws
 from, and hands its oracle, its own generator seeded with the string
@@ -126,9 +132,13 @@ class RunConfig(
     max_repetitions, an int >= 1, caps the repetitions of each k that runs
     and needs more than one sample; a capped k records a warning, as its
     success guarantee degrades.  A k skipped because its samples cannot beat
-    the best member is never capped.  stop_at_first returns at the first k whose iteration finds a
-    set of size <= alpha * k instead of finishing the loop.  Immutable;
-    validated on construction.
+    the best member is never capped.  stop_at_first returns at the first k
+    whose iteration finds a set of size <= alpha * k instead of finishing
+    the loop.  Every run stops anyway once its best is proven optimal
+    (RunReport.opt_lower), which at alpha 1 in brute force and
+    deterministic mode is that first hit; at alpha > 1 and in randomized
+    mode, where a row with t >= 1 proves nothing, the flag still returns
+    earlier.  Immutable; validated on construction.
     """
 
     __slots__ = ()
@@ -153,7 +163,8 @@ class RunConfig(
 class RunReport(
     namedtuple(
         "RunReport",
-        "instance n alpha c mode solution size k_found total_samples seed warnings elapsed",
+        "instance n alpha c mode solution size k_found total_samples seed warnings"
+        " opt_lower elapsed",
     )
 ):
     """Outcome of one solving run.
@@ -161,17 +172,29 @@ class RunReport(
     k_found is the loop index whose iteration produced the final solution,
     or -1 if nothing smaller than the full universe was found.
     total_samples counts the X handled over all k; a k whose X all have
-    more elements than the best member found before it is skipped and adds
-    none.  warnings names each k whose repetitions were capped and each k
+    more elements than the best member found before it is skipped, and a k
+    after the run proved its best optimal is not reached, so neither adds
+    any.  warnings names each k whose repetitions were capped and each k
     on which the oracle broke the contract: it returned a Y with X u Y not
     a member or larger than alpha * k.  Such samples count as misses.
-    elapsed is wall-clock seconds and is excluded from the JSON form.
+    opt_lower is a proven lower bound on OPT: 1 + the largest k whose
+    exhaustive row missed (brute force, deterministic mode, or t = 0, each
+    with a sure oracle and no broken contract), or 0 if none did; the run
+    stops once size equals it.  In brute force and deterministic mode, with
+    an oracle that keeps its contract, size <= floor(alpha * opt_lower): the
+    run certifies its own ratio.  The bound is only as good as the oracle's
+    None.  elapsed is wall-clock seconds.  Neither of the last two is in
+    the JSON form.
     """
 
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        data = {name: getattr(self, name) for name in self._fields if name != "elapsed"}
+        data = {
+            name: getattr(self, name)
+            for name in self._fields
+            if name not in ("opt_lower", "elapsed")
+        }
         return dict(data, solution=list(self.solution), warnings=list(self.warnings))
 
     def to_json(self) -> str:
@@ -275,7 +298,8 @@ def _run(
     smaller.  The oracle returning None is a miss; any other Z is a broken
     contract, recorded as one warning for k.  Without an oracle a non-member
     is a plain miss.  Randomized mode reads no further X of a k after its
-    first hit.
+    first hit.  A k that searched exhaustively and missed raises opt_lower
+    to k + 1, and the loop ends once the best's size is at most opt_lower.
     """
     start = time.perf_counter()
     n, membership = inst.n, inst.membership
@@ -284,6 +308,10 @@ def _run(
     if mode != "randomized":
         rows = reversed(list(rows))
     best, k_found, samples, warnings = (n, tuple(range(n))), -1, 0, []
+    # a miss proves OPT > k where the row searched exhaustively: brute's
+    # covering, a deterministic family, or X = {} alone, with a sure oracle
+    sure = ext is None or ext.success_prob == 1
+    opt_lower = 0
     for k, t, r, alpha_k, reps in rows:
         if t > best[0]:  # every Z contains its X, so none can beat the best
             continue
@@ -323,6 +351,10 @@ def _run(
             warnings.append(f"k={k}: oracle broke its contract on {broken} of {drawn} samples")
         if cfg.stop_at_first and hit:
             break
+        if not (hit or broken) and sure and (t == 0 or mode != "randomized"):
+            opt_lower = k + 1
+        if best[0] <= opt_lower:  # no later k can beat a proven optimum
+            break
     return RunReport(
         instance=inst.label,
         n=n,
@@ -335,6 +367,7 @@ def _run(
         total_samples=samples,
         seed=cfg.seed,
         warnings=tuple(warnings),
+        opt_lower=opt_lower,
         elapsed=time.perf_counter() - start,
     )
 

@@ -227,6 +227,21 @@ class TestSolve:
         last = capsys.readouterr().out.splitlines()[-1]
         assert json.loads(last)["solution"] == [1]  # JSON keeps 0-based ids
 
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [
+            # k = 0 and 1 miss exhaustively, so the hit at k = 2 is proven optimal
+            (["solve", "--deterministic"], "mode=deterministic k_found=2 opt_lower=2 samples=4"),
+            (["brute", "--alpha", "1"], "mode=brute k_found=2 opt_lower=2 samples=7"),
+            # the greedy matching has one edge: OPT >= 1, and size 2 = 2 * 1
+            (["solve", "--oracle", "matching"], "mode=randomized k_found=1 opt_lower=1 samples=2"),
+        ],
+    )
+    def test_summary_line_shows_the_proven_bound(self, argv, summary, k3_file, capsys):
+        assert main([*argv, "--problem", "vc", "--input", k3_file]) == 0
+        line = capsys.readouterr().err.splitlines()[0]
+        assert re.fullmatch(rf"{summary} elapsed=\d+\.\d{{3}}s warnings=0", line), line
+
     def test_hs3(self, tmp_path, capsys):
         path = tmp_path / "sets.hs3"
         path.write_text("p hs3 3 1\ns 1 2 3\n")
@@ -427,9 +442,12 @@ class TestGoldenReports:
     # oracles wrote them, with one sample at each k where t = 0 and the
     # oracle is sure and none at a k whose X are all larger than the best
     # (vc16 26 -> 23 and 27 -> 24, hs14 23 -> 17 twice, deterministic vc14
-    # 120 -> 94 and hs14 623 -> 187 samples; nothing else moved); the
-    # deterministic VC run uses G(14, 0.3) because families.LIMIT is 14
-    DIGEST = "e1e66b466925cc70b597fbafa52eea6c1e390525a6a4f86465959fbf131541d3"
+    # 120 -> 94 and hs14 623 -> 187 samples; nothing else moved), and
+    # with a run stopped once its best is proven optimal (deterministic vc14
+    # 94 -> 15 and hs14 187 -> 30; the four randomized runs, 23, 17, 24 and
+    # 17, stay); the deterministic VC run uses G(14, 0.3) because
+    # families.LIMIT is 14
+    DIGEST = "3afeb00010a18361553363f1de68ce0c774a23a9a8a593e5f0822152fca6b137"
 
     def test_seeded_reports_are_pinned(self, tmp_path, capsys):
         lines = _json_lines(_seeded_runs(tmp_path), capsys)
@@ -473,8 +491,10 @@ class TestGoldenReports:
     # warnings, as written while a k that one sample decides still warned
     # of a repetition cap: dropping that warning changes nothing else; with
     # the sample counts of the skipped k's taken out, as in DIGEST and
-    # LOOPS_DIGEST
-    REPORTS_BUT_WARNINGS_DIGEST = "67da62e6d1b5698fb9462e104a16848e46772b02ab1b1fcad8cd253ebb5cbeed"
+    # LOOPS_DIGEST, and of the k's after a proven optimum, as in DIGEST
+    # (deterministic vc14 94 -> 15 and hs14 187 -> 30; the matching and
+    # loops runs stay)
+    REPORTS_BUT_WARNINGS_DIGEST = "6e07d4a8964fb66606b1ae8986913c9e740ed57534f448cb27dee6061691c4a6"
 
     def test_reports_but_warnings_are_pinned(self, tmp_path, capsys):
         lines = _lines_without(("warnings",), tmp_path, capsys)
@@ -998,11 +1018,15 @@ class TestTracer:
 
     def test_wrappers_installed_before_the_call_stay(self, tmp_path):
         # the tracer wraps cli and engine names right after `import amls.cli`;
-        # binding a layer later must keep the wrappers
+        # binding a layer later must keep the wrappers.  At alpha 1 this run
+        # proves its best optimal at k = 5 (t = 0), before any row needs a
+        # family; at alpha 1.5 its best (5) stays above the proven bound (4)
+        # and rows with t >= 1 build theirs
         vc10 = tmp_path / "vc10.col"
         vc10.write_text(_graph_text(gen_gnp(10, 0.3, seed=10)))
         names = self._span_names(
-            tmp_path, "solve", "--problem", "vc", "--input", str(vc10), "--deterministic"
+            tmp_path, "solve", "--problem", "vc", "--input", str(vc10), "--deterministic",
+            "--alpha", "1.5",
         )
         assert {"cli.main", "cli.parse", "engine.solve", "families.build",
                 "combinatorics.kappa"} <= set(names)

@@ -6,6 +6,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -533,16 +534,24 @@ class TestFailedSamples:
     def test_t0_sample_with_a_sure_oracle_runs_once(self):
         # c = 1 selects t = 0 at every k, so X is always {}: a sure oracle is
         # asked once per k, an unsure one ceil(boost) = 3 times (9 k's, the
-        # last a universe hit)
+        # last a universe hit).  The sure oracle's None at k = 0..7 proves
+        # OPT > 7, falsely on this graph, so the universe is proven optimal
+        # one row early and k = 8 is not run: 8 samples, not 9
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
-        for success_prob, samples in ((1.0, 9), (0.5, 8 * 3 + 1)):
+        for success_prob, samples, opt_lower in ((1.0, 8, 8), (0.5, 8 * 3 + 1, 0)):
             oracle = ExtensionOracle(1.0, 1.0, success_prob, lambda x, k, rng: None)
-            assert solve(inst, oracle, RunConfig(seed=1)).total_samples == samples
+            rep = solve(inst, oracle, RunConfig(seed=1))
+            assert (rep.total_samples, rep.opt_lower) == (samples, opt_lower)
 
     def test_deterministic_visits_every_member(self):
+        # every member of each k that runs: 1 at k = 0..4 (t = 0), then the
+        # families of k = 5, 6 and 7 with 4, 6 and 4 members.  The oracle's
+        # None on all of them proves OPT > 7, falsely on this graph, so the
+        # universe is proven optimal one row early and the one member of
+        # k = 8 is not visited: 19 samples, not 20
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
         rep = solve(inst, self.NEVER, RunConfig(deterministic=True))
-        assert rep.total_samples == 20
+        assert rep.total_samples == 5 + 4 + 6 + 4 and rep.opt_lower == 8
         assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
 
 
@@ -580,7 +589,7 @@ class TestSkippedK:
         assert built == list(range(1, rep.k_found + 1)) == list(range(1, ks))
         assert rep.k_found < math.floor(12 / alpha)
 
-    @pytest.mark.parametrize("alpha, sizes", [(1.0, [2, 4, 6]), (1.5, [6, 9, 9])])
+    @pytest.mark.parametrize("alpha, sizes", [(1.0, [2]), (1.5, [6, 9, 9])])
     def test_deterministic_builds_no_family_larger_than_the_best(
         self, alpha, sizes, monkeypatch
     ):
@@ -595,8 +604,10 @@ class TestSkippedK:
         monkeypatch.setattr(engine, "build_intersection_family", build)
         oracle = replace(vc_exact_oracle(self.G), alpha=alpha)
         rep = solve(inst, oracle, RunConfig(deterministic=True))
-        # alpha 1 skips k = 10..12 (t = 8, 10, 12 > 7) and alpha 1.5 k = 8
-        # (t = 12 > 9)
+        # alpha 1 misses k = 0..6 with X = {}, so its hit at k = 7 (size 7)
+        # is proven optimal and no later k runs: k = 8 and 9 (t = 4, 6) once
+        # built their families here, while k = 10..12 (t = 8, 10, 12 > 7)
+        # were skipped; alpha 1.5 skips k = 8 (t = 12 > 9)
         assert built == sizes
         assert rep.size == best[0] and inst.membership(frozenset(rep.solution))
 
@@ -616,7 +627,9 @@ class TestSkippedK:
         cfg = RunConfig(seed=seed, deterministic=True)
         solve(vc_system(self.G), replace(oracle, extend=extend), cfg)
         ks = [k for k, _ in draws]
-        assert ks == list(range(10))  # k = 10..12 are skipped, as above
+        # k = 7's hit is proven optimal, so k = 8..12 do not run, as above;
+        # before that stop k = 8 and 9 ran and k = 10..12 were skipped
+        assert ks == list(range(8))
         assert draws == [(k, random.Random(f"{seed}:{k}:0").random()) for k in ks]
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
@@ -631,9 +644,77 @@ class TestSkippedK:
             return oracle.extend(x, k, rng)
 
         rep = solve(inst, replace(oracle, extend=extend), RunConfig(seed=1))
-        ts = {select_t(12, k, alpha, 2.0).t for k in range(math.floor(12 / alpha) + 1)}
-        assert max(ts) > rep.size == best[0]  # some k was skipped
-        assert seen == {t for t in ts if t <= rep.size}
+        ts = [select_t(12, k, alpha, 2.0).t for k in range(math.floor(12 / alpha) + 1)]
+        assert max(ts) > rep.size == best[0]  # some k has X larger than the best
+        # alpha 1 misses k = 0..6 with X = {} (t = 0, a sure oracle), so its
+        # hit at k = 7 is proven optimal and no later k runs; alpha 1.5 runs
+        # every k but the skipped ones
+        stopped = rep.size == rep.opt_lower
+        assert stopped == (alpha == 1.0)
+        last = rep.k_found if stopped else len(ts) - 1
+        assert seen == {t for t in ts[: last + 1] if t <= rep.size}
+
+
+def _stars(n):
+    """The star K(1, n - 1) centred at each vertex: its one minimum vertex
+    cover is its centre."""
+    return [Graph(n, [(c, v) for v in range(n) if v != c]) for c in range(n)]
+
+
+class TestProvenLowerBound:
+    # a row searched exhaustively that misses proves OPT > k, so opt_lower
+    # never exceeds the optimum conftest enumerates; brute and deterministic
+    # runs certify their own ratio, size <= floor(alpha * opt_lower); and a
+    # run that stops on the proof (size == opt_lower) returns an optimum.
+    # A star's only optimum is its centre, so the stars catch a brute
+    # covering that misses any one member at k = 1
+    GRAPHS = [gen_gnp(n, p, seed=n) for n in (5, 7, 9, 10) for p in (0.3, 0.5)] + _stars(6)
+    HYPERS = [
+        Hypergraph3(n, random.Random(n + m).sample(list(combinations(range(n), 3)), m))
+        for n, m in ((6, 6), (7, 10), (8, 14), (9, 12), (9, 20), (10, 16))
+    ]
+
+    def _cases(self, problem):
+        if problem == "vc":
+            return [(vc_system(g), vc_exact_oracle(g), exhaustive_vc_opt(g)) for g in self.GRAPHS]
+        return [(hs3_system(h), hs3_exact_oracle(h), exhaustive_hs_opt(h)) for h in self.HYPERS]
+
+    def _check(self, rep, opt, alpha):
+        assert rep.opt_lower <= opt <= rep.size
+        if rep.mode != "randomized":
+            assert rep.size <= math.floor(alpha * rep.opt_lower)
+        if rep.size <= rep.opt_lower:  # stopped on the proof
+            assert rep.size == opt
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("mode", ["brute", "deterministic", "randomized"])
+    @pytest.mark.parametrize("problem", ["vc", "hs3"])
+    def test_exact_oracles_and_brute(self, problem, mode, alpha):
+        reports = []
+        for inst, oracle, opt in self._cases(problem):
+            for seed in (0, 1) if mode == "randomized" else (0,):
+                if mode == "brute":
+                    rep = brute_force_search(inst, alpha)
+                else:
+                    cfg = RunConfig(seed=seed, deterministic=mode == "deterministic")
+                    rep = solve(inst, replace(oracle, alpha=alpha), cfg)
+                self._check(rep, opt, alpha)
+                reports.append((rep, opt))
+        assert any(rep.opt_lower == opt > 0 for rep, opt in reports)
+        if alpha == 1 and mode != "randomized":  # exact, so each run proves its optimum
+            assert all(rep.size == rep.opt_lower == opt for rep, opt in reports)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_matching_oracle(self, deterministic):
+        # at its own ratio 2 every row has t = 0, and the oracle's None
+        # proves OPT > k for each k below its greedy matching's size M, so
+        # opt_lower is M and the size, both ends of the matching, 2M
+        for g in self.GRAPHS:
+            oracle = vc_matching_oracle(g)
+            cfg = RunConfig(deterministic=deterministic)
+            rep = solve(vc_system(g), oracle, cfg)
+            self._check(rep, exhaustive_vc_opt(g), 2.0)
+            assert rep.size == 2 * rep.opt_lower == len(oracle.extend(frozenset(), g.n, None))
 
 
 class TestExhaustiveMinimum:
