@@ -15,7 +15,11 @@ member of the family:
                       oracle and keep the best; t minimizes c^(k-t/alpha) / p
                       with p the exact hypergeometric success probability.
                       Returns a solution of size <= alpha * OPT with
-                      probability >= 1 - exp(-boost * success_prob).  With
+                      probability >= 1 - exp(-boost * success_prob).  A sure
+                      oracle (success_prob 1) takes X = {} with one call
+                      instead wherever c^k <= ceil(boost / p) *
+                      c^(k-t/alpha): no row's cost rises, and the k = OPT
+                      row, if it takes X = {}, hits with certainty.  With
                       RunConfig(deterministic=True), X ranges instead over a
                       weak (n, k, t, ceil(t/alpha))-set-intersection family,
                       t minimizing kappa * c^(k-t/alpha): an unconditional
@@ -77,7 +81,7 @@ __all__ = _EXPORTS["engine"]
 _bind, __getattr__ = _lazy(
     globals(),
     {
-        "combinatorics": ("argmin_t", "kappa", "select_t"),
+        "combinatorics": ("_cost_less", "argmin_t", "kappa", "select_t"),
         "families": ("build_covering", "build_intersection_family", "check_limit"),
     },
 )
@@ -136,9 +140,11 @@ class RunConfig(
     whose iteration finds a set of size <= alpha * k instead of finishing
     the loop.  Every run stops anyway once its best is proven optimal
     (RunReport.opt_lower), which at alpha 1 in brute force and
-    deterministic mode is that first hit; at alpha > 1 and in randomized
-    mode, where a row with t >= 1 proves nothing, the flag still returns
-    earlier.  Immutable; validated on construction.
+    deterministic mode is that first hit, and in randomized mode too where
+    every row below it took X = {} (a sure oracle's one call, where that
+    costs no more than the samples); at alpha > 1, and in randomized mode
+    where a row with t >= 1 ran below the hit and proved nothing, the flag
+    still returns earlier.  Immutable; validated on construction.
     """
 
     __slots__ = ()
@@ -248,6 +254,12 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     sample decides k: where alpha_k >= n, the universe the run falls back
     to already qualifies, so no sample count can change the guarantee;
     where t = 0 and the oracle cannot fail, every sample is X = {} alike.
+    select_t prices one repetition, so with a sure oracle and alpha_k < n
+    the randomized row takes t = 0 with its one call wherever that total,
+    c^k, is at most reps * c^(k - t/alpha): decided as argmin_t decides,
+    by floats outside 1e-12 and by _cost_less on the int pairs within,
+    with ties to t = 0.  The row's cost only falls, and the k = OPT row, if
+    it takes X = {}, hits surely, so the exp(-boost) bound holds.
     Rows are made one k at a time: in randomized mode in ascending k, so a
     run that stops early plans no further; in the others from the largest
     k down, where a row with t >= 1 comes first, and each such row checks
@@ -275,6 +287,12 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
             if alpha_k < n and not (t == 0 and ext.success_prob == 1):
                 # ceil(boost / p), exactly, on p's pair count / subsets
                 reps = -(-b_num * cost.subsets // (b_den * cost.count))
+                if ext.success_prob == 1:  # c^k <= reps * c^(k - t/alpha)?
+                    gap = t * den / num * math.log(ext.c) - math.log(reps)
+                    if gap < -1e-12 or (gap <= 1e-12 and not _cost_less(
+                        _ratio(ext.c), (num, den), t, (reps, 1), 0, (1, 1)
+                    )):
+                        t, reps = 0, 1  # one call at X = {} costs no more
         if t and mode != "randomized":
             _bind("families")
             check_limit(n, "brute-force search" if mode == "brute" else "deterministic mode")
@@ -379,8 +397,10 @@ def solve(
 
     Randomized: for each k in [0, floor(n/alpha)], ceil(boost / p) uniform
     t-subsets X of the cost-minimizing size t, each extended with budget
-    k - ceil(t/alpha), up to the k's first hit.  With boost = 1 the returned
-    size is <= alpha * OPT with probability >= 1 - exp(-success_prob); boost
+    k - ceil(t/alpha), up to the k's first hit; with a sure oracle, X = {}
+    alone instead wherever its one call costs no more, c^k against
+    ceil(boost / p) * c^(k - t/alpha).  With boost = 1 the returned size is
+    <= alpha * OPT with probability >= 1 - exp(-success_prob); boost
     multiplies the exponent.  Deterministic, which needs success_prob == 1:
     every member of a weak (n, k, t, ceil(t/alpha))-set-intersection family
     instead, so the alpha-approximation holds unconditionally; rejected

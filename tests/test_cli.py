@@ -367,8 +367,10 @@ def _loops_runs(tmp_path):
         runs.append(["brute", "--problem", "vc", "--input", vc14, "--alpha", alpha])
         runs.append(["brute", "--problem", "hs3", "--input", hs14, "--alpha", alpha])
     runs.append(["solve", "--problem", "vc", "--input", vc16, "--stop-at-first", "--seed", "1"])
+    # at boost 1, as at boost 3 this run's rows up to its proven optimum all
+    # take X = {} with one call, which no cap touches
     runs.append(["solve", "--problem", "hs3", "--input", hs14, "--max-repetitions", "2",
-                 "--seed", "1"])
+                 "--seed", "1", "--boost", "1"])
     runs.append(["solve", "--problem", "vc", "--input", vc14, "--deterministic",
                  "--stop-at-first"])
     return runs
@@ -445,9 +447,12 @@ class TestGoldenReports:
     # 120 -> 94 and hs14 623 -> 187 samples; nothing else moved), and
     # with a run stopped once its best is proven optimal (deterministic vc14
     # 94 -> 15 and hs14 187 -> 30; the four randomized runs, 23, 17, 24 and
-    # 17, stay); the deterministic VC run uses G(14, 0.3) because
-    # families.LIMIT is 14
-    DIGEST = "3afeb00010a18361553363f1de68ce0c774a23a9a8a593e5f0822152fca6b137"
+    # 17, stay), and with a sure oracle's row taking X = {} with one call
+    # wherever that costs no more than its samples (the four randomized
+    # runs 23, 17, 24, 17 -> 11, 7, 11, 7 samples, each returning another
+    # optimum of the same size, now proven; the deterministic runs stay);
+    # the deterministic VC run uses G(14, 0.3) because families.LIMIT is 14
+    DIGEST = "eba332f90aa88b028675fb40b51f47c6e80b5ee45dd0f912307ce5be00d7b34c"
 
     def test_seeded_reports_are_pinned(self, tmp_path, capsys):
         lines = _json_lines(_seeded_runs(tmp_path), capsys)
@@ -468,8 +473,13 @@ class TestGoldenReports:
     # cap warning at a k that one sample decides; brute stops after its
     # first hit (vc14 615 -> 590 and 16384 -> 12911, hs14 615 -> 262 and
     # 16384 -> 6476 samples) and the capped run skips k = 9..13 (16 -> 10
-    # samples, 9 -> 4 warnings); nothing else moved
-    LOOPS_DIGEST = "0158c5ec94494d3803109903af6ffd689a6e49c52c8447b0f6a17e7d2f458ed8"
+    # samples, 9 -> 4 warnings); nothing else moved.  Then a sure oracle's
+    # row took X = {} with one call wherever that costs no more than its
+    # samples: the stop-at-first run went 20 -> 11 samples and returns
+    # another optimum of the same size; the capped run, which at boost 3
+    # would keep no warning, runs at boost 1 (7 samples and one warning,
+    # k = 6 capped at 2 of 7); the brute and deterministic runs stay
+    LOOPS_DIGEST = "8da182f572ddb63b67a0b8ae455528be11b30973ba67c0ab285fbb819ea279ee"
 
     def test_brute_stop_and_cap_reports_are_pinned(self, tmp_path, capsys):
         lines = _json_lines(_loops_runs(tmp_path), capsys)
@@ -480,8 +490,12 @@ class TestGoldenReports:
     # total_samples, as written before a t = 0 sample with a sure oracle
     # ran once (running it once changes the sample counts and nothing else),
     # with no cap warning at a k that one sample decides, and none at the
-    # k's 9..13 that the capped run skips
-    REPORTS_BUT_SAMPLES_DIGEST = "2bfa3815b45da71cc2f309d79cfea7017111cac2aa6cf3bb2c7c514c73368b3a"
+    # k's 9..13 that the capped run skips; re-pinned when a sure oracle's
+    # row took X = {} with one call wherever that costs no more than its
+    # samples, which moved five of the six randomized reports' solutions
+    # (the sizes stay) and the capped run's boost and warnings, as in
+    # LOOPS_DIGEST
+    REPORTS_BUT_SAMPLES_DIGEST = "0a1beb069dfe670ddbd1dd8eadc86c807e77f1665b009a31365de03150df9522"
 
     def test_reports_but_samples_are_pinned(self, tmp_path, capsys):
         lines = _lines_without(("total_samples",), tmp_path, capsys)
@@ -493,8 +507,10 @@ class TestGoldenReports:
     # the sample counts of the skipped k's taken out, as in DIGEST and
     # LOOPS_DIGEST, and of the k's after a proven optimum, as in DIGEST
     # (deterministic vc14 94 -> 15 and hs14 187 -> 30; the matching and
-    # loops runs stay)
-    REPORTS_BUT_WARNINGS_DIGEST = "6e07d4a8964fb66606b1ae8986913c9e740ed57534f448cb27dee6061691c4a6"
+    # loops runs stay); re-pinned with the one-call rule of
+    # REPORTS_BUT_SAMPLES_DIGEST, which moved the six randomized reports'
+    # samples, five of their solutions and the capped run's boost
+    REPORTS_BUT_WARNINGS_DIGEST = "b9adbb8b84eed273486a6e0ada0755d001ce617406f4d1ec13fb341aff37f0f6"
 
     def test_reports_but_warnings_are_pinned(self, tmp_path, capsys):
         lines = _lines_without(("warnings",), tmp_path, capsys)
@@ -503,8 +519,13 @@ class TestGoldenReports:
     # sha256 of the three sets of lines above and of the seeded corpus, each
     # report without both total_samples and warnings, recorded before a k
     # whose every X is larger than the best member was skipped: skipping it
-    # changes those two fields and nothing else
-    REPORTS_BUT_BOTH_DIGEST = "14f34a471974401659370eafa5b40140603dd94f309a4e765f46c33c895f19a1"
+    # changes those two fields and nothing else.  Re-pinned with the
+    # one-call rule of REPORTS_BUT_SAMPLES_DIGEST: beyond the CLI reports it
+    # moved there, it moved 24 of the corpus's 68 randomized reports in
+    # other fields than these two (43 in all) and no other report; sizes
+    # moved only at alpha > 1 (7 rose, 14 fell), each within
+    # floor(alpha * OPT)
+    REPORTS_BUT_BOTH_DIGEST = "741bce79b7377bcf257e66eec05f160f7621d2e2108f037947a04a92daf49728"
 
     def test_reports_but_samples_and_warnings_are_pinned(self, tmp_path, capsys):
         keys = ("total_samples", "warnings")

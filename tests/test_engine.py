@@ -156,10 +156,12 @@ class TestStatistics:
     def test_sampler_uniformity_chi_square(self):
         # the 3-subsets of a 6-universe that solve draws at k = 3,
         # where c = 4.5 picks t = 3 with p = 1/20, so boost 5000 asks for
-        # exactly 10^5 of them; reject only below significance 0.001.  No
+        # exactly 10^5 of them; reject only below significance 0.001.  The
+        # oracle is unsure (success_prob 0.5): a sure one would take t = 0
+        # with one call at k = 2 and 3 instead, as 4.5^3 < 10^5.  No
         # earlier k may hit, or k = 3 could not beat the best and would be
-        # skipped: k = 0, 1 pick t = 0 (one sample each) and k = 2 t = 1
-        # (p = 1/3, 15 000 samples), all misses
+        # skipped: k = 0, 1 pick t = 0 (ceil(5000) samples each) and k = 2
+        # t = 1 (p = 1/3, 15 000 samples), all misses
         costs = [select_t(6, k, 1.0, 4.5) for k in range(5)]
         assert [c.t for c in costs] == [0, 0, 1, 3, 4]
         assert (costs[2].p, costs[3].p) == (Fraction(1, 3), Fraction(1, 20))
@@ -173,12 +175,12 @@ class TestStatistics:
             return None if len(x) <= 3 else frozenset()
 
         recorder = ExtensionOracle(
-            alpha=1.0, c=4.5, success_prob=1.0, extend=recording_extend
+            alpha=1.0, c=4.5, success_prob=0.5, extend=recording_extend
         )
         inst = MonotoneInstance(n=6, membership=lambda s: len(s) >= 3)
         rep = solve(inst, recorder, RunConfig(seed=12345, boost=5000.0))
         assert (rep.size, rep.k_found) == (4, 4)
-        assert rep.total_samples == 1 + 1 + 15_000 + 100_000 + 1
+        assert rep.total_samples == 5000 + 5000 + 15_000 + 100_000 + 1
         assert len(draws) == 100_000
         counts: dict[frozenset, int] = {}
         for x in draws:
@@ -191,14 +193,38 @@ class TestStatistics:
         assert statistic < critical
 
 
+def _c_pow_at_most(c: int, s, bound) -> bool:
+    """Whether c**s <= bound, exactly, for an int c >= 2 that is no perfect
+    power and rationals s >= 0 and bound >= 1, by exact int powers alone: J
+    is the largest int with c**J <= bound**d, so log_c(bound) lies in
+    [J/d, (J + 1)/d), and d doubles until s falls outside that bracket.  A
+    float alpha such as 1.3333333333333333 makes s's denominator 10**16, too
+    large to raise bound to directly."""
+    s, bound, d = Fraction(s), Fraction(bound), 1
+    while True:
+        num, den = (bound**d).as_integer_ratio()
+        j = max(0, int((num.bit_length() - den.bit_length()) / math.log2(c)) - 1)
+        while c ** (j + 1) * den <= num:
+            j += 1
+        if s * d <= j:
+            return True
+        if s * d >= j + 1:
+            return False
+        d *= 2
+
+
 class TestRepetitions:
-    # every randomized row draws exactly ceil(boost / p) samples, boost read
-    # as the decimal rational amls._ratio gives, so (1 - p)^reps <=
-    # exp(-boost); one sample decides k where floor(alpha*k) >= n, and where
-    # t = 0 and the oracle cannot fail
+    # every randomized row at select_t's t draws exactly ceil(boost / p)
+    # samples, boost read as the decimal rational amls._ratio gives, so
+    # (1 - p)^reps <= exp(-boost); one sample decides k where
+    # floor(alpha*k) >= n, and where t = 0 and the oracle cannot fail.  A
+    # sure oracle's row takes t = 0 with its one call instead exactly where
+    # that costs no more, c^k <= reps * c^(k - t/alpha), i.e.
+    # c^(t/alpha) <= reps; so no row's predicted cost exceeds select_t's
     @pytest.mark.parametrize("c", [2, 3])
     @pytest.mark.parametrize("alpha", [1, 1.5, 2, 1.3333333333333333])
     def test_reps_are_ceil_boost_over_p(self, alpha, c):
+        a = decimal_ratio(alpha)
         for success_prob in (1.0, 0.5):
             oracle = ExtensionOracle(alpha, c, success_prob, lambda x, k, rng: None)
             for boost in (1, 2.5, 3, 9):
@@ -206,9 +232,28 @@ class TestRepetitions:
                 for n in range(31):
                     for row in engine._plan(n, alpha, "randomized", oracle, boost):
                         cost = select_t(n, row.k, alpha, c)
-                        one = row.alpha_k >= n or (row.t == 0 and success_prob == 1)
+                        one = row.alpha_k >= n or (cost.t == 0 and success_prob == 1)
                         reps = 1 if one else math.ceil(b / cost.p)
-                        assert (row.t, row.reps) == (cost.t, reps), (n, row.k, boost)
+                        call = success_prob == 1 and not one
+                        call = call and _c_pow_at_most(c, cost.t / a, reps)
+                        expected = (0, 1) if call else (cost.t, reps)
+                        assert (row.t, row.reps) == expected, (n, row.k, boost)
+                        # row.reps * c^(k - row.t/alpha) <= reps * c^(k - t/alpha)
+                        ratio = Fraction(reps, row.reps)
+                        assert _c_pow_at_most(c, (cost.t - row.t) / a, ratio)
+
+    def test_a_float_tie_is_decided_exactly(self):
+        # alpha 1.3333333333333333 is 13333333333333333 / 10**16, a hair
+        # below 4/3.  At n = 3, k = 2, c = 4 and boost 2.5, select_t's t = 2
+        # takes ceil(2.5 / p) = 8 samples, and 4^(2/alpha) exceeds 8 by a
+        # relative 5e-17, which the float screen reads as a tie; the exact
+        # audit keeps t = 2, as 4^(2/alpha) > 8 iff 4 * 10**16 > 3 * A
+        alpha = 1.3333333333333333
+        a = decimal_ratio(alpha)
+        assert 4 * a.denominator > 3 * a.numerator
+        oracle = ExtensionOracle(alpha, 4, 1.0, lambda x, k, rng: None)
+        row = list(engine._plan(3, alpha, "randomized", oracle, 2.5))[-1]
+        assert (row.k, row.t, row.reps) == (2, 2, 8)
 
 
 class TestDeterministicMode:
@@ -522,14 +567,18 @@ class TestFailedSamples:
     NEVER = ExtensionOracle(1.0, 2.0, 1.0, lambda x, k, rng: None)
 
     def test_universe_hit_draws_one_sample_at_the_last_k(self):
-        # 41 and 12, not 51 and 17: a k with t = 0 draws one sample, as the
-        # oracle is sure
+        # 33 and 11: one sample at each k = 0..5 with t = 0, as the oracle
+        # is sure (k = 5 too: its one call costs no more than the
+        # ceil(3 / p) = 9 samples at select_t's t = 2, as 2^2 <= 9), 14 and
+        # 12 at the sampled k = 6, 7 (2 each when capped), and one sample at
+        # the last k.  Before the one-call rule k = 5 drew 9 (2 when
+        # capped): 41 and 12.  The misses at t = 0 prove OPT > 5
         inst = vc_system(gen_gnp(8, 0.5, seed=3))
         rep = solve(inst, self.NEVER, RunConfig(seed=1))
-        assert rep.total_samples == 41
+        assert (rep.total_samples, rep.opt_lower) == (6 + 14 + 12 + 1, 6)
         assert rep.size == 8 and rep.k_found == -1 and rep.warnings == ()
         cfg = RunConfig(seed=1, stop_at_first=True, max_repetitions=2)
-        assert solve(inst, self.NEVER, cfg).total_samples == 12
+        assert solve(inst, self.NEVER, cfg).total_samples == 6 + 2 + 2 + 1
 
     def test_t0_sample_with_a_sure_oracle_runs_once(self):
         # c = 1 selects t = 0 at every k, so X is always {}: a sure oracle is
@@ -644,11 +693,14 @@ class TestSkippedK:
             return oracle.extend(x, k, rng)
 
         rep = solve(inst, replace(oracle, extend=extend), RunConfig(seed=1))
-        ts = [select_t(12, k, alpha, 2.0).t for k in range(math.floor(12 / alpha) + 1)]
+        ts = [row.t for row in engine._plan(12, alpha, "randomized", oracle, 3.0)]
         assert max(ts) > rep.size == best[0]  # some k has X larger than the best
-        # alpha 1 misses k = 0..6 with X = {} (t = 0, a sure oracle), so its
-        # hit at k = 7 is proven optimal and no later k runs; alpha 1.5 runs
-        # every k but the skipped ones
+        # the plan's t, not select_t's: a sure oracle's one call at t = 0
+        # replaces the samples where it costs no more (alpha 1 at k = 7 and
+        # 8, alpha 1.5 at k = 5).  alpha 1 misses k = 0..6 with X = {}, so
+        # its hit at k = 7 is proven optimal and no later k runs; alpha 1.5
+        # hits at k = 6 (t = 9, size 9), runs k = 7 (t = 9) and skips k = 8
+        # (t = 12)
         stopped = rep.size == rep.opt_lower
         assert stopped == (alpha == 1.0)
         last = rep.k_found if stopped else len(ts) - 1
@@ -703,6 +755,20 @@ class TestProvenLowerBound:
         assert any(rep.opt_lower == opt > 0 for rep, opt in reports)
         if alpha == 1 and mode != "randomized":  # exact, so each run proves its optimum
             assert all(rep.size == rep.opt_lower == opt for rep, opt in reports)
+
+    @pytest.mark.parametrize("boost", [1, 3, 9])
+    def test_randomized_exact_oracles_prove_their_optimum(self, boost):
+        # a sure oracle's row takes X = {} wherever its one call costs no
+        # more than the samples; at alpha 1 each such row below OPT misses,
+        # proving OPT > k, and the k = OPT row, if it takes X = {}, hits.
+        # Here every run ends on its proven optimum; pricing X = {} at
+        # ceil(boost / p) calls, as one repetition of select_t's cost model
+        # does, left 8 of these 120 runs unproven (vc(n=9,m=20) among them)
+        for problem in ("vc", "hs3"):
+            for inst, oracle, opt in self._cases(problem):
+                for seed in (0, 1):
+                    rep = solve(inst, oracle, RunConfig(seed=seed, boost=boost))
+                    assert rep.size == rep.opt_lower == opt, (inst.label, seed)
 
     @pytest.mark.parametrize("deterministic", [False, True])
     def test_matching_oracle(self, deterministic):
