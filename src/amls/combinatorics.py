@@ -37,7 +37,8 @@ audit compares these pairs with those of c and alpha and builds no
 Fraction.  It returns the winning t with its pair, (0, (1, 1)) at t = 0.
 Both factors are reciprocal probabilities, so at least factor(0, 0) = 1;
 at c == 1 (a polynomial oracle) every t costs its factor alone, so
-``argmin_t`` returns t = 0 without calling factor.  ``select_t`` feeds it
+``argmin_t`` returns t = 0 without calling factor, and the engine's plan
+takes t = 0 by the same rule without loading this module.  ``select_t`` feeds it
 C(n, t) over the favourable count, read from Pascal rows n, k and n - k
 (the last four rows are cached), and keeps the winner's pair, reduced:
 its exact p is count / C(n, t), and ceil(1/p) an int division of the

@@ -60,7 +60,9 @@ after it, are those random.sample gives, without its per-draw overhead.
 
 The families layer is imported only when a search first needs a family or
 a covering, and the combinatorics layer (the cost model) only outside brute
-force, by the package's one lazy-loading rule (``amls._lazy``).
+force and at c > 1: at c = 1 every row takes t = 0 by the cost model's own
+rule, so the plan needs none of it.  Both load by the package's one
+lazy-loading rule (``amls._lazy``).
 """
 
 from __future__ import annotations
@@ -260,19 +262,25 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
     by floats outside 1e-12 and by _cost_less on the int pairs within,
     with ties to t = 0.  The row's cost only falls, and the k = OPT row, if
     it takes X = {}, hits surely, so the exp(-boost) bound holds.
+    At c = 1 every t costs its factor, at least t = 0's, so each row takes
+    t = 0, as argmin_t would, without select_t or argmin_t: reps is then 1
+    for a sure oracle, ceil(boost) for an unsure one in randomized mode,
+    and 1 where alpha_k >= n.
     Rows are made one k at a time: in randomized mode in ascending k, so a
     run that stops early plans no further; in the others from the largest
     k down, where a row with t >= 1 comes first, and each such row checks
     families.LIMIT, so a run over the limit plans no further either.
     Floors and ceilings are exact, on the int pairs alpha = num/den and
-    boost = b_num/b_den of amls._ratio; only modes other than "brute" bind
-    the combinatorics layer.  The deterministic factor is kappa's reduced
-    int pair, read through this module's global (a wrapper installed there
-    sees each call), so no plan builds a Fraction.
+    boost = b_num/b_den of amls._ratio; only modes other than "brute", at
+    c > 1, bind the combinatorics layer.  The deterministic factor is
+    kappa's reduced int pair, read through this module's global (a wrapper
+    installed there sees each call), so no plan builds a Fraction.
     """
     _at_least_one("alpha", alpha)
     (num, den), (b_num, b_den) = _ratio(alpha), _ratio(boost)
-    if mode != "brute":
+    # at c = 1 every t costs its factor >= 1, t = 0's: argmin_t's own rule
+    flat = ext is not None and float(ext.c) == 1.0
+    if not (mode == "brute" or flat):
         _bind("combinatorics")
     ks = range(n * den // num + 1)
     for k in ks if mode == "randomized" else reversed(ks):
@@ -280,13 +288,13 @@ def _plan(n: int, alpha, mode: str, ext: ExtensionOracle | None, boost):
         if mode == "brute":
             t = alpha_k
         elif mode == "deterministic":
-            t = argmin_t(n, k, alpha, ext.c, lambda t, r: kappa(n, k, t, r))[0]
+            t = 0 if flat else argmin_t(n, k, alpha, ext.c, lambda t, r: kappa(n, k, t, r))[0]
         else:
-            cost = select_t(n, k, alpha, ext.c)
-            t = cost.t
+            # t = 0's profile has p = 1 / 1
+            t, _, count, subsets = (0, 0.0, 1, 1) if flat else select_t(n, k, alpha, ext.c)
             if alpha_k < n and not (t == 0 and ext.success_prob == 1):
                 # ceil(boost / p), exactly, on p's pair count / subsets
-                reps = -(-b_num * cost.subsets // (b_den * cost.count))
+                reps = -(-b_num * subsets // (b_den * count))
                 if ext.success_prob == 1:  # c^k <= reps * c^(k - t/alpha)?
                     gap = t * den / num * math.log(ext.c) - math.log(reps)
                     if gap < -1e-12 or (gap <= 1e-12 and not _cost_less(

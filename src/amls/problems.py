@@ -65,6 +65,8 @@ class Graph(namedtuple("Graph", "n edges")):
     """Simple undirected graph; edges normalized to u < v, deduplicated.
 
     Edge order (first occurrence) is preserved: the matching oracle scans it.
+    Graph(n, edges) and _replace validate; parse_graph checks each line as
+    it reads it and skips that second pass.
     """
 
     __slots__ = ()
@@ -80,7 +82,8 @@ class Hypergraph3(namedtuple("Hypergraph3", "n sets")):
 
     Sets keep their first occurrences in input order, which the exact oracle
     branches in: ``Hypergraph3(3, [(2, 1), (0,), (1, 2)]).sets`` is
-    ``((1, 2), (0,))``.
+    ``((1, 2), (0,))``.  Hypergraph3(n, sets) and _replace validate;
+    parse_hypergraph checks each line as it reads it and skips that pass.
     """
 
     __slots__ = ()
@@ -242,12 +245,14 @@ def hs3_exact_oracle(h: Hypergraph3) -> ExtensionOracle:
 # -------------------------------------------------------------------- parsing
 
 
-def _parse_sets(text, kind, tag, sizes, size_error, repeat_error):
-    """n and the sets of the instance text: a ``p <kind> <n> <m>`` header and
-    m ``<tag>`` lines, each holding a number in sizes of distinct 1-based
-    elements, read as ascending 0-based tuples in line order.  A line with a
-    wrong number of elements raises size_error; one with a repeat raises
-    repeat_error, formatted with the line's least vertex."""
+def _parse_sets(cls, text, kind, tag, sizes, size_error, repeat_error):
+    """The cls (Graph or Hypergraph3) of the instance text: a
+    ``p <kind> <n> <m>`` header and m ``<tag>`` lines, each holding a number
+    in sizes of distinct 1-based elements, read as ascending 0-based tuples
+    in line order, first occurrences only.  A line with a wrong number of
+    elements raises size_error; one with a repeat raises repeat_error,
+    formatted with the line's least vertex.  These checks are _normalized's,
+    so cls is built without its pass."""
     header_line = None
     sets = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -291,24 +296,23 @@ def _parse_sets(text, kind, tag, sizes, size_error, repeat_error):
         raise ParseError(1, "missing problem header")
     if len(sets) != m:
         raise ParseError(header_line, f"header declares {m} data lines, found {len(sets)}")
-    return n, tuple(sets)
+    return tuple.__new__(cls, (n, tuple(dict.fromkeys(sets))))
 
 
 def parse_graph(text: str) -> Graph:
-    """Strict DIMACS edge-format parser (see module docstring)."""
-    n, edges = _parse_sets(
-        text, "edge", "e", (2,), "edge lines take exactly two vertices", "loop edge on vertex {}"
+    """Strict DIMACS edge-format parser (see module docstring); validates once."""
+    return _parse_sets(
+        Graph, text, "edge", "e", (2,), "edge lines take exactly two vertices",
+        "loop edge on vertex {}",
     )
-    return Graph(n=n, edges=edges)
 
 
 def parse_hypergraph(text: str) -> Hypergraph3:
-    """Strict parser for the hs3 format (see module docstring)."""
-    n, sets = _parse_sets(
-        text, "hs3", "s", (1, 2, 3), "set lines take one to three elements",
+    """Strict parser for the hs3 format (see module docstring); validates once."""
+    return _parse_sets(
+        Hypergraph3, text, "hs3", "s", (1, 2, 3), "set lines take one to three elements",
         "repeated element within a set",
     )
-    return Hypergraph3(n=n, sets=sets)
 
 
 # ----------------------------------------------------------------- generators

@@ -659,8 +659,9 @@ LAYERS = ("bounds", "combinatorics", "engine", "families", "problems")
 # path, {empty} the 0-vertex graph, {two} two 3-sets that vertex 2 hits),
 # the amls modules it loads, exactly, and the stdlib modules it must not
 # load (None: no module beyond its amls ones).  Brute force at n = 0 runs
-# k = 0 alone, on X = {}, and needs no covering; a deterministic solve at
-# c = 1 (matching) has t = 0 at every k and needs no family.  A randomized
+# k = 0 alone, on X = {}, and needs no covering; a solve at c = 1
+# (matching) has t = 0 at every k by the plan's own rule, so it loads no
+# cost model, and in deterministic mode needs no family.  A randomized
 # solve plans its repetitions on select_t's int pair and a solve at c = 1
 # has p = 1 exactly at every k, so neither builds a Fraction or a Decimal
 # and neither loads rationals; at alpha 1.3333333333333333 the near-tie
@@ -672,6 +673,7 @@ _NEVER = ("numpy", "concurrent.futures", "typing")
 _NO_DATACLASSES = ("dataclasses", "inspect")
 _NO_RATIONALS = ("fractions", "decimal", "numbers")
 _SOLVE = "amls amls.cli amls.combinatorics amls.engine amls.problems"
+_SOLVE_C1 = "amls amls.cli amls.engine amls.problems"
 IMPORT_TABLE = {
     "": ("amls", None),
     "bounds --alpha 1.5,2 --c 2,3": ("amls amls.bounds amls.cli", _NEVER + _NO_DATACLASSES),
@@ -693,9 +695,9 @@ IMPORT_TABLE = {
     "solve --problem hs3 --deterministic --input {two}": (
         f"{_SOLVE} amls.families", _NEVER + _NO_RATIONALS,
     ),
-    "solve --problem vc --oracle matching --input {p3}": (_SOLVE, _NEVER + _NO_RATIONALS),
+    "solve --problem vc --oracle matching --input {p3}": (_SOLVE_C1, _NEVER + _NO_RATIONALS),
     "solve --problem vc --oracle matching --deterministic --input {p3}": (
-        _SOLVE, _NEVER + _NO_RATIONALS,
+        _SOLVE_C1, _NEVER + _NO_RATIONALS,
     ),
     "brute --problem vc --alpha 1.5 --input {p3}": (
         "amls amls.cli amls.engine amls.families amls.problems", _NEVER + _NO_RATIONALS,

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -254,6 +257,65 @@ class TestRepetitions:
         oracle = ExtensionOracle(alpha, 4, 1.0, lambda x, k, rng: None)
         row = list(engine._plan(3, alpha, "randomized", oracle, 2.5))[-1]
         assert (row.k, row.t, row.reps) == (2, 2, 8)
+
+
+# A c = 1 plan in a fresh -S interpreter: the modules it leaves out of
+# sys.modules, then a c = 2 plan's, which must bind the cost model.
+PLAN_AT_C1 = """
+import sys
+import amls.engine as engine
+
+for c in (1.0, 2.0):
+    for prob, mode in ((1.0, "randomized"), (0.5, "randomized"), (1.0, "deterministic")):
+        oracle = engine.ExtensionOracle(2.0, c, prob, lambda x, k, rng: None)
+        rows = list(engine._plan(12, 2.0, mode, oracle, 3))
+    print(c, len(rows), "amls.combinatorics" in sys.modules)
+"""
+
+
+class TestPolynomialPlan:
+    # at c = 1 every t costs its factor >= 1, so t = 0 wins every row, as
+    # select_t's profile says; reps is ceil(boost / 1) for an unsure oracle
+    # in randomized mode, and 1 for a sure one, in deterministic mode and
+    # where floor(alpha*k) >= n.  The plan reaches these rows by that rule,
+    # without the cost model
+    @pytest.mark.parametrize("alpha", [1, 1.5, 2, 1.3333333333333333, 3.7])
+    def test_rows_are_the_t0_profile(self, alpha):
+        a = decimal_ratio(alpha)
+        cases = [("randomized", 1.0), ("randomized", 0.5), ("deterministic", 1.0)]
+        plans = 0
+        for mode, success_prob in cases:
+            oracle = ExtensionOracle(alpha, 1, success_prob, lambda x, k, rng: None)
+            for boost in (1, 2.5, 3, 9):
+                b = Fraction(*_ratio(boost))
+                for n in range(31):
+                    expected = []
+                    for k in range(math.floor(n / a) + 1):
+                        profile = select_t(n, k, alpha, 1)
+                        assert profile.t == 0
+                        alpha_k = math.floor(a * k)
+                        one = mode == "deterministic" or alpha_k >= n or success_prob == 1
+                        reps = 1 if one else math.ceil(b / profile.p)
+                        expected.append((k, 0, 0, alpha_k, reps))
+                    if mode == "deterministic":
+                        expected.reverse()
+                    rows = list(engine._plan(n, alpha, mode, oracle, boost))
+                    assert rows == expected, (mode, success_prob, boost, n)
+                    plans += 1
+        assert plans == 3 * 4 * 31
+
+    def test_plan_at_c1_loads_no_cost_model(self):
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", PLAN_AT_C1],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1.0 7 False", "2.0 7 True"]
 
 
 class TestDeterministicMode:

@@ -351,6 +351,63 @@ class TestHypergraphParser:
         assert str(err.value) == message
 
 
+def _parse_corpus():
+    """(parser, constructor, text) for valid instance texts: the parser
+    examples above, G(n, p) and random hs3 instances with their lines'
+    elements in any order, reversed pairs and repeated lines."""
+    graph = (parse_graph, Graph)
+    hyper = (parse_hypergraph, Hypergraph3)
+    corpus = [
+        (*graph, "p edge 3 2\ne 1 2\ne 2 3\n"),
+        (*graph, "c a comment\n\np edge 2 1\nc another\ne 1 2\n"),
+        (*graph, "p edge 0 0\n"),
+        (*graph, "p edge 4 4\ne 3 1\ne 1 3\ne 3 1\ne 4 2\n"),
+        (*hyper, "p hs3 4 2\ns 1 2 3\ns 4\n"),
+        (*hyper, "p hs3 4 5\ns 3 1 2\ns 2 1 3\ns 4\ns 4\ns 2 4\n"),
+    ]
+    rng = random.Random(39)
+    for n in range(1, 25):
+        lines = [
+            rng.sample((u + 1, v + 1), 2)
+            for u, v in gen_gnp(n, rng.choice((0.2, 0.5, 1.0)), seed=n).edges
+        ]
+        lines += rng.choices(lines, k=min(len(lines), 3))  # repeated lines
+        text = f"p edge {n} {len(lines)}\n" + "".join(f"e {u} {v}\n" for u, v in lines)
+        corpus.append((*graph, text))
+        lines = [rng.sample(range(1, n + 1), rng.randint(1, min(3, n))) for _ in range(2 * n)]
+        lines += [rng.sample(s, len(s)) for s in rng.choices(lines, k=3)]  # in another order
+        text = f"p hs3 {n} {len(lines)}\n" + "".join(f"s {' '.join(map(str, s))}\n" for s in lines)
+        corpus.append((*hyper, text))
+    return corpus
+
+
+def _as_read(text):
+    """n and the data lines of a valid instance text as 0-based tuples,
+    in line order, each line's elements as written."""
+    rows = [line.split() for line in text.splitlines() if line and not line.startswith("c")]
+    return int(rows[0][2]), [tuple(int(v) - 1 for v in row[1:]) for row in rows[1:]]
+
+
+class TestParseValidatesOnce:
+    # the parsers check each line as they read it and build the instance
+    # without the constructor's pass; the result must be the one the
+    # constructor gives the lines as read
+    @pytest.mark.parametrize("parse,build,text", _parse_corpus())
+    def test_parsed_equals_constructed(self, parse, build, text):
+        parsed = parse(text)
+        assert type(parsed) is build
+        assert parsed == build(*_as_read(text))
+
+    def test_replace_on_parsed_still_validates(self):
+        g = parse_graph("p edge 3 1\ne 3 1\n")
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) must have 2 distinct"):
+            g._replace(edges=((0, 3),))
+        h = parse_hypergraph("p hs3 3 1\ns 3 1 2\n")
+        with pytest.raises(ValueError, match=r"set \(2, 4\) must have 1/2/3 distinct"):
+            h._replace(sets=((2, 4),))
+        assert g._replace(edges=((2, 1), (1, 2))).edges == ((1, 2),)
+
+
 class TestGenerators:
     def test_gnp_extremes(self):
         assert gen_gnp(5, 0.0, seed=1).edges == ()
